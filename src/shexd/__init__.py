@@ -37,12 +37,12 @@ from .matching import (
     check_local_witness,
     edge_matches,
     interval,
+    local_witnesses,
     matching_consumers,
     propagation,
-    unfold_repetitions,
     value_satisfies,
 )
-from .rdf_graph import Graph, Triple, build_graph, neighbourhood, parse_data, to_ntriples
+from .rdf_graph import Graph, Triple, build_graph, parse_data, to_ntriples
 from .repair import EditSet, RepairResult, enumerate_repairs, is_repair, is_valid_after
 from .schema_model import (
     Schema,
@@ -50,6 +50,7 @@ from .schema_model import (
     dependency_graph,
     negated_shapes,
     triple_consumers,
+    unfold_repetitions,
 )
 from .shexc import json_to_schema, parse_schema, schema_to_json, schema_to_shexc
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
@@ -42,20 +41,6 @@ EXIT_INVALID = 1
 EXIT_NOT_WELL_DEFINED = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
-
-
-@dataclass
-class RunConfig:
-    schema_path: str
-    data_paths: list[str] = field(default_factory=list)
-    data_format: str = "ttl-lite"
-    typing0: list[TypingEntry] = field(default_factory=list)
-    lookahead: bool = False
-    bag_bound: int = DEFAULT_BAG_BOUND
-    max_edits: int = 2
-    witness_out: str | None = None
-    json_output: bool = False
-    verbose: bool = False
 
 
 def _load_schema(path: str) -> Schema:
@@ -113,6 +98,12 @@ def _gather_typing0(args, graph: Graph, schema: Schema) -> list[TypingEntry]:
     if len(nodes) != len(shapes):
         raise ValueError("--node and --shape must be given the same number of times")
     negated_positions = set(args.negate or [])
+    for position in sorted(negated_positions):
+        if not 1 <= position <= len(nodes):
+            raise ValueError(
+                f"--negate {position} names no pair: there are {len(nodes)}"
+                " --node/--shape pairs"
+            )
     out: list[TypingEntry] = []
     for position, (node, shape) in enumerate(zip(nodes, shapes), start=1):
         sign = "-" if position in negated_positions else "+"
@@ -132,6 +123,13 @@ def _gather_typing0(args, graph: Graph, schema: Schema) -> list[TypingEntry]:
     if not out:
         raise ValueError("no typing requested; pass --node/--shape or --typing-file")
     return out
+
+
+def _check_limits(args) -> None:
+    for flag in ("bag_bound", "max_edits"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must not be negative, got {value}")
 
 
 def cmd_check_schema(args) -> int:
@@ -174,6 +172,7 @@ def _print_witness(gtw: GlobalTypingWitness) -> None:
 
 def cmd_validate(args) -> int:
     try:
+        _check_limits(args)
         schema = _load_schema(args.schema)
         graph = _load_graph(args.data, args.format)
         typing0 = _gather_typing0(args, graph, schema)
@@ -226,6 +225,7 @@ def cmd_validate(args) -> int:
 
 def cmd_repair(args) -> int:
     try:
+        _check_limits(args)
         schema = _load_schema(args.schema)
         graph = _load_graph(args.data, args.format)
         typing0 = _gather_typing0(args, graph, schema)

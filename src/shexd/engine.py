@@ -26,6 +26,7 @@ from .matching import (
     candidate_count,
     candidate_witnesses,
     check_local_witness,
+    local_witnesses,
     propagation,
     value_satisfies,
 )
@@ -39,7 +40,6 @@ from .schema_model import (
     check_well_defined,
     consumer_key,
     dependency_graph,
-    iter_triple_constraints,
     negated_shape_labels,
     reachable_labels,
 )
@@ -142,13 +142,14 @@ class CertainTyping:
 
     def _decide(self, node: str, label: str) -> tuple[bool, dict | None]:
         shape_def = self.schema.shapes[label]
-        for cand in candidate_witnesses(
-            node, shape_def, self.graph, schema=self.schema, lookahead=self.lookahead
+        for cand in local_witnesses(
+            node,
+            shape_def,
+            self.graph,
+            bag_bound=self.bag_bound,
+            schema=self.schema,
+            lookahead=self.lookahead,
         ):
-            if not check_local_witness(
-                cand, node, shape_def, self.graph, bag_bound=self.bag_bound
-            ):
-                continue
             prop = propagation(cand, self.graph, shape_def)
             if all(self.sign(n2, l2) == (s2 == "+") for n2, l2, s2 in prop) and check_gtw_extra(
                 self.schema, label, cand, self, self.graph
@@ -179,15 +180,12 @@ def check_gtw_extra(
     constraint: some value-set conjunct fails, or some shape conjunct is
     certainly decided the opposite way."""
     shape_def = schema.shapes[label]
-    tcs = iter_triple_constraints(shape_def.expr)
     for edge_id, consumer in witness.items():
         if not isinstance(consumer, ExtraSlot):
             continue
         edge = graph.edge_by_id[edge_id]
         target_value = graph.val(edge.target)
-        for tc in tcs:
-            if tc.dprop != edge.dprop:
-                continue
+        for tc in shape_def.tcs_by_dprop.get(edge.dprop, ()):
             violated = False
             for conj in tc.value_class:
                 if isinstance(conj, VALUE_SET_KINDS):
@@ -311,18 +309,18 @@ def copy_proof(
 class _WitnessSource:
     """Lazily extended list of the local witnesses of one (node, shape) pair.
 
-    The underlying candidate stream and the local-witness check do not depend
-    on engine state, so one source can back every search branch.
+    The local witnesses do not depend on engine state, so one source can
+    back every search branch.
     """
 
     def __init__(self, node, label, schema, graph, bag_bound, lookahead):
-        shape_def = schema.shapes[label]
-        self._iter = (
-            cand
-            for cand in candidate_witnesses(
-                node, shape_def, graph, schema=schema, lookahead=lookahead
-            )
-            if check_local_witness(cand, node, shape_def, graph, bag_bound=bag_bound)
+        self._iter = local_witnesses(
+            node,
+            schema.shapes[label],
+            graph,
+            bag_bound=bag_bound,
+            schema=schema,
+            lookahead=lookahead,
         )
         self._seen: list[dict] = []
         self._done = False
@@ -379,7 +377,6 @@ def flooding_validation(
     remaining candidates is restored and the search resumes, so the engine is
     complete relative to the declarative semantics.
     """
-    ensure_well_defined(schema)
     if certain is None:
         certain = CertainTyping(schema, graph, bag_bound=bag_bound, lookahead=lookahead)
     if stats is None:
@@ -539,13 +536,12 @@ def reference_validate(
 ) -> GlobalTypingWitness:
     """Depth-first search over all candidate witnesses, with full
     chronological backtracking. Slow, simple, and trusted as the oracle."""
-    ensure_well_defined(schema)
+    if certain is None:
+        certain = CertainTyping(schema, graph, bag_bound=bag_bound)
     if len(graph.nodes) > max_nodes:
         raise SearchBudgetExceededError(
             f"{len(graph.nodes)} nodes exceed the reference bound of {max_nodes}"
         )
-    if certain is None:
-        certain = CertainTyping(schema, graph, bag_bound=bag_bound)
     typing0_entries = _validate_typing0(typing0, graph, schema, certain)
     steps = [budget]
 

@@ -1,4 +1,4 @@
-"""Edge/consumer matching and multiset membership for shape expressions.
+"""Edge/consumer matching, local witnesses and bag membership for shape expressions.
 
 A node's neighbourhood satisfies a shape definition when every edge can be
 assigned a triple consumer (a specific constraint occurrence, an EXTRA slot,
@@ -6,6 +6,15 @@ or the open slot) such that the constraint-consumed edges, read as a bag of
 constraint ids, belong to the expression's language. Bag membership is
 decided by an interval computation on single-occurrence expressions and by
 exhaustive search otherwise.
+
+Two enumerations of assignments live here. :func:`candidate_witnesses`
+walks the whole product of the per-edge consumer lists and, filtered by
+:func:`check_local_witness`, is the oracle side. :func:`local_witnesses`
+yields the same witnesses in the same order without walking the product: it
+searches the edges that have a choice depth-first and skips a subtree when no
+bag of constraint counts its remaining edges can complete passes
+:func:`bag_matches`, so a node that satisfies no assignment costs a number
+of bag checks polynomial in its degree rather than one check per candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import BagTooLargeError, NotSingleOccurrenceError
@@ -36,7 +44,9 @@ from .schema_model import (
     ShapeRef,
     SomeOf,
     TripleConstraint,
+    is_single_occurrence,  # noqa: F401  (re-exported)
     iter_triple_constraints,
+    unfold_repetitions,  # noqa: F401  (re-exported)
 )
 
 DEFAULT_BAG_BOUND = 16
@@ -67,11 +77,6 @@ def value_satisfies(value: Value, atomic: AtomicConstr) -> bool:
     return value in members
 
 
-@lru_cache(maxsize=None)
-def _tc_by_id(shape_def: ShapeDefinition) -> dict[int, TripleConstraint]:
-    return {tc.tc_id: tc for tc in iter_triple_constraints(shape_def.expr)}
-
-
 def edge_matches(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph) -> bool:
     """Can this edge be consumed by the given constraint or EXTRA slot?
 
@@ -82,7 +87,7 @@ def edge_matches(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph)
         raise TypeError("the open slot is never matched edge-wise")
     if isinstance(consumer, ExtraSlot):
         return edge.dprop == consumer.dprop
-    tc = _tc_by_id(shape_def).get(consumer.tc_id)
+    tc = shape_def.tc_by_id.get(consumer.tc_id)
     if tc is None or tc.dprop != edge.dprop:
         return False
     target_value = graph.val(edge.target)
@@ -105,14 +110,13 @@ def matching_consumers(
 ) -> list:
     """Consumers this edge may be assigned: constraints by ascending id, then
     the EXTRA slot; just the open slot when the property is unmentioned."""
-    tcs = iter_triple_constraints(shape_def.expr)
-    mentioned = any(tc.dprop == edge.dprop for tc in tcs)
+    tcs = shape_def.tcs_by_dprop.get(edge.dprop, ())
     is_extra = edge.dprop in shape_def.extra
-    if not mentioned and not is_extra:
+    if not tcs and not is_extra:
         return [OpenSlot()]
     out: list = [
         ByConstraint(tc.tc_id)
-        for tc in sorted(tcs, key=lambda t: t.tc_id)
+        for tc in tcs
         if edge_matches(edge, ByConstraint(tc.tc_id), shape_def, graph)
     ]
     if is_extra:
@@ -185,7 +189,7 @@ def lookahead_prune(
     """Drop constraints whose positively referenced shapes visibly cannot hold
     at the opposite node (a required property is absent from its
     neighbourhood). Never drops anything a valid witness could use."""
-    tc_index = _tc_by_id(shape_def)
+    tc_index = shape_def.tc_by_id
     target_props = {e.dprop for e in graph.neighbourhood(edge.target)}
     out = []
     for consumer in consumers:
@@ -203,45 +207,6 @@ def _tc_visibly_impossible(tc: TripleConstraint, target_props: set, schema: Sche
             if required_dprops(schema, conj.label) - target_props:
                 return True
     return False
-
-
-# --- repetition unfolding ---------------------------------------------------
-
-_ALLOWED_COMPOUND_CARDS = {(0, 1), (0, None), (1, None)}
-
-
-@lru_cache(maxsize=None)
-def unfold_repetitions(expr: ShapeExpr) -> ShapeExpr:
-    """Rewrite compound repetitions into the three supported interval forms.
-
-    ``E[m;n]`` on a non-constraint ``E`` becomes m mandatory copies followed
-    by optional copies (``E[0;1]`` tails, or one ``E[0;∞]`` tail for an
-    unbounded maximum). Repetitions directly on triple constraints are kept.
-    """
-    if isinstance(expr, (Empty, TripleConstraint)):
-        return expr
-    if isinstance(expr, SomeOf):
-        return SomeOf(tuple(unfold_repetitions(c) for c in expr.children))
-    if isinstance(expr, Group):
-        return Group(tuple(unfold_repetitions(c) for c in expr.children))
-    child = unfold_repetitions(expr.child)
-    if isinstance(child, TripleConstraint) or (expr.lo, expr.hi) in _ALLOWED_COMPOUND_CARDS:
-        return Repetition(child, expr.lo, expr.hi)
-    copies: list[ShapeExpr] = [child] * expr.lo
-    if expr.hi is None:
-        copies.append(Repetition(child, 0, None))
-    else:
-        copies.extend([Repetition(child, 0, 1)] * (expr.hi - expr.lo))
-    if not copies:
-        return Empty()
-    if len(copies) == 1:
-        return copies[0]
-    return Group(tuple(copies))
-
-
-def is_single_occurrence(expr: ShapeExpr) -> bool:
-    counts = Counter(tc.tc_id for tc in iter_triple_constraints(expr))
-    return all(c == 1 for c in counts.values())
 
 
 # --- the interval computation -----------------------------------------------
@@ -313,34 +278,31 @@ def interval(expr: ShapeExpr, bag: Mapping[int, int]) -> Interval:
     Raises :class:`NotSingleOccurrenceError` when a constraint id occurs more
     than once; callers then fall back to :func:`brute_match`.
     """
-    if not is_single_occurrence(expr):
+    occurrences = Counter(tc.tc_id for tc in iter_triple_constraints(expr))
+    if any(c > 1 for c in occurrences.values()):
         raise NotSingleOccurrenceError("expression repeats a constraint id")
-    counts = {sym: c for sym, c in bag.items() if c > 0}
-    if set(counts) - _alphabet(expr):
+    if any(c > 0 and sym not in occurrences for sym, c in bag.items()):
         return EMPTY_INTERVAL
-    return _interval(expr, counts)
+    return _interval(expr, bag)
 
 
-def _interval(expr: ShapeExpr, bag: dict[int, int]) -> Interval:
+def _interval(expr: ShapeExpr, bag: Mapping[int, int]) -> Interval:
+    # Each leaf reads only its own count, so children see the whole bag.
     if isinstance(expr, Empty):
-        return FULL_INTERVAL  # its restricted bag is always empty
+        return FULL_INTERVAL
     if isinstance(expr, TripleConstraint):
         c = bag.get(expr.tc_id, 0)
         return Interval(c, c)
     if isinstance(expr, Repetition):
         return _repetition_counts(_interval(expr.child, bag), expr.lo, expr.hi)
-    restricted = [
-        (child, {s: c for s, c in bag.items() if s in _alphabet(child)})
-        for child in expr.children
-    ]
     if isinstance(expr, Group):
         out = FULL_INTERVAL
-        for child, sub in restricted:
-            out = out.intersect(_interval(child, sub))
+        for child in expr.children:
+            out = out.intersect(_interval(child, bag))
         return out
     out = Interval(0, 0)
-    for child, sub in restricted:
-        out = out.shift_sum(_interval(child, sub))
+    for child in expr.children:
+        out = out.shift_sum(_interval(child, bag))
     return out
 
 
@@ -359,8 +321,9 @@ def brute_match(expr: ShapeExpr, bag: Mapping[int, int], bound: int = DEFAULT_BA
     memo: dict = {}
     part_memo: dict = {}
 
+    # Memo keys use object identity: hashing a frozen expression walks it.
     def match(e: ShapeExpr, b: tuple) -> bool:
-        key = (e, b)
+        key = (id(e), b)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -423,7 +386,7 @@ def brute_match(expr: ShapeExpr, bag: Mapping[int, int], bound: int = DEFAULT_BA
         return False
 
     def _nonempty_partition(child: ShapeExpr, b: tuple, k: int) -> bool:
-        key = (child, b, k)
+        key = (id(child), b, k)
         hit = part_memo.get(key)
         if hit is not None:
             return hit
@@ -474,16 +437,32 @@ def _bag_minus(b: tuple, sub: tuple) -> tuple:
 
 
 def bag_matches(
-    shape_expr: ShapeExpr, bag: Mapping[int, int], bound: int = DEFAULT_BAG_BOUND
+    shape_def: ShapeDefinition, bag: Mapping[int, int], bound: int = DEFAULT_BAG_BOUND
 ) -> bool:
-    """Decide bag membership: interval fast path, exhaustive fallback."""
-    unfolded = unfold_repetitions(shape_expr)
-    if is_single_occurrence(unfolded):
-        return interval(unfolded, bag).contains(1)
-    return brute_match(shape_expr, bag, bound)
+    """Decide bag membership in a shape's expression: the interval fast path
+    on single-occurrence shapes, the exhaustive fallback otherwise."""
+    if shape_def.single_occurrence:
+        return interval(shape_def.unfolded, bag).contains(1)
+    return brute_match(shape_def.expr, bag, bound)
 
 
 # --- the local witness check ------------------------------------------------
+
+def _edge_admits(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph) -> bool:
+    """The conditions of a local witness that concern one edge alone."""
+    if isinstance(consumer, OpenSlot):
+        if edge.dprop in shape_def.tcs_by_dprop or edge.dprop in shape_def.extra:
+            return False
+        return not (shape_def.closed_inv if edge.dprop.inverse else shape_def.closed_fwd)
+    if not edge_matches(edge, consumer, shape_def, graph):
+        return False
+    if isinstance(consumer, ExtraSlot):
+        return not any(
+            edge_matches(edge, ByConstraint(tc.tc_id), shape_def, graph)
+            for tc in shape_def.value_only_by_dprop.get(edge.dprop, ())
+        )
+    return True
+
 
 def check_local_witness(
     witness: LocalWitness,
@@ -495,43 +474,151 @@ def check_local_witness(
 ) -> bool:
     """Is this total assignment a local witness for node vs. shape?
 
-    Checks, in order: assigned consumers actually match their edges; EXTRA
-    consumption is not hiding a fully satisfied value-only constraint; open
-    edges carry genuinely unmentioned properties; CLOSED / ^CLOSED exclude
-    open forward / inverse edges; and the constraint-consumed restriction
-    satisfies the shape expression as a bag.
+    Checks, edge by edge: assigned consumers actually match their edges;
+    EXTRA consumption is not hiding a fully satisfied value-only constraint;
+    open edges carry genuinely unmentioned properties; CLOSED / ^CLOSED
+    exclude open forward / inverse edges. Then the constraint-consumed
+    restriction must satisfy the shape expression as a bag.
     """
     edges = graph.neighbourhood(node)
     if set(witness.keys()) != {e.id for e in edges}:
         return False
-    tcs = iter_triple_constraints(shape_def.expr)
     bag: Counter = Counter()
     for edge in edges:
         consumer = witness[edge.id]
-        if isinstance(consumer, OpenSlot):
-            if any(tc.dprop == edge.dprop for tc in tcs) or edge.dprop in shape_def.extra:
-                return False
-            if shape_def.closed_fwd and not edge.dprop.inverse:
-                return False
-            if shape_def.closed_inv and edge.dprop.inverse:
-                return False
-            continue
-        if not edge_matches(edge, consumer, shape_def, graph):
+        if not _edge_admits(edge, consumer, shape_def, graph):
             return False
-        if isinstance(consumer, ExtraSlot):
-            for tc in tcs:
-                if all(isinstance(c, VALUE_SET_KINDS) for c in tc.value_class) and edge_matches(
-                    edge, ByConstraint(tc.tc_id), shape_def, graph
-                ):
-                    return False
-        else:
+        if isinstance(consumer, ByConstraint):
             bag[consumer.tc_id] += 1
-    return bag_matches(shape_def.expr, bag, bag_bound)
+    return bag_matches(shape_def, bag, bag_bound)
+
+
+# --- local witness enumeration ----------------------------------------------
+
+# Most completions one pruning test enumerates; beyond it the subtree is
+# searched without the test, as the candidate product would be.
+_PRUNE_LIMIT = 1024
+
+
+def local_witnesses(
+    node: str,
+    shape_def: ShapeDefinition,
+    graph: Graph,
+    *,
+    bag_bound: int = DEFAULT_BAG_BOUND,
+    schema: Schema | None = None,
+    lookahead: bool = False,
+) -> Iterator[dict]:
+    """Lazily enumerate the local witnesses of node vs. shape.
+
+    Yields exactly the candidates of :func:`candidate_witnesses` that pass
+    :func:`check_local_witness`, in the same order, and raises
+    :class:`BagTooLargeError` at the same point. Consumers that fail a
+    per-edge condition are dropped first, edges left with one consumer are
+    fixed, and the others are searched depth-first in canonical order.
+    Before each branching step the remaining edges are grouped into classes
+    (the constraint ids an edge may take, and whether EXTRA may take it);
+    the subtree is skipped when no bag those classes can complete passes
+    :func:`bag_matches`. A bag whose check raises counts as passing, so the
+    leaf that raises in the candidate order is still reached. Every leaf is
+    checked with :func:`check_local_witness`.
+    """
+    edges = graph.neighbourhood(node)
+    options = [
+        [
+            c
+            for c in matching_consumers(e, shape_def, graph, schema=schema, lookahead=lookahead)
+            if _edge_admits(e, c, shape_def, graph)
+        ]
+        for e in edges
+    ]
+    if not all(options):
+        return
+    ids = [e.id for e in edges]
+    chosen = [opts[0] for opts in options]
+    branching = [i for i, opts in enumerate(options) if len(opts) > 1]
+    fixed = Counter(
+        c.tc_id
+        for c, opts in zip(chosen, options)
+        if len(opts) == 1 and isinstance(c, ByConstraint)
+    )
+
+    # classes[k]: (class, edge count) pairs of the edges branching[k:]
+    classes: list[tuple] = [()] * (len(branching) + 1)
+    running: Counter = Counter()
+    for k in range(len(branching) - 1, -1, -1):
+        opts = options[branching[k]]
+        tc_ids = tuple(dict.fromkeys(c.tc_id for c in opts if isinstance(c, ByConstraint)))
+        running[(tc_ids, any(isinstance(c, ExtraSlot) for c in opts))] += 1
+        classes[k] = tuple(running.items())
+
+    may_match: dict[tuple, bool] = {}
+
+    def completable(bag: Counter, k: int) -> bool:
+        spreads = []
+        for (tc_ids, to_extra), count in classes[k]:
+            some = list(itertools.islice(_spreads(tc_ids, to_extra, count), _PRUNE_LIMIT + 1))
+            if len(some) > _PRUNE_LIMIT:
+                return True
+            spreads.append(some)
+        for n, parts in enumerate(itertools.product(*spreads)):
+            if n == _PRUNE_LIMIT:
+                return True
+            total = bag.copy()
+            for part in parts:
+                total.update(part)
+            key = tuple(sorted(total.items()))
+            hit = may_match.get(key)
+            if hit is None:
+                try:
+                    hit = bag_matches(shape_def, total, bag_bound)
+                except BagTooLargeError:
+                    hit = True
+                may_match[key] = hit
+            if hit:
+                return True
+        return False
+
+    bags = [fixed] + [None] * len(branching)  # bags[k]: counts fixed before step k
+    cursor = [-1] * len(branching)  # option index taken at each step; -1 before entry
+    k = 0
+    while k >= 0:
+        if k == len(branching):
+            candidate = dict(zip(ids, chosen))
+            if check_local_witness(candidate, node, shape_def, graph, bag_bound=bag_bound):
+                yield candidate
+            k -= 1
+            continue
+        if cursor[k] < 0 and not completable(bags[k], k):
+            k -= 1
+            continue
+        opts = options[branching[k]]
+        cursor[k] += 1
+        if cursor[k] == len(opts):
+            cursor[k] = -1
+            k -= 1
+            continue
+        consumer = chosen[branching[k]] = opts[cursor[k]]
+        bag = bags[k]
+        if isinstance(consumer, ByConstraint):
+            bag = bag.copy()
+            bag[consumer.tc_id] += 1
+        bags[k + 1] = bag
+        k += 1
+
+
+def _spreads(tc_ids: tuple[int, ...], to_extra: bool, count: int) -> Iterator[dict[int, int]]:
+    """Constraint counts of every way to spread ``count`` interchangeable
+    edges over ``tc_ids`` (and over EXTRA, which counts nothing), starting
+    with all of them on the first id, where the depth-first search starts."""
+    for split in _compositions(count, len(tc_ids) + to_extra):
+        # _compositions fills its last part first, so read the parts backwards
+        yield {tc_id: n for tc_id, n in zip(tc_ids, reversed(split)) if n}
 
 
 def propagation(witness: LocalWitness, graph: Graph, shape_def: ShapeDefinition) -> frozenset:
     """Typing requirements a witness imposes on the opposite nodes."""
-    tc_index = _tc_by_id(shape_def)
+    tc_index = shape_def.tc_by_id
     out = set()
     for edge_id, consumer in witness.items():
         if not isinstance(consumer, ByConstraint):

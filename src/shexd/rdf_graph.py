@@ -192,6 +192,7 @@ class Graph:
             raise UnknownNodeError(f"no node {node!r} in graph") from None
 
     def neighbourhood(self, node: str) -> tuple[Edge, ...]:
+        """Edges leaving ``node``, in canonical (edge id) order."""
         try:
             return self._adjacency[node]
         except KeyError:
@@ -200,11 +201,6 @@ class Graph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edge_by_id.values(), key=lambda e: e.id))
-
-
-def neighbourhood(graph: Graph, node: str) -> tuple[Edge, ...]:
-    """Edges leaving ``node``, in canonical (edge id) order."""
-    return graph.neighbourhood(node)
 
 
 def build_graph(data: TripleSet | tuple[Triple, ...] | list[Triple]) -> Graph:
@@ -233,20 +229,22 @@ _TOKEN_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class _Token:
+class Token:
     kind: str
     text: str
     line: int
     column: int
 
 
-def _tokenize_data(text: str) -> list[_Token]:
+def tokenize(text: str, token_re: re.Pattern) -> list[Token]:
+    """Split ``text`` with a pattern of named alternatives, dropping the
+    ``ws`` and ``comment`` ones; the list ends with an ``eof`` token."""
     tokens = []
     pos = 0
     line = 1
     line_start = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             raise ParseError(
                 f"unexpected character {text[pos]!r}", line, pos - line_start + 1
@@ -254,13 +252,13 @@ def _tokenize_data(text: str) -> list[_Token]:
         kind = m.lastgroup
         tok_text = m.group()
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, pos - line_start + 1))
+            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
         newlines = tok_text.count("\n")
         if newlines:
             line += newlines
             line_start = pos + tok_text.rindex("\n") + 1
         pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -268,17 +266,17 @@ class _DataParser:
     """Recursive-descent parser for N-Triples and the Turtle subset."""
 
     def __init__(self, text: str, fmt: str):
-        self.tokens = _tokenize_data(text)
+        self.tokens = tokenize(text, _TOKEN_RE)
         self.pos = 0
         self.fmt = fmt
         self.prefixes: dict[str, str] = {}
         self.triples: list[Triple] = []
         self.seen: set[tuple[str, str, str]] = set()
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def take(self, kind: str | None = None) -> _Token:
+    def take(self, kind: str | None = None) -> Token:
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
             raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.column)
@@ -290,7 +288,7 @@ class _DataParser:
         if tok.kind != "punct" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
 
-    def resolve_pname(self, tok: _Token) -> str:
+    def resolve_pname(self, tok: Token) -> str:
         prefix, _, local = tok.text.partition(":")
         if prefix not in self.prefixes:
             raise UnknownPrefixError(f"undeclared prefix {prefix!r}", tok.line, tok.column)

@@ -33,7 +33,6 @@ from .schema_model import (
     DatatypeSet,
     ExplicitSet,
     Schema,
-    iter_triple_constraints,
 )
 
 _FRESH_LITERALS = {
@@ -100,7 +99,7 @@ def insertion_domain(graph: Graph, schema: Schema, max_edits: int) -> list[Tripl
     datatypes: set[str] = set()
     pool: dict[str, Literal] = {}
     for sd in schema.shapes.values():
-        for tc in iter_triple_constraints(sd.expr):
+        for tc in sd.tcs:
             properties.add(tc.dprop.prop)
             for conj in tc.value_class:
                 if isinstance(conj, DatatypeSet):

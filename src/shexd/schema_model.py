@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import UndefinedShapeReferenceError
 from .rdf_graph import DirectedProperty, Value
@@ -80,12 +80,104 @@ class Repetition:
 ShapeExpr = Empty | TripleConstraint | SomeOf | Group | Repetition
 
 
+def iter_triple_constraints(expr: ShapeExpr) -> tuple[TripleConstraint, ...]:
+    """All triple-constraint occurrences of ``expr`` in source order."""
+    out: list[TripleConstraint] = []
+
+    def walk(e: ShapeExpr) -> None:
+        if isinstance(e, TripleConstraint):
+            out.append(e)
+        elif isinstance(e, (SomeOf, Group)):
+            for child in e.children:
+                walk(child)
+        elif isinstance(e, Repetition):
+            walk(e.child)
+
+    walk(expr)
+    return tuple(out)
+
+
+def is_single_occurrence(expr: ShapeExpr) -> bool:
+    counts = Counter(tc.tc_id for tc in iter_triple_constraints(expr))
+    return all(c == 1 for c in counts.values())
+
+
+_ALLOWED_COMPOUND_CARDS = {(0, 1), (0, None), (1, None)}
+
+
+def unfold_repetitions(expr: ShapeExpr) -> ShapeExpr:
+    """Rewrite compound repetitions into the three supported interval forms.
+
+    ``E[m;n]`` on a non-constraint ``E`` becomes m mandatory copies followed
+    by optional copies (``E[0;1]`` tails, or one ``E[0;∞]`` tail for an
+    unbounded maximum). Repetitions directly on triple constraints are kept.
+    """
+    if isinstance(expr, (Empty, TripleConstraint)):
+        return expr
+    if isinstance(expr, SomeOf):
+        return SomeOf(tuple(unfold_repetitions(c) for c in expr.children))
+    if isinstance(expr, Group):
+        return Group(tuple(unfold_repetitions(c) for c in expr.children))
+    child = unfold_repetitions(expr.child)
+    if isinstance(child, TripleConstraint) or (expr.lo, expr.hi) in _ALLOWED_COMPOUND_CARDS:
+        return Repetition(child, expr.lo, expr.hi)
+    copies: list[ShapeExpr] = [child] * expr.lo
+    if expr.hi is None:
+        copies.append(Repetition(child, 0, None))
+    else:
+        copies.extend([Repetition(child, 0, 1)] * (expr.hi - expr.lo))
+    if not copies:
+        return Empty()
+    if len(copies) == 1:
+        return copies[0]
+    return Group(tuple(copies))
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class ShapeDefinition:
+    """A shape, compiled once: the fields after ``expr`` are derived from the
+    four given ones when the object is built, live as long as it does, and
+    take no part in comparison or hashing."""
+
     closed_fwd: bool = False
     closed_inv: bool = False
     extra: tuple[DirectedProperty, ...] = ()
     expr: ShapeExpr = Empty()
+    tcs: tuple[TripleConstraint, ...] = _derived()  # occurrences in source order
+    tc_by_id: dict[int, TripleConstraint] = _derived()
+    # Same-property constraints by ascending id; the value-only ones among
+    # them are the constraints an EXTRA edge must fail.
+    tcs_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
+    value_only_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
+    unfolded: ShapeExpr = _derived()
+    single_occurrence: bool = _derived()
+
+    def __post_init__(self):
+        tcs = iter_triple_constraints(self.expr)
+        by_dprop: dict[DirectedProperty, list[TripleConstraint]] = {}
+        for tc in sorted(tcs, key=lambda t: t.tc_id):
+            by_dprop.setdefault(tc.dprop, []).append(tc)
+        unfolded = unfold_repetitions(self.expr)
+        derived = {
+            "tcs": tcs,
+            "tc_by_id": {tc.tc_id: tc for tc in tcs},
+            "tcs_by_dprop": {p: tuple(group) for p, group in by_dprop.items()},
+            "value_only_by_dprop": {
+                p: tuple(
+                    tc for tc in group
+                    if all(isinstance(c, VALUE_SET_KINDS) for c in tc.value_class)
+                )
+                for p, group in by_dprop.items()
+            },
+            "unfolded": unfolded,
+            "single_occurrence": is_single_occurrence(unfolded),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -124,29 +216,9 @@ def consumer_key(consumer: TripleConsumer) -> str:
     return "open"
 
 
-@lru_cache(maxsize=None)
-def iter_triple_constraints(expr: ShapeExpr) -> tuple[TripleConstraint, ...]:
-    """All triple-constraint occurrences of ``expr`` in source order."""
-    out: list[TripleConstraint] = []
-
-    def walk(e: ShapeExpr) -> None:
-        if isinstance(e, TripleConstraint):
-            out.append(e)
-        elif isinstance(e, (SomeOf, Group)):
-            for child in e.children:
-                walk(child)
-        elif isinstance(e, Repetition):
-            walk(e.child)
-
-    walk(expr)
-    return tuple(out)
-
-
 def triple_consumers(shape_def: ShapeDefinition) -> tuple[TripleConsumer, ...]:
     """Consumers usable by a witness: one per constraint, per extra, plus open."""
-    out: list[TripleConsumer] = [
-        ByConstraint(tc.tc_id) for tc in iter_triple_constraints(shape_def.expr)
-    ]
+    out: list[TripleConsumer] = [ByConstraint(tc.tc_id) for tc in shape_def.tcs]
     out.extend(ExtraSlot(p) for p in sorted(shape_def.extra, key=DirectedProperty.display))
     out.append(OPEN)
     return tuple(out)
@@ -181,7 +253,7 @@ def negated_shapes(schema: Schema, label: str) -> set[str]:
     sd = schema.shapes[label]
     out: set[str] = set()
     extra = set(sd.extra)
-    for tc in iter_triple_constraints(sd.expr):
+    for tc in sd.tcs:
         for conj in tc.value_class:
             if not isinstance(conj, ShapeRef):
                 continue
@@ -262,14 +334,14 @@ def lint_schema(schema: Schema) -> list[str]:
     """Non-fatal oddities: contradictions and idle EXTRA declarations."""
     warnings: list[str] = []
     for label, sd in sorted(schema.shapes.items()):
-        tc_props = {tc.dprop for tc in iter_triple_constraints(sd.expr)}
+        tc_props = {tc.dprop for tc in sd.tcs}
         for p in sd.extra:
             if p not in tc_props:
                 warnings.append(
                     f"<{label}>: EXTRA {p.display()} matches no triple constraint;"
                     " such edges are consumed freely"
                 )
-        for tc in iter_triple_constraints(sd.expr):
+        for tc in sd.tcs:
             refs = [c for c in tc.value_class if isinstance(c, ShapeRef)]
             by_label: dict[str, set[bool]] = {}
             for r in refs:

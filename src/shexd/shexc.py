@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     SchemaJsonError,
     UnknownPrefixError,
 )
-from .rdf_graph import BLANK, XSD_INTEGER, XSD_STRING, BlankValue, DirectedProperty, Iri, Literal, Value, escape_string, unescape_string
+from .rdf_graph import BLANK, XSD_INTEGER, XSD_STRING, BlankValue, DirectedProperty, Iri, Literal, Token, Value, escape_string, tokenize, unescape_string
 from .schema_model import (
     AtomicConstr,
     DatatypeSet,
@@ -56,54 +55,22 @@ _SCHEMA_TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_schema(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _SCHEMA_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, pos - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
-
-
 class _SchemaParser:
     def __init__(self, text: str):
-        self.tokens = _tokenize_schema(text)
+        self.tokens = tokenize(text, _SCHEMA_TOKEN_RE)
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.next_tc_id = 1
 
-    def peek(self, ahead: int = 0) -> _Token:
+    def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def take(self) -> _Token:
+    def take(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.column)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from shexd.cli import main
 
 from conftest import DATA, EX
@@ -260,6 +262,43 @@ def test_mismatched_node_shape_counts_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("position", ["0", "2", "5", "-1"])
+def test_negate_outside_the_pairs_exit_3(position, capsys):
+    code = main(
+        [
+            "validate",
+            "--schema", SCHEMA,
+            "--data", ISSUES,
+            "--node", "ex:emin",
+            "--shape", "ProgrammerShape",
+            "--negate", position,
+        ]
+    )
+    assert code == 3
+    assert f"--negate {position} names no pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("validate", "--bag-bound"), ("repair", "--bag-bound"), ("repair", "--max-edits")],
+)
+def test_negative_limit_exit_3(command, flag, capsys):
+    code = main(
+        [
+            command,
+            "--schema", SCHEMA,
+            "--data", str(DATA / "repairing.ttl"),
+            "--node", "ex:issue",
+            "--shape", "IssueShape",
+            flag, "-3",
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert f"{flag} must not be negative" in captured.err
+    assert "no repair" not in captured.out
+
+
 def test_validate_unknown_node_exit_3(capsys):
     code = main(
         ["validate", "--schema", SCHEMA, "--data", ISSUES, "--node", "ex:ghost", "--shape", "IssueShape"]
@@ -301,3 +340,40 @@ def test_validate_resource_bound_exit_4(tmp_path):
     ]
     assert main(args + ["--bag-bound", "3"]) == 4
     assert main(args) == 0
+
+
+def test_parsed_schema_dies_after_validate(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    import shexd.cli
+
+    # Properties no other test uses, so no equal shape was built before.
+    schema = tmp_path / "lifetime.shex"
+    schema.write_text(
+        "PREFIX l: <http://lifetime.example/>\n"
+        "<S> { l:p IRI *, l:p @<T> *, l:q Literal }\n<T> { l:q Literal }\n"
+    )
+    data = tmp_path / "lifetime.ttl"
+    data.write_text(
+        "@prefix l: <http://lifetime.example/> .\n"
+        "l:a l:p l:b ; l:q \"x\" .\nl:b l:q \"y\" .\n"
+    )
+    refs = []
+    original = shexd.cli.parse_schema
+
+    def recording(text):
+        parsed = original(text)
+        refs.append(weakref.ref(parsed))
+        refs.extend(weakref.ref(sd) for sd in parsed.shapes.values())
+        return parsed
+
+    monkeypatch.setattr(shexd.cli, "parse_schema", recording)
+    code = main(
+        ["validate", "--schema", str(schema), "--data", str(data),
+         "--node", "l:a", "--shape", "S", "--json"]
+    )
+    assert code == 0
+    assert len(refs) == 3
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

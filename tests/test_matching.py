@@ -47,6 +47,7 @@ from shexd.schema_model import (
     NodeKind,
     OpenSlot,
     Repetition,
+    ShapeDefinition,
     ShapeRef,
     SomeOf,
     TripleConstraint,
@@ -329,9 +330,10 @@ def test_brute_bag_too_large():
 
 
 def test_bag_matches_uses_fallback_for_duplicates():
-    rep = Repetition(Group((_tc(1), _tc(2))), 2, 3)
-    assert bag_matches(rep, Counter({1: 2, 2: 2}))
-    assert not bag_matches(rep, Counter({1: 1, 2: 1}))
+    shape = ShapeDefinition(expr=Repetition(Group((_tc(1), _tc(2))), 2, 3))
+    assert not shape.single_occurrence
+    assert bag_matches(shape, Counter({1: 2, 2: 2}))
+    assert not bag_matches(shape, Counter({1: 1, 2: 1}))
 
 
 # --- interval vs brute equivalence -------------------------------------------------

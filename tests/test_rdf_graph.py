@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shexd import build_graph, neighbourhood, parse_data, to_ntriples
+from shexd import build_graph, parse_data, to_ntriples
 from shexd.errors import ParseError, UnknownNodeError, UnknownPrefixError
 from shexd.rdf_graph import (
     RDF_LANG_STRING,
@@ -93,7 +93,7 @@ def test_build_graph_doubles_edges():
 
 
 def test_issue1_neighbourhood(issues_graph):
-    edges = neighbourhood(issues_graph, EX + "issue1")
+    edges = issues_graph.neighbourhood(EX + "issue1")
     assert len(edges) == 6
     inverse = [e for e in edges if e.dprop.inverse]
     assert [e.dprop.prop for e in inverse] == [IS + "affectedBy"]
@@ -101,7 +101,7 @@ def test_issue1_neighbourhood(issues_graph):
 
 
 def test_fatima_neighbourhood(issues_graph):
-    edges = neighbourhood(issues_graph, EX + "fatima")
+    edges = issues_graph.neighbourhood(EX + "fatima")
     assert len(edges) == 4
     assert sum(1 for e in edges if not e.dprop.inverse) == 3
     inverse = [e for e in edges if e.dprop.inverse]
@@ -110,27 +110,27 @@ def test_fatima_neighbourhood(issues_graph):
 
 def test_literal_with_one_incoming_edge(issues_graph):
     key = term_key(Literal("Ren Traore"))
-    edges = neighbourhood(issues_graph, key)
+    edges = issues_graph.neighbourhood(key)
     assert len(edges) == 1 and edges[0].dprop.inverse
 
 
 def test_self_loop_contributes_both_directions():
     g = build_graph(parse_data("@prefix ex: <http://e/> .\nex:a ex:p ex:a ."))
-    edges = neighbourhood(g, "http://e/a")
+    edges = g.neighbourhood("http://e/a")
     assert len(edges) == 2
     assert {e.dprop.inverse for e in edges} == {False, True}
 
 
 def test_unknown_node_raises(issues_graph):
     with pytest.raises(UnknownNodeError):
-        neighbourhood(issues_graph, "http://nowhere/")
+        issues_graph.neighbourhood("http://nowhere/")
 
 
 def test_equal_literals_share_a_node():
     g = build_graph(parse_data(
         '@prefix ex: <http://e/> .\nex:a ex:p "x" .\nex:b ex:q "x" .'))
     key = term_key(Literal("x"))
-    assert len(neighbourhood(g, key)) == 2  # one inverse edge per triple
+    assert len(g.neighbourhood(key)) == 2  # one inverse edge per triple
 
 
 def test_distinct_blank_labels_stay_distinct():
