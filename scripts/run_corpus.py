@@ -50,10 +50,12 @@ def main() -> int:
         print(f"  {edge_id.replace(EX, 'ex:')} -> {consumer_key(consumer)}")
 
     print("\nexpected failures:")
+    status = 0
     for node, shape in ((EX + "emin", "ProgrammerShape"), (EX + "issue1", "LowImpactIssueShape")):
         try:
             flooding_validation(schema, graph, [(node, shape, "+")], certain=certain)
             print(f"  UNEXPECTED: {node} satisfies {shape}")
+            status = 1
         except ValidationError:
             print(f"  {node.removeprefix(EX)} does not satisfy {shape} (as it should not)")
 
@@ -73,7 +75,7 @@ def main() -> int:
                 print(f"    - {t.key()}")
             for t in sorted(edits.insertions, key=lambda t: t.key()):
                 print(f"    + {t.key()}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -110,16 +110,17 @@ def _gather_typing0(args, graph: Graph, schema: Schema) -> list[TypingEntry]:
         out.append((_resolve_node(node, graph, schema), shape, sign))
     if args.typing_file:
         doc = json.loads(Path(args.typing_file).read_text(encoding="utf-8"))
+        if not isinstance(doc, list):
+            raise ValueError("typing file must hold a JSON list of entries")
         for i, entry in enumerate(doc):
             if not isinstance(entry, dict) or not {"node", "shape"} <= set(entry):
                 raise ValueError(f"typing file entry {i} needs 'node' and 'shape'")
-            out.append(
-                (
-                    _resolve_node(entry["node"], graph, schema),
-                    entry["shape"],
-                    entry.get("sign", "+"),
+            fields = (entry["node"], entry["shape"], entry.get("sign", "+"))
+            if not all(isinstance(field, str) for field in fields):
+                raise ValueError(
+                    f"typing file entry {i}: 'node', 'shape' and 'sign' must be strings"
                 )
-            )
+            out.append((_resolve_node(fields[0], graph, schema), fields[1], fields[2]))
     if not out:
         raise ValueError("no typing requested; pass --node/--shape or --typing-file")
     return out
@@ -135,10 +136,7 @@ def _check_limits(args) -> None:
 def cmd_check_schema(args) -> int:
     try:
         schema = _load_schema(args.schema)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShexdError as exc:
+    except (OSError, UnicodeDecodeError, ShexdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report = check_well_defined(schema)
@@ -181,16 +179,9 @@ def cmd_validate(args) -> int:
         return EXIT_PARSE
 
     try:
-        certain = CertainTyping(
-            schema, graph, bag_bound=args.bag_bound, lookahead=args.lookahead
-        )
+        certain = CertainTyping(schema, graph, bag_bound=args.bag_bound)
         gtw = flooding_validation(
-            schema,
-            graph,
-            typing0,
-            certain=certain,
-            bag_bound=args.bag_bound,
-            lookahead=args.lookahead,
+            schema, graph, typing0, certain=certain, bag_bound=args.bag_bound
         )
     except WellDefinednessError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -302,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_validate)
     p_validate.add_argument("--witness-out", help="write the witness JSON to this file")
     p_validate.add_argument(
-        "--lookahead", action="store_true", help="enable look-ahead candidate pruning"
+        "--lookahead", action="store_true",
+        help="accepted for compatibility; has no effect",
     )
     p_validate.set_defaults(func=cmd_validate)
 

@@ -33,7 +33,6 @@ from .matching import (
 from .rdf_graph import Graph
 from .schema_model import (
     VALUE_SET_KINDS,
-    ByConstraint,
     ExtraSlot,
     Schema,
     ShapeRef,
@@ -110,13 +109,11 @@ class CertainTyping:
         graph: Graph,
         *,
         bag_bound: int = DEFAULT_BAG_BOUND,
-        lookahead: bool = False,
     ):
         ensure_well_defined(schema)
         self.schema = schema
         self.graph = graph
         self.bag_bound = bag_bound
-        self.lookahead = lookahead
         self.negated = frozenset(negated_shape_labels(schema))
         self.region = frozenset(reachable_labels(dependency_graph(schema), set(self.negated)))
         self._memo: dict[Hypothesis, tuple[bool, dict | None]] = {}
@@ -142,14 +139,7 @@ class CertainTyping:
 
     def _decide(self, node: str, label: str) -> tuple[bool, dict | None]:
         shape_def = self.schema.shapes[label]
-        for cand in local_witnesses(
-            node,
-            shape_def,
-            self.graph,
-            bag_bound=self.bag_bound,
-            schema=self.schema,
-            lookahead=self.lookahead,
-        ):
+        for cand in local_witnesses(node, shape_def, self.graph, bag_bound=self.bag_bound):
             prop = propagation(cand, self.graph, shape_def)
             if all(self.sign(n2, l2) == (s2 == "+") for n2, l2, s2 in prop) and check_gtw_extra(
                 self.schema, label, cand, self, self.graph
@@ -313,15 +303,8 @@ class _WitnessSource:
     back every search branch.
     """
 
-    def __init__(self, node, label, schema, graph, bag_bound, lookahead):
-        self._iter = local_witnesses(
-            node,
-            schema.shapes[label],
-            graph,
-            bag_bound=bag_bound,
-            schema=schema,
-            lookahead=lookahead,
-        )
+    def __init__(self, node, label, schema, graph, bag_bound):
+        self._iter = local_witnesses(node, schema.shapes[label], graph, bag_bound=bag_bound)
         self._seen: list[dict] = []
         self._done = False
 
@@ -364,7 +347,6 @@ def flooding_validation(
     *,
     certain: CertainTyping | None = None,
     bag_bound: int = DEFAULT_BAG_BOUND,
-    lookahead: bool = False,
     stats: dict | None = None,
 ) -> GlobalTypingWitness:
     """Construct a global typing witness extending ``typing0``, or fail.
@@ -378,7 +360,7 @@ def flooding_validation(
     complete relative to the declarative semantics.
     """
     if certain is None:
-        certain = CertainTyping(schema, graph, bag_bound=bag_bound, lookahead=lookahead)
+        certain = CertainTyping(schema, graph, bag_bound=bag_bound)
     if stats is None:
         stats = {}
     stats.setdefault("candidates_checked", {})
@@ -403,9 +385,7 @@ def flooding_validation(
     def source(key: Hypothesis) -> _WitnessSource:
         src = sources.get(key)
         if src is None:
-            src = sources[key] = _WitnessSource(
-                key[0], key[1], schema, graph, bag_bound, lookahead
-            )
+            src = sources[key] = _WitnessSource(key[0], key[1], schema, graph, bag_bound)
         return src
 
     tuc = TUC()

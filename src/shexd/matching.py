@@ -15,6 +15,9 @@ searches the edges that have a choice depth-first and skips a subtree when no
 bag of constraint counts its remaining edges can complete passes
 :func:`bag_matches`, so a node that satisfies no assignment costs a number
 of bag checks polynomial in its degree rather than one check per candidate.
+Its leaves are tested by bag only, since the per-edge conditions were applied
+before the search. Neither enumeration looks ahead at the opposite nodes:
+shape references are settled by propagation, never while matching.
 """
 
 from __future__ import annotations
@@ -32,13 +35,11 @@ from .schema_model import (
     ByConstraint,
     DatatypeSet,
     Empty,
-    ExplicitSet,
     ExtraSlot,
     Group,
     NodeKind,
     OpenSlot,
     Repetition,
-    Schema,
     ShapeDefinition,
     ShapeExpr,
     ShapeRef,
@@ -104,9 +105,6 @@ def matching_consumers(
     edge: Edge,
     shape_def: ShapeDefinition,
     graph: Graph,
-    *,
-    schema: Schema | None = None,
-    lookahead: bool = False,
 ) -> list:
     """Consumers this edge may be assigned: constraints by ascending id, then
     the EXTRA slot; just the open slot when the property is unmentioned."""
@@ -121,92 +119,27 @@ def matching_consumers(
     ]
     if is_extra:
         out.append(ExtraSlot(edge.dprop))
-    if lookahead and schema is not None:
-        out = lookahead_prune(out, edge, shape_def, schema, graph)
     return out
 
 
-def candidate_witnesses(
-    node: str,
-    shape_def: ShapeDefinition,
-    graph: Graph,
-    *,
-    schema: Schema | None = None,
-    lookahead: bool = False,
-) -> Iterator[dict]:
+def candidate_witnesses(node: str, shape_def: ShapeDefinition, graph: Graph) -> Iterator[dict]:
     """Lazily enumerate total edge-to-consumer assignments.
 
     Candidates come out in lexicographic order over the canonical edge
     ordering, so the whole engine is deterministic.
     """
     edges = graph.neighbourhood(node)
-    lists = [
-        matching_consumers(e, shape_def, graph, schema=schema, lookahead=lookahead)
-        for e in edges
-    ]
+    lists = [matching_consumers(e, shape_def, graph) for e in edges]
     ids = [e.id for e in edges]
     for combo in itertools.product(*lists):
         yield dict(zip(ids, combo))
 
 
-def candidate_count(
-    node: str,
-    shape_def: ShapeDefinition,
-    graph: Graph,
-    *,
-    schema: Schema | None = None,
-    lookahead: bool = False,
-) -> int:
+def candidate_count(node: str, shape_def: ShapeDefinition, graph: Graph) -> int:
     count = 1
     for e in graph.neighbourhood(node):
-        count *= len(matching_consumers(e, shape_def, graph, schema=schema, lookahead=lookahead))
+        count *= len(matching_consumers(e, shape_def, graph))
     return count
-
-
-# --- look-ahead pruning -----------------------------------------------------
-
-def required_dprops(schema: Schema, label: str):
-    """Directed properties that every satisfying neighbourhood must exhibit."""
-
-    def req(expr: ShapeExpr) -> frozenset:
-        if isinstance(expr, TripleConstraint):
-            return frozenset((expr.dprop,))
-        if isinstance(expr, Group):
-            return frozenset().union(*(req(c) for c in expr.children))
-        if isinstance(expr, SomeOf):
-            parts = [req(c) for c in expr.children]
-            return frozenset.intersection(*parts)
-        if isinstance(expr, Repetition):
-            return req(expr.child) if expr.lo >= 1 else frozenset()
-        return frozenset()
-
-    return req(schema.shapes[label].expr)
-
-
-def lookahead_prune(
-    consumers: list, edge: Edge, shape_def: ShapeDefinition, schema: Schema, graph: Graph
-) -> list:
-    """Drop constraints whose positively referenced shapes visibly cannot hold
-    at the opposite node (a required property is absent from its
-    neighbourhood). Never drops anything a valid witness could use."""
-    tc_index = shape_def.tc_by_id
-    target_props = {e.dprop for e in graph.neighbourhood(edge.target)}
-    out = []
-    for consumer in consumers:
-        if isinstance(consumer, ByConstraint):
-            tc = tc_index[consumer.tc_id]
-            if _tc_visibly_impossible(tc, target_props, schema):
-                continue
-        out.append(consumer)
-    return out
-
-
-def _tc_visibly_impossible(tc: TripleConstraint, target_props: set, schema: Schema) -> bool:
-    for conj in tc.value_class:
-        if isinstance(conj, ShapeRef) and not conj.negated:
-            if required_dprops(schema, conj.label) - target_props:
-                return True
-    return False
 
 
 # --- the interval computation -----------------------------------------------
@@ -506,8 +439,6 @@ def local_witnesses(
     graph: Graph,
     *,
     bag_bound: int = DEFAULT_BAG_BOUND,
-    schema: Schema | None = None,
-    lookahead: bool = False,
 ) -> Iterator[dict]:
     """Lazily enumerate the local witnesses of node vs. shape.
 
@@ -520,16 +451,14 @@ def local_witnesses(
     (the constraint ids an edge may take, and whether EXTRA may take it);
     the subtree is skipped when no bag those classes can complete passes
     :func:`bag_matches`. A bag whose check raises counts as passing, so the
-    leaf that raises in the candidate order is still reached. Every leaf is
-    checked with :func:`check_local_witness`.
+    leaf that raises in the candidate order is still reached. Every edge
+    condition holds by construction, so a leaf is tested by its bag alone.
+    The consumers are exactly those of :func:`matching_consumers`: there is
+    no look-ahead at the opposite nodes.
     """
     edges = graph.neighbourhood(node)
     options = [
-        [
-            c
-            for c in matching_consumers(e, shape_def, graph, schema=schema, lookahead=lookahead)
-            if _edge_admits(e, c, shape_def, graph)
-        ]
+        [c for c in matching_consumers(e, shape_def, graph) if _edge_admits(e, c, shape_def, graph)]
         for e in edges
     ]
     if not all(options):
@@ -584,9 +513,8 @@ def local_witnesses(
     k = 0
     while k >= 0:
         if k == len(branching):
-            candidate = dict(zip(ids, chosen))
-            if check_local_witness(candidate, node, shape_def, graph, bag_bound=bag_bound):
-                yield candidate
+            if bag_matches(shape_def, bags[k], bag_bound):
+                yield dict(zip(ids, chosen))
             k -= 1
             continue
         if cursor[k] < 0 and not completable(bags[k], k):

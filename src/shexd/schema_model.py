@@ -226,19 +226,15 @@ def triple_consumers(shape_def: ShapeDefinition) -> tuple[TripleConsumer, ...]:
 
 # --- dependency structure ---------------------------------------------------
 
-def shape_refs(expr: ShapeExpr) -> tuple[ShapeRef, ...]:
-    return tuple(
-        ref
-        for tc in iter_triple_constraints(expr)
-        for ref in tc.value_class
-        if isinstance(ref, ShapeRef)
-    )
+def shape_refs(sd: ShapeDefinition) -> tuple[ShapeRef, ...]:
+    """Shape references of a definition, read off its compiled constraints."""
+    return tuple(ref for tc in sd.tcs for ref in tc.value_class if isinstance(ref, ShapeRef))
 
 
 def dependency_graph(schema: Schema) -> dict[str, set[str]]:
     """Label -> labels referenced anywhere in its expression (any polarity)."""
     return {
-        label: {ref.label for ref in shape_refs(sd.expr)}
+        label: {ref.label for ref in shape_refs(sd)}
         for label, sd in schema.shapes.items()
     }
 
@@ -323,7 +319,7 @@ def check_well_defined(schema: Schema) -> CycleReport | None:
 
 def validate_references(schema: Schema) -> None:
     for label, sd in schema.shapes.items():
-        for ref in shape_refs(sd.expr):
+        for ref in shape_refs(sd):
             if ref.label not in schema.shapes:
                 raise UndefinedShapeReferenceError(
                     f"<{label}> references undefined shape <{ref.label}>"

@@ -151,6 +151,41 @@ def test_validate_typing_file(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "doc", [5, None, [{"node": 3, "shape": "IssueShape"}]], ids=["number", "null", "int-node"]
+)
+def test_validate_malformed_typing_file_exit_3(tmp_path, capsys, doc):
+    typing_file = tmp_path / "typing.json"
+    typing_file.write_text(json.dumps(doc))
+    code = main(
+        [
+            "validate",
+            "--schema", SCHEMA,
+            "--data", ISSUES,
+            "--typing-file", str(typing_file),
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: typing file")
+
+
+def test_check_schema_non_utf8_exit_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.shex"
+    bad.write_bytes("PREFIX e: <http://e/>\n<S> { e:p \"caf\u00e9\" }".encode("latin-1"))
+    assert main(["check-schema", "--schema", str(bad)]) == 3
+    assert "error:" in capsys.readouterr().err
+    code = main(
+        [
+            "validate",
+            "--schema", str(bad),
+            "--data", ISSUES,
+            "--node", "ex:issue1",
+            "--shape", "S",
+        ]
+    )
+    assert code == 3
+
+
 def test_validate_json_outputs_are_byte_identical(tmp_path):
     args = [
         "validate",
@@ -188,20 +223,22 @@ def test_validate_nt_format(tmp_path):
 
 
 def test_validate_lookahead_flag(capsys):
-    args = [
-        "validate",
-        "--schema", SCHEMA,
-        "--data", ISSUES,
-        "--node", "ex:issue1",
-        "--shape", "IssueShape",
-        "--json",
-    ]
-    plain = main(args)
-    out_plain = capsys.readouterr().out
-    pruned = main(args + ["--lookahead"])
-    out_pruned = capsys.readouterr().out
-    assert plain == pruned == 0
-    assert out_plain == out_pruned
+    """--lookahead still parses and changes nothing, valid or invalid."""
+    for schema, expected in ((SCHEMA, 0), (str(DATA / "issues_noextra.shex"), 1)):
+        args = [
+            "validate",
+            "--schema", schema,
+            "--data", ISSUES,
+            "--node", "ex:issue1",
+            "--shape", "IssueShape",
+            "--json",
+        ]
+        plain = main(args)
+        out_plain = capsys.readouterr()
+        flagged = main(args + ["--lookahead"])
+        out_flagged = capsys.readouterr()
+        assert plain == flagged == expected
+        assert out_plain == out_flagged
 
 
 def test_repair_boolean_json(capsys):

@@ -247,16 +247,6 @@ def test_flooding_never_searches_certain_entries(issues_schema, issues_graph, is
     assert stats["cert_skips"] >= 5
 
 
-def test_flooding_agrees_with_lookahead(issues_schema, issues_graph):
-    plain = flooding_validation(issues_schema, issues_graph, TYPING0)
-    pruned = flooding_validation(issues_schema, issues_graph, TYPING0, lookahead=True)
-    assert plain.typing == pruned.typing
-    with pytest.raises(ValidationError):
-        flooding_validation(
-            issues_schema, issues_graph, [(EX + "emin", "TesterShape", "+")], lookahead=True
-        )
-
-
 def test_corollary_agreement_with_certain(issues_schema, issues_graph, issues_certain):
     gtw = flooding_validation(issues_schema, issues_graph, TYPING0, certain=issues_certain)
     certain_entries = issues_certain.decided_entries()

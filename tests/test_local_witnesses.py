@@ -162,12 +162,11 @@ def test_search_past_the_prune_limit_agrees(limit, monkeypatch):
         ("boolean.shex", "boolean.ttl"),
     ],
 )
-@pytest.mark.parametrize("lookahead", [False, True])
-def test_corpus_nodes_agree(schema_name, data_name, lookahead):
+def test_corpus_nodes_agree(schema_name, data_name):
     schema, graph = load_schema(schema_name), load_graph(data_name)
     for node in graph.nodes:
         for shape_def in schema.shapes.values():
-            assert_same(node, shape_def, graph, schema=schema, lookahead=lookahead)
+            assert_same(node, shape_def, graph)
 
 
 def test_duplicated_shape_past_the_bag_bound_raises_at_the_same_point():

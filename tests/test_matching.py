@@ -25,8 +25,6 @@ from shexd.matching import (
     bag_matches,
     candidate_count,
     is_single_occurrence,
-    lookahead_prune,
-    required_dprops,
 )
 from shexd.randgen import random_bag, random_expr
 from shexd.rdf_graph import (
@@ -497,51 +495,3 @@ def test_propagation_carries_negative_sign(issues_schema, issues_graph):
             witness[e.id] = OpenSlot()
     prop = propagation(witness, issues_graph, low)
     assert (EX + "fatima", "ClientShape", "-") in prop
-
-
-# --- look-ahead pruning ------------------------------------------------------------
-
-def test_required_dprops(issues_schema):
-    assert required_dprops(issues_schema, "ProgrammerShape") == {
-        DirectedProperty("http://xmlns.com/foaf/0.1/name"),
-        DirectedProperty(IS + "experience"),
-    }
-    # the some-of makes no single name property mandatory
-    assert required_dprops(issues_schema, "UserShape") == frozenset()
-
-
-def test_lookahead_prunes_emin_consumers(issues_schema, issues_graph):
-    issue_shape = issues_schema.shapes["IssueShape"]
-    edge4 = edge_of(issues_graph, EX + "issue1", IS + "reproducedBy", EX + "emin")
-    pruned = matching_consumers(
-        edge4, issue_shape, issues_graph, schema=issues_schema, lookahead=True
-    )
-    assert pruned == [ExtraSlot(DirectedProperty(IS + "reproducedBy"))]
-
-
-def test_lookahead_keeps_satisfiable_targets(issues_schema, issues_graph):
-    issue_shape = issues_schema.shapes["IssueShape"]
-    edge1 = edge_of(issues_graph, EX + "issue1", IS + "reportedBy", EX + "fatima")
-    assert matching_consumers(
-        edge1, issue_shape, issues_graph, schema=issues_schema, lookahead=True
-    ) == [ByConstraint(1)]
-
-
-def test_lookahead_candidate_count_pinned(issues_schema, issues_graph):
-    issue_shape = issues_schema.shapes["IssueShape"]
-    plain = candidate_count(EX + "issue1", issue_shape, issues_graph)
-    pruned = candidate_count(
-        EX + "issue1", issue_shape, issues_graph, schema=issues_schema, lookahead=True
-    )
-    assert plain == 27
-    assert pruned == 4  # golden: emin loses C2+C3, ren loses C3, noa loses C2
-
-
-def test_lookahead_output_is_subset(issues_schema, issues_graph):
-    issue_shape = issues_schema.shapes["IssueShape"]
-    for e in issues_graph.neighbourhood(EX + "issue1"):
-        plain = matching_consumers(e, issue_shape, issues_graph)
-        pruned = matching_consumers(
-            e, issue_shape, issues_graph, schema=issues_schema, lookahead=True
-        )
-        assert set(map(str, pruned)) <= set(map(str, plain))

@@ -49,7 +49,7 @@ def test_negated_shapes_running_example(issues_schema):
 
 def test_negated_shapes_subset_of_referenced(issues_schema):
     for label, sd in issues_schema.shapes.items():
-        referenced = {r.label for r in shape_refs(sd.expr)}
+        referenced = {r.label for r in shape_refs(sd)}
         assert negated_shapes(issues_schema, label) <= referenced
 
 
