@@ -15,6 +15,7 @@ from shexd import (
     verify_global_typing_witness,
     witness_to_json,
 )
+from shexd.cli import main
 from shexd.engine import (
     TUC,
     CertainTyping,
@@ -33,7 +34,7 @@ from shexd.randgen import random_instance
 from shexd.rdf_graph import DirectedProperty
 from shexd.schema_model import ByConstraint, ExtraSlot, OpenSlot
 
-from conftest import EX, IS, load_graph, load_schema
+from conftest import DATA, EX, IS, load_graph, load_schema
 
 ANNOTATED = frozenset(
     {
@@ -245,6 +246,23 @@ def test_flooding_never_searches_certain_entries(issues_schema, issues_graph, is
     for node, label in searched:
         assert not issues_certain.is_negated_label(label)
     assert stats["cert_skips"] >= 5
+
+
+def test_flooding_agrees_with_lookahead(issues_schema, issues_graph, issues_certain, capsys):
+    """Look-ahead is gone: the flooding takes no such option, and the CLI's
+    no-op --lookahead flag reports exactly the flooding's own answer."""
+    with pytest.raises(TypeError):
+        flooding_validation(issues_schema, issues_graph, TYPING0, lookahead=True)
+    plain = flooding_validation(issues_schema, issues_graph, TYPING0, certain=issues_certain)
+    base = ["validate", "--schema", str(DATA / "issues.shex"), "--data", str(DATA / "issues.ttl")]
+    pairs = [arg for node, shape, _ in TYPING0 for arg in ("--node", node, "--shape", shape)]
+    assert main(base + pairs + ["--json", "--lookahead"]) == 0
+    assert capsys.readouterr().out == witness_to_json(plain)
+    with pytest.raises(ValidationError):
+        flooding_validation(issues_schema, issues_graph, [(EX + "emin", "TesterShape", "+")])
+    emin = ["--node", EX + "emin", "--shape", "TesterShape"]
+    assert main(base + emin + ["--lookahead"]) == 1
+    assert capsys.readouterr().out.startswith("invalid: ")
 
 
 def test_corollary_agreement_with_certain(issues_schema, issues_graph, issues_certain):

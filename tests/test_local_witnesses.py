@@ -162,7 +162,11 @@ def test_search_past_the_prune_limit_agrees(limit, monkeypatch):
         ("boolean.shex", "boolean.ttl"),
     ],
 )
-def test_corpus_nodes_agree(schema_name, data_name):
+@pytest.mark.parametrize("pruned", [False, True])
+def test_corpus_nodes_agree(schema_name, data_name, pruned, monkeypatch):
+    # Unpruned, every branching step is searched without the bag test.
+    if not pruned:
+        monkeypatch.setattr(shexd.matching, "_PRUNE_LIMIT", 0)
     schema, graph = load_schema(schema_name), load_graph(data_name)
     for node in graph.nodes:
         for shape_def in schema.shapes.values():
