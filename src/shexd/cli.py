@@ -220,6 +220,11 @@ def cmd_repair(args) -> int:
         schema = _load_schema(args.schema)
         graph = _load_graph(args.data, args.format)
         typing0 = _gather_typing0(args, graph, schema)
+        # As for validate, a request must name graph nodes: the search would
+        # otherwise check every edit set only to answer "no repair".
+        for node, _, _ in typing0:
+            if not graph.has_node(node):
+                raise UnknownNodeError(f"requested node {node!r} is not in the graph")
     except (OSError, ValueError, json.JSONDecodeError, ParseError, ShexdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

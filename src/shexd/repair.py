@@ -21,6 +21,7 @@ from .rdf_graph import (
     XSD_INTEGER,
     XSD_STRING,
     BlankRef,
+    DirectedProperty,
     Graph,
     Iri,
     Literal,
@@ -33,6 +34,7 @@ from .schema_model import (
     DatatypeSet,
     ExplicitSet,
     Schema,
+    ShapeRef,
 )
 
 _FRESH_LITERALS = {
@@ -172,7 +174,7 @@ def _canonical_blank_form(edits: EditSet) -> tuple:
     renaming: dict[str, str] = {}
 
     def rename(term):
-        if isinstance(term, BlankRef) and term.label.startswith("repair"):
+        if _is_fresh_blank(term):
             if term.label not in renaming:
                 renaming[term.label] = f"repair{len(renaming)}"
             return BlankRef(renaming[term.label])
@@ -187,6 +189,135 @@ def _canonical_blank_form(edits: EditSet) -> tuple:
     return (canon(edits.deletions), canon(edits.insertions))
 
 
+def _is_fresh_blank(term: Term) -> bool:
+    return isinstance(term, BlankRef) and term.label.startswith("repair")
+
+
+Atom = tuple[str, Triple]  # ("del" | "ins", triple)
+
+
+def _edit_atoms(graph: Graph, schema: Schema, max_edits: int) -> list[Atom]:
+    """Every single edit: the deletions in triple order, then the insertions."""
+    deletions = sorted(graph.triples, key=Triple.key)
+    insertions = insertion_domain(graph, schema, max_edits)
+    return [("del", t) for t in deletions] + [("ins", t) for t in insertions]
+
+
+def _edit_set(atoms) -> EditSet:
+    atoms = tuple(atoms)
+    return EditSet(
+        frozenset(t for kind, t in atoms if kind == "del"),
+        frozenset(t for kind, t in atoms if kind == "ins"),
+    )
+
+
+class _Relevance:
+    """Which edit sets can be minimal repairs; see :func:`enumerate_repairs`.
+
+    Pairs are held as node -> labels. The base closure P(∅), the endpoints
+    of every atom, and whether an atom counts already under P(∅) are
+    computed once; an edit set extends the closure only when one of its
+    insertions adds a pair to it.
+    """
+
+    def __init__(self, graph: Graph, schema: Schema, typing0: list[TypingEntry], atoms: list[Atom]):
+        self.graph = graph
+        self.shapes = schema.shapes
+        # label -> directed property -> labels its constraints on it reference
+        self.refs = {
+            label: {
+                dprop: tuple(dict.fromkeys(
+                    c.label for tc in tcs for c in tc.value_class if isinstance(c, ShapeRef)
+                ))
+                for dprop, tcs in sd.tcs_by_dprop.items()
+            }
+            for label, sd in schema.shapes.items()
+        }
+        self.inserts = [kind == "ins" for kind, _ in atoms]
+        # (node, directed property) of the edit's edge at its subject, then at its object
+        self.ends = [
+            (
+                (term_key(t.subject), DirectedProperty(t.prop)),
+                (term_key(t.obj), DirectedProperty(t.prop, inverse=True)),
+            )
+            for _, t in atoms
+        ]
+        self.base: dict[str, set[str]] = {}
+        for node, label, _ in typing0:
+            self.base.setdefault(node, set()).add(label)
+        self._close(self.base, {}, [(n, l) for n, ls in self.base.items() for l in ls])
+        self.base_counts = [self._counts(i, self.base, set()) for i in range(len(atoms))]
+        self.grows = [self.inserts[i] and self._adds_pair(i) for i in range(len(atoms))]
+
+    def _adds_pair(self, i: int) -> bool:
+        """Does the edge of edit ``i``, read from either end, add a pair to P(∅)?"""
+        subject_end, object_end = self.ends[i]
+        for (node, dprop), (far, _) in ((subject_end, object_end), (object_end, subject_end)):
+            for label in self.base.get(node, ()):
+                for l2 in self.refs.get(label, {}).get(dprop, ()):
+                    if l2 not in self.base.get(far, ()):
+                        return True
+        return False
+
+    def _close(self, pairs: dict[str, set[str]], inserted: dict, work: list) -> None:
+        """Close ``pairs`` in place under the reference step, over the graph's
+        edges plus ``inserted`` (node -> [(directed property, target)]),
+        expanding from the pairs in ``work``."""
+        while work:
+            node, label = work.pop()
+            refs = self.refs.get(label)
+            if not refs:
+                continue
+            edges = [(e.dprop, e.target) for e in self.graph.neighbourhood(node)] if (
+                self.graph.has_node(node)
+            ) else []
+            for dprop, target in edges + inserted.get(node, []):
+                for l2 in refs.get(dprop, ()):
+                    held = pairs.setdefault(target, set())
+                    if l2 not in held:
+                        held.add(l2)
+                        work.append((target, l2))
+
+    def _counts(self, i: int, pairs: dict[str, set[str]], deleted_at: set[str]) -> bool:
+        """Does edit ``i`` count at one of its ends, given the pairs and the
+        nodes the edit set deletes a triple at?"""
+        for node, dprop in self.ends[i]:
+            labels = pairs.get(node)
+            if not labels:
+                continue
+            if self.inserts[i] and (node in deleted_at or not self.graph.has_node(node)):
+                return True
+            for label in labels:
+                sd = self.shapes.get(label)
+                if sd is not None and (
+                    dprop in sd.tcs_by_dprop
+                    or dprop in sd.extra
+                    or (sd.closed_inv if dprop.inverse else sd.closed_fwd)
+                ):
+                    return True
+        return False
+
+    def admits(self, combo: tuple[int, ...]) -> bool:
+        """Does every edit of the set count at one of its endpoints?"""
+        if all(self.base_counts[i] for i in combo):
+            return True  # counting only grows with the pairs and the deletions
+        pairs = self.base
+        if any(self.grows[i] for i in combo):
+            pairs = {node: set(labels) for node, labels in self.base.items()}
+            inserted: dict[str, list] = {}
+            work = []
+            for i in combo:
+                if self.inserts[i]:
+                    (s, dprop), (o, inverse) = self.ends[i]
+                    inserted.setdefault(s, []).append((dprop, o))
+                    inserted.setdefault(o, []).append((inverse, s))
+                    work.extend((s, label) for label in pairs.get(s, ()))
+                    work.extend((o, label) for label in pairs.get(o, ()))
+            self._close(pairs, inserted, work)
+        deleted_at = {node for i in combo if not self.inserts[i] for node, _ in self.ends[i]}
+        return all(self._counts(i, pairs, deleted_at) for i in combo)
+
+
 def enumerate_repairs(
     graph: Graph,
     schema: Schema,
@@ -197,24 +328,55 @@ def enumerate_repairs(
     budget_per_check: int = 200_000,
 ) -> RepairResult:
     """Breadth-first sweep over edit-set sizes 0, 1, ...; returns every valid
-    edit set of the first size that admits one."""
-    deletions = sorted(graph.triples, key=Triple.key)
-    insertions = insertion_domain(graph, schema, max_edits)
-    atoms: list[tuple[str, Triple]] = [("del", t) for t in deletions] + [
-        ("ins", t) for t in insertions
-    ]
+    edit set of the first size that admits one.
+
+    Edit sets that cannot be minimal are skipped unchecked. For an edit set
+    E, let P(E) be the smallest set of (node, label) pairs that holds every
+    requested pair, of either sign, and is closed under this step: for
+    (x, l) in P(E) and an edge of x in the doubled view of the graph plus
+    E's insertions (deletions are ignored, so P(E) only grows), if shape l
+    has a triple constraint on the edge's directed property with ``@<l2>``
+    or ``!@<l2>``, add (target, l2). An edit (s, p, o) counts at s (with
+    ``p``) or at o (with ``^p``) when some (x, l) in P(E) there has shape l
+    mention that directed property, as a constraint or as EXTRA; or shape
+    l CLOSED in that direction; or the edit is an insertion and x is not a
+    node of the graph, or E deletes a triple at x. E is checked only if
+    every edit counts at one of its endpoints.
+
+    Why this loses no minimal repair: let E be valid, W a global typing
+    witness of the edited graph G_E, and e an edit of E that counts
+    nowhere. W's facts, and every pair the certain typing consults from
+    them, lie in P(E), since each is reached from a requested pair along
+    an edge of G_E whose property carries a shape reference (propagation,
+    the EXTRA check and the certain typing's own decisions all read only
+    such edges). At each such pair, e's edge carries a property the shape
+    does not mention, in a direction it does not close, so the only
+    consumer it can take is the open slot, which adds nothing to the bag
+    and propagates nothing; and the node keeps another triple without e.
+    The local witnesses, their bags and their propagation then correspond
+    one to one between G_E and G_(E without e), the certain typing decides
+    the same signs on P(E) (by induction over its acyclic region), and W
+    with e's edge added or dropped as open is a witness for the smaller
+    set. So a minimum valid E has no such edit. Resource bounds (the
+    reference validator's node bound, the step budgets) are outside this
+    argument: a skipped edit set can no longer raise them.
+    """
+    atoms = _edit_atoms(graph, schema, max_edits)
+    relevance = _Relevance(graph, schema, typing0, atoms)
+    fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
 
     for size in range(max_edits + 1):
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in itertools.combinations(atoms, size):
-            dels = frozenset(t for kind, t in combo if kind == "del")
-            inss = frozenset(t for kind, t in combo if kind == "ins")
-            edits = EditSet(dels, inss)
-            canonical = _canonical_blank_form(edits)
-            if canonical in seen:
+        for combo in itertools.combinations(range(len(atoms)), size):
+            if any(fresh[i] for i in combo):
+                canonical = _canonical_blank_form(_edit_set(atoms[i] for i in combo))
+                if canonical in seen:
+                    continue
+                seen.add(canonical)
+            if not relevance.admits(combo):
                 continue
-            seen.add(canonical)
+            edits = _edit_set(atoms[i] for i in combo)
             if is_valid_after(
                 graph, edits, schema, typing0, bag_bound=bag_bound, budget=budget_per_check
             ):
@@ -236,8 +398,9 @@ def is_repair(
 ) -> bool:
     """Is ``graph_prime`` a minimally edited valid variant of ``graph``?
 
-    Deliberately exponential: validity of the edited graph, plus an
-    exhaustive sweep showing no strictly smaller edit set works.
+    Deliberately exponential and independent of the search: validity of the
+    edited graph, plus a sweep checking every strictly smaller edit set
+    with :func:`is_valid_after`, without skipping any.
     """
     before = {t.key(): t for t in graph.triples}
     after = {t.key(): t for t in graph_prime.triples}
@@ -252,10 +415,12 @@ def is_repair(
         return False
     if edits.size == 0:
         return True
-    smaller = enumerate_repairs(
-        graph, schema, typing0, max_edits=edits.size - 1, bag_bound=bag_bound
-    )
-    return not smaller.found
+    atoms = _edit_atoms(graph, schema, edits.size - 1)
+    for size in range(edits.size):
+        for combo in itertools.combinations(atoms, size):
+            if is_valid_after(graph, _edit_set(combo), schema, typing0, bag_bound=bag_bound):
+                return False
+    return True
 
 
 def repairs_to_json(result: RepairResult) -> str:

@@ -344,6 +344,32 @@ def test_validate_unknown_node_exit_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_repair_unknown_node_exit_3(monkeypatch, capsys):
+    import shexd.repair
+
+    checks = []
+    real = shexd.repair.is_valid_after
+    monkeypatch.setattr(
+        shexd.repair, "is_valid_after", lambda *a, **k: checks.append(a) or real(*a, **k)
+    )
+    argv = ["--schema", SCHEMA, "--data", str(DATA / "repairing.ttl"),
+            "--node", "ex:nobody", "--shape", "IssueShape"]
+    assert main(["validate", *argv]) == 3
+    validate_err = capsys.readouterr().err
+    assert main(["repair", *argv, "--max-edits", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == validate_err == "error: requested node 'ex:nobody' is not in the graph\n"
+    assert captured.out == ""
+    assert checks == []
+
+
+def test_repair_unknown_shape_exit_3(capsys):
+    code = main(["repair", "--schema", SCHEMA, "--data", str(DATA / "repairing.ttl"),
+                 "--node", "ex:issue", "--shape", "NoShape", "--max-edits", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: requested shape <NoShape> is not in the schema\n"
+
+
 def test_negative_assertion_on_unnegated_shape_exit_3(capsys):
     code = main(
         [

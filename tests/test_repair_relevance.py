@@ -1,0 +1,251 @@
+"""The relevance filter of the repair search against a sweep without it.
+
+``enumerate_repairs`` skips edit sets in which some edit touches no
+(node, shape) pair that validation can read. These tests compare it with a
+plain sweep over every combination, pin one case for each part of the rule
+(each fails when that part is dropped), and bound the number of checks on the
+corpus repairs.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+import shexd.repair
+from shexd import build_graph, enumerate_repairs, is_repair, parse_data, parse_schema
+from shexd.errors import BagTooLargeError, SearchBudgetExceededError
+from shexd.randgen import random_instance
+from shexd.rdf_graph import XSD_INTEGER, Iri, Literal, Triple
+from shexd.repair import (
+    EditSet,
+    RepairResult,
+    _canonical_blank_form,
+    apply_edits,
+    insertion_domain,
+    is_valid_after,
+)
+from shexd.schema_model import negated_shape_labels
+
+from conftest import EX, IS, load_graph, load_schema
+
+PREFIXES = (
+    "PREFIX ex: <http://example.org/>\n"
+    "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+)
+
+
+def exhaustive_repairs(graph, schema, typing0, max_edits):
+    """The breadth-first sweep with no edit set skipped but fresh-blank
+    renamings of one already checked."""
+    atoms = [("del", t) for t in sorted(graph.triples, key=Triple.key)]
+    atoms += [("ins", t) for t in insertion_domain(graph, schema, max_edits)]
+    for size in range(max_edits + 1):
+        valid = []
+        seen = set()
+        for combo in itertools.combinations(atoms, size):
+            edits = EditSet(
+                frozenset(t for kind, t in combo if kind == "del"),
+                frozenset(t for kind, t in combo if kind == "ins"),
+            )
+            canonical = _canonical_blank_form(edits)
+            if canonical in seen:
+                continue
+            seen.add(canonical)
+            if is_valid_after(graph, edits, schema, typing0):
+                valid.append(edits)
+        if valid:
+            return RepairResult(size, tuple(sorted(valid, key=EditSet.sort_key)), max_edits)
+    return RepairResult(None, (), max_edits)
+
+
+def assert_same_as_exhaustive(graph, schema, typing0, max_edits):
+    """Equal results whenever the exhaustive sweep stays within its resource
+    bounds; returns the result, or None when the sweep ran out."""
+    try:
+        expected = exhaustive_repairs(graph, schema, typing0, max_edits)
+    except (BagTooLargeError, SearchBudgetExceededError):
+        return None
+    result = enumerate_repairs(graph, schema, typing0, max_edits=max_edits)
+    assert result == expected
+    return result
+
+
+def _negated_request(rng, schema, graph):
+    negated = sorted(negated_shape_labels(schema))
+    if not negated:
+        return None
+    return [(rng.choice(graph.nodes), rng.choice(negated), "-")]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_instances_one_edit(chunk):
+    rng = random.Random(4100 + chunk)
+    compared = 0
+    for _ in range(40):
+        schema, graph, typing0 = random_instance(rng)
+        for request in (typing0, _negated_request(rng, schema, graph)):
+            if request and assert_same_as_exhaustive(graph, schema, request, 1) is not None:
+                compared += 1
+    assert compared >= 40
+
+
+def test_random_instances_two_edits():
+    rng = random.Random(4200)
+    compared = repaired = 0
+    for _ in range(6):
+        schema, graph, typing0 = random_instance(rng)
+        for request in (typing0, _negated_request(rng, schema, graph)):
+            if not request:
+                continue
+            result = assert_same_as_exhaustive(graph, schema, request, 2)
+            if result is not None:
+                compared += 1
+                repaired += bool(result.min_size)
+    assert compared >= 6 and repaired >= 2
+
+
+def _case(schema_text, data_text):
+    data = "@prefix ex: <http://example.org/> .\n" + data_text
+    return parse_schema(PREFIXES + schema_text), build_graph(parse_data(data))
+
+
+def _keys(result):
+    return {
+        (tuple(sorted(t.key() for t in e.deletions)), tuple(sorted(t.key() for t in e.insertions)))
+        for e in result.repairs
+    }
+
+
+@pytest.mark.parametrize("closed, data", [
+    ("CLOSED", "ex:x ex:a ex:y ; ex:b ex:z ."),
+    ("^CLOSED", "ex:x ex:a ex:y . ex:z ex:b ex:x ."),
+])
+def test_closed_shape_fix_deletes_unmentioned_edge(closed, data):
+    # the only fix deletes an ex:b edge, a property the shape does not
+    # mention: it counts because the shape is closed in that direction
+    schema, graph = _case(f"<S> {closed} {{ ex:a IRI }}\n", data)
+    result = assert_same_as_exhaustive(graph, schema, [(EX + "x", "S", "+")], 1)
+    (edits,) = result.repairs
+    assert not edits.insertions
+    assert [t.prop for t in edits.deletions] == [EX + "b"]
+
+
+def test_fresh_blank_reached_through_inserted_edge():
+    # <U> is asked of the fresh blank only through the inserted ex:link
+    # edge, so the blank's own ex:val insertion counts only when the pairs
+    # follow inserted edges
+    schema, graph = _case(
+        "<T> { ex:link @<U> }\n<U> { ex:val xsd:string }\n", 'ex:t ex:note "n" .'
+    )
+    result = assert_same_as_exhaustive(graph, schema, [(EX + "t", "T", "+")], 2)
+    assert result.min_size == 2
+    blank = "_:repair0"
+    assert ((), ((blank, EX + "val", '""'), (EX + "t", EX + "link", blank))) in _keys(result)
+    assert ((), ((blank, EX + "val", '"n"'), (EX + "t", EX + "link", blank))) in _keys(result)
+
+
+def test_fix_at_negated_reference_target(issues_schema, repairing_graph):
+    # ex:leila is asked !@<ClientShape> through is:reproducedBy; deleting or
+    # doubling its client number fixes the issue as low-impact
+    result = assert_same_as_exhaustive(
+        repairing_graph, issues_schema, [(EX + "issue", "LowImpactIssueShape", "+")], 1
+    )
+    keys = _keys(result)
+    assert (((EX + "leila", IS + "clientNumber",
+              '"3"^^<http://www.w3.org/2001/XMLSchema#integer>'),), ()) in keys
+    assert (((EX + "issue", IS + "reproducedBy", EX + "leila"),), ()) in keys
+    assert any(ins and ins[0][:2] == (EX + "leila", IS + "clientNumber") for _, ins in keys)
+
+
+def test_negated_request_fix(issues_schema, repairing_graph):
+    result = assert_same_as_exhaustive(
+        repairing_graph, issues_schema, [(EX + "leila", "ClientShape", "-")], 1
+    )
+    assert result.min_size == 1
+    assert all(
+        t.subject.text == EX + "leila" for e in result.repairs
+        for t in e.deletions | e.insertions
+    )
+
+
+def test_fix_at_extra_edge_target(issues_schema):
+    # ex:tom is a second tester; the EXTRA'd is:reproducedBy edge to it
+    # needs <TesterShape> certainly false there, which an edit at ex:tom
+    # brings about
+    graph = build_graph(parse_data(
+        "@prefix ex: <http://example.org/> .\n"
+        "@prefix is: <http://issuetracker.example/ns#> .\n"
+        "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n"
+        "ex:issue is:reportedBy ex:emma ; is:reproducedBy ex:ron, ex:leila, ex:tom .\n"
+        'ex:emma foaf:name "Emma" ; is:clientNumber 1 ; is:affectedBy ex:issue .\n'
+        'ex:ron foaf:name "Ron" ; is:role is:someRole .\n'
+        'ex:tom foaf:name "Tom" ; is:role is:someRole .\n'
+        'ex:leila foaf:name "Leila" ; is:experience is:junior .\n'
+    ))
+    result = assert_same_as_exhaustive(
+        graph, issues_schema, [(EX + "issue", "IssueShape", "+")], 1
+    )
+    assert result.min_size == 1
+    tom_edits = [e for e in result.repairs if any(
+        t.subject.text == EX + "tom" for t in e.deletions | e.insertions)]
+    assert tom_edits
+
+
+def test_insertion_keeps_a_stripped_node_in_the_graph():
+    # deleting x's only triple fixes <S> but drops x; an insertion at x on a
+    # property <S> leaves open keeps it, and counts because x lost a triple
+    schema, graph = _case("<S> { ex:a (ex:good) ? }\n", "ex:x ex:a ex:bad .")
+    result = assert_same_as_exhaustive(graph, schema, [(EX + "x", "S", "+")], 2)
+    assert result.min_size == 2
+    assert (((EX + "x", EX + "a", EX + "bad"),), ((EX + "bad", EX + "a", EX + "x"),)) in _keys(result)
+
+
+def test_insertion_creates_a_requested_node():
+    # a request for the fresh blank itself is met by any insertion that
+    # creates it, on a property its shape leaves open
+    schema, graph = _case("<S> { }\n", "ex:x ex:p ex:y .")
+    result = assert_same_as_exhaustive(graph, schema, [("_:repair0", "S", "+")], 1)
+    assert result.min_size == 1
+    assert ((), (("_:repair0", EX + "p", EX + "x"),)) in _keys(result)
+
+
+def test_pruned_results_pass_is_repair(issues_schema, repairing_graph):
+    typing0 = [(EX + "issue", "LowImpactIssueShape", "+")]
+    result = enumerate_repairs(repairing_graph, issues_schema, typing0, max_edits=1)
+    for e in result.repairs:
+        assert is_repair(repairing_graph, apply_edits(repairing_graph, e), issues_schema, typing0)
+
+
+def test_is_repair_does_not_use_the_search(monkeypatch, issues_schema, repairing_graph):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_repair must not call enumerate_repairs")
+
+    monkeypatch.setattr(shexd.repair, "enumerate_repairs", forbidden)
+    fix = Triple(Iri(EX + "emma"), IS + "clientNumber", Literal("3", XSD_INTEGER))
+    fixed = apply_edits(repairing_graph, EditSet(frozenset(), frozenset({fix})))
+    assert is_repair(repairing_graph, fixed, issues_schema, [(EX + "issue", "IssueShape", "+")])
+
+
+# Checks the sweep without the filter makes: 1,009 / 121 / 10,411.
+@pytest.mark.parametrize("data, node, shape, max_edits, bound, min_size", [
+    ("repairing.ttl", "issue", "IssueShape", 1, 300, 1),
+    ("boolean.ttl", "term", "Term", 1, 60, None),
+    ("boolean.ttl", "term", "Term", 2, 1_300, 2),
+])
+def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, min_size):
+    schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
+    graph = load_graph(data)
+    checks = []
+    real = shexd.repair.is_valid_after
+
+    def counted(*args, **kwargs):
+        checks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shexd.repair, "is_valid_after", counted)
+    result = enumerate_repairs(graph, schema, [(EX + node, shape, "+")], max_edits=max_edits)
+    assert result.min_size == min_size
+    assert len(checks) <= bound
