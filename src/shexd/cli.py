@@ -205,7 +205,11 @@ def cmd_validate(args) -> int:
         return EXIT_RESOURCE
     rendered = witness_to_json(gtw)
     if args.witness_out:
-        Path(args.witness_out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.witness_out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     if args.json:
         sys.stdout.write(rendered)
     else:

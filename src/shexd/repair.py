@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .engine import CertainTyping, TypingEntry, reference_validate
@@ -78,6 +79,14 @@ class RepairResult:
         return self.min_size is not None
 
 
+class FreshBlank(BlankRef):
+    """A blank node the repair search adds to the graph.
+
+    Its label is one of ``repair0``, ``repair1``, ... that the graph does not
+    use, so it never names a node of the graph.
+    """
+
+
 def insertion_domain(graph: Graph, schema: Schema, max_edits: int) -> list[Triple]:
     """Candidate triples for insertion, in a deterministic order."""
     subjects: list[Iri | BlankRef] = []
@@ -93,7 +102,9 @@ def insertion_domain(graph: Graph, schema: Schema, max_edits: int) -> list[Tripl
             blank = BlankRef(node[2:])
             subjects.append(blank)
             objects.append(blank)
-    fresh = [BlankRef(f"repair{i}") for i in range(max_edits)]
+    labels = (f"repair{i}" for i in itertools.count())
+    free = (label for label in labels if not graph.has_node("_:" + label))
+    fresh = [FreshBlank(label) for label in itertools.islice(free, max_edits)]
     subjects.extend(fresh)
     objects.extend(fresh)
 
@@ -170,27 +181,24 @@ def is_valid_after(
 
 
 def _canonical_blank_form(edits: EditSet) -> tuple:
-    """Edit-set key with fresh blank labels renamed in first-use order."""
-    renaming: dict[str, str] = {}
+    """Edit-set key with fresh blanks numbered in first-use order."""
+    renaming: dict[str, int] = {}
 
     def rename(term):
         if _is_fresh_blank(term):
-            if term.label not in renaming:
-                renaming[term.label] = f"repair{len(renaming)}"
-            return BlankRef(renaming[term.label])
-        return term
+            return renaming.setdefault(term.label, len(renaming))
+        return term_key(term)
 
     def canon(triples: frozenset[Triple]) -> tuple:
-        out = []
-        for t in sorted(triples, key=Triple.key):
-            out.append(Triple(rename(t.subject), t.prop, rename(t.obj)).key())
-        return tuple(out)
+        return tuple(
+            (rename(t.subject), t.prop, rename(t.obj)) for t in sorted(triples, key=Triple.key)
+        )
 
     return (canon(edits.deletions), canon(edits.insertions))
 
 
 def _is_fresh_blank(term: Term) -> bool:
-    return isinstance(term, BlankRef) and term.label.startswith("repair")
+    return isinstance(term, FreshBlank)
 
 
 Atom = tuple[str, Triple]  # ("del" | "ins", triple)
@@ -211,13 +219,52 @@ def _edit_set(atoms) -> EditSet:
     )
 
 
+def _admissible_combinations(size: int, counts: list[bool], enables: list[bool]):
+    """The index sets of ``itertools.combinations(range(len(counts)), size)``,
+    in that order, that hold no atom whose ``counts`` is false or hold an
+    atom whose ``enables`` is true; the others are never built."""
+    n = len(counts)
+    enablers = [i for i in range(n) if enables[i]]
+    live = [i for i in range(n) if counts[i] or enables[i]]
+
+    def within(pool: list[int], start: int, stop: int) -> list[int]:
+        return pool[bisect_left(pool, start):bisect_left(pool, stop)]
+
+    def extend(prefix: tuple[int, ...], start: int, enabled: bool, needs_enabler: bool):
+        slots = size - len(prefix)
+        if not slots:
+            yield prefix
+            return
+        stop = n - slots + 1
+        if enabled:
+            pool = range(start, stop)
+        else:
+            # any atom before the last enabler can still be followed by it;
+            # past it, a set that needs an enabler can take only that one
+            last = enablers[-1] if enablers and slots > 1 else -1
+            reach = max(start, min(last, stop))
+            pool = itertools.chain(
+                range(start, reach), within(enablers if needs_enabler else live, reach, stop)
+            )
+        for i in pool:
+            yield from extend(
+                prefix + (i,), i + 1, enabled or enables[i],
+                (needs_enabler or not counts[i]) and not enables[i],
+            )
+
+    return extend((), 0, False, False)
+
+
 class _Relevance:
     """Which edit sets can be minimal repairs; see :func:`enumerate_repairs`.
 
     Pairs are held as node -> labels. The base closure P(∅), the endpoints
     of every atom, and whether an atom counts already under P(∅) are
     computed once; an edit set extends the closure only when one of its
-    insertions adds a pair to it.
+    insertions adds a pair to it. An atom that does not count under P(∅)
+    can count only in a set that also holds an *enabler*: an insertion that
+    grows the closure, or a deletion (insertions at its ends may then keep
+    the node in the graph).
     """
 
     def __init__(self, graph: Graph, schema: Schema, typing0: list[TypingEntry], atoms: list[Atom]):
@@ -248,6 +295,7 @@ class _Relevance:
         self._close(self.base, {}, [(n, l) for n, ls in self.base.items() for l in ls])
         self.base_counts = [self._counts(i, self.base, set()) for i in range(len(atoms))]
         self.grows = [self.inserts[i] and self._adds_pair(i) for i in range(len(atoms))]
+        self.enables = [grows or not inserts for grows, inserts in zip(self.grows, self.inserts)]
 
     def _adds_pair(self, i: int) -> bool:
         """Does the edge of edit ``i``, read from either end, add a pair to P(∅)?"""
@@ -360,6 +408,19 @@ def enumerate_repairs(
     set. So a minimum valid E has no such edit. Resource bounds (the
     reference validator's node bound, the step budgets) are outside this
     argument: a skipped edit set can no longer raise them.
+
+    The sets are generated in ``itertools.combinations`` order over the
+    edit atoms, but a set whose edits do not all count under P(∅) is never
+    built unless it holds an enabler (see :class:`_Relevance`): without
+    one, P(E) = P(∅) and no insertion lands on a node E deletes at, so it
+    would fail the test anyway. Of the sets that pass, those differing only
+    by a renaming of fresh blanks are checked once, the first in order.
+    Fresh blanks are never graph nodes, so the test gives every renaming
+    the same answer, and the set checked is the first of its renaming
+    class whether the test runs before the dedupe or after it; running it
+    first keeps the dedupe to the few sets that pass. (A request that names
+    a fresh blank's label breaks that symmetry; the CLI rejects requests
+    for nodes the graph does not hold.)
     """
     atoms = _edit_atoms(graph, schema, max_edits)
     relevance = _Relevance(graph, schema, typing0, atoms)
@@ -368,15 +429,15 @@ def enumerate_repairs(
     for size in range(max_edits + 1):
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in itertools.combinations(range(len(atoms)), size):
-            if any(fresh[i] for i in combo):
-                canonical = _canonical_blank_form(_edit_set(atoms[i] for i in combo))
-                if canonical in seen:
-                    continue
-                seen.add(canonical)
+        for combo in _admissible_combinations(size, relevance.base_counts, relevance.enables):
             if not relevance.admits(combo):
                 continue
             edits = _edit_set(atoms[i] for i in combo)
+            if any(fresh[i] for i in combo):
+                canonical = _canonical_blank_form(edits)
+                if canonical in seen:
+                    continue
+                seen.add(canonical)
             if is_valid_after(
                 graph, edits, schema, typing0, bag_bound=bag_bound, budget=budget_per_check
             ):

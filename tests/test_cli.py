@@ -64,6 +64,18 @@ def test_validate_issue1_success(tmp_path, capsys):
     assert {"node": issue1, "shape": "IssueShape", "sign": "+"} in doc["typing"]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_validate_unwritable_witness_out_exit_3(tmp_path, capsys, json_flag):
+    out_file = tmp_path / "missing" / "witness.json"
+    code = main(["validate", "--schema", SCHEMA, "--data", ISSUES, "--node", "ex:issue1",
+                 "--shape", "IssueShape", "--witness-out", str(out_file), *json_flag])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out_file) in captured.err
+    assert not out_file.exists()
+
+
 def test_validate_emin_programmer_exit_1(capsys):
     code = main(
         [

@@ -3,8 +3,8 @@
 ``enumerate_repairs`` skips edit sets in which some edit touches no
 (node, shape) pair that validation can read. These tests compare it with a
 plain sweep over every combination, pin one case for each part of the rule
-(each fails when that part is dropped), and bound the number of checks on the
-corpus repairs.
+(each fails when that part is dropped), and bound the number of checks, and
+of the enumeration's relevance tests, on the corpus repairs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from shexd.rdf_graph import XSD_INTEGER, Iri, Literal, Triple
 from shexd.repair import (
     EditSet,
     RepairResult,
+    _admissible_combinations,
     _canonical_blank_form,
+    _is_fresh_blank,
     apply_edits,
     insertion_domain,
     is_valid_after,
@@ -249,3 +251,87 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
     result = enumerate_repairs(graph, schema, [(EX + node, shape, "+")], max_edits=max_edits)
     assert result.min_size == min_size
     assert len(checks) <= bound
+
+
+# Relevance tests and fresh-blank canonicalisations of the sweep that walks
+# every combination: 1,009 and 189 (repairing.ttl, one edit), 10,411 and
+# 13,805 (boolean.ttl, two edits).
+@pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, checks", [
+    ("repairing.ttl", "issue", "IssueShape", 1, 300, 50, 231),
+    ("boolean.ttl", "term", "Term", 2, 3_000, 700, 1_051),
+])
+def test_enumeration_work_bounds(
+    monkeypatch, data, node, shape, max_edits, tests_bound, canon_bound, checks
+):
+    schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
+    graph = load_graph(data)
+    calls = {"admits": 0, "canonical": 0, "checks": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        shexd.repair._Relevance, "admits", counted("admits", shexd.repair._Relevance.admits)
+    )
+    monkeypatch.setattr(
+        shexd.repair, "_canonical_blank_form",
+        counted("canonical", shexd.repair._canonical_blank_form),
+    )
+    monkeypatch.setattr(
+        shexd.repair, "is_valid_after", counted("checks", shexd.repair.is_valid_after)
+    )
+    enumerate_repairs(graph, schema, [(EX + node, shape, "+")], max_edits=max_edits)
+    assert calls["admits"] <= tests_bound
+    assert calls["canonical"] <= canon_bound
+    assert calls["checks"] == checks
+
+
+def test_admissible_combinations_filter_the_combinations():
+    rng = random.Random(4300)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        counts = [rng.random() < 0.4 for _ in range(n)]
+        enables = [rng.random() < 0.2 for _ in range(n)]
+        for size in range(4):
+            expected = [
+                combo for combo in itertools.combinations(range(n), size)
+                if all(counts[i] for i in combo) or any(enables[i] for i in combo)
+            ]
+            assert list(_admissible_combinations(size, counts, enables)) == expected
+
+
+# ex:x reaches <T> only through an inserted ex:p edge; the graph's own blank
+# _:repair0 breaks <T>, so the fix needs a fresh blank besides it
+COLLIDING = (
+    "<S> { ex:p @<T> }\n<T> { ex:q xsd:integer }\n",
+    'ex:x ex:r _:repair0 .\n_:repair0 ex:q "bad" .',
+)
+
+
+def test_fresh_blanks_skip_graph_labels():
+    schema, graph = _case(*COLLIDING)
+    domain = insertion_domain(graph, schema, 2)
+    assert len({t.key() for t in domain}) == len(domain)
+    fresh = {t.subject.label for t in domain if _is_fresh_blank(t.subject)}
+    assert fresh == {"repair1", "repair2"}
+    assert not any(_is_fresh_blank(t.subject) for t in graph.triples)
+    _, plain = _case(*COLLIDING[:1], "ex:x ex:r _:b .")
+    assert {t.subject.label for t in insertion_domain(plain, schema, 2)
+            if _is_fresh_blank(t.subject)} == {"repair0", "repair1"}
+
+
+def test_graph_blank_named_like_a_fresh_one():
+    schema, graph = _case(*COLLIDING)
+    typing0 = [(EX + "x", "S", "+")]
+    result = assert_same_as_exhaustive(graph, schema, typing0, 2)
+    assert _keys(result) == {
+        ((), (("_:repair1", EX + "q", '"0"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+              (EX + "x", EX + "p", "_:repair1"))),
+        ((), ((EX + "x", EX + "p", EX + "x"),
+              (EX + "x", EX + "q", '"0"^^<http://www.w3.org/2001/XMLSchema#integer>'))),
+    }
+    for e in result.repairs:
+        assert is_repair(graph, apply_edits(graph, e), schema, typing0)
