@@ -11,6 +11,7 @@ from .engine import (
     CertainTyping,
     GlobalTypingWitness,
     TypingEntry,
+    check_request,
     flooding_validation,
     verify_global_typing_witness,
     witness_to_json,
@@ -223,12 +224,9 @@ def cmd_repair(args) -> int:
         _check_limits(args)
         schema = _load_schema(args.schema)
         graph = _load_graph(args.data, args.format)
-        typing0 = _gather_typing0(args, graph, schema)
-        # As for validate, a request must name graph nodes: the search would
-        # otherwise check every edit set only to answer "no repair".
-        for node, _, _ in typing0:
-            if not graph.has_node(node):
-                raise UnknownNodeError(f"requested node {node!r} is not in the graph")
+        # Rejected as validate rejects it, before the search: the checks
+        # would otherwise answer "no repair" or hit a resource bound first.
+        typing0 = check_request(_gather_typing0(args, graph, schema), graph, schema)
     except (OSError, ValueError, json.JSONDecodeError, ParseError, ShexdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -262,8 +260,17 @@ def cmd_repair(args) -> int:
     return EXIT_OK if result.found else EXIT_INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit 3, as other configuration errors;
+    exit 2 stays reserved for a schema that is not well-defined."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shexd",
         description="Validate nodes of an RDF graph against shape expressions,"
         " export typing witnesses, and search for minimal repairs.",

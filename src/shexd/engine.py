@@ -38,9 +38,6 @@ from .schema_model import (
     ShapeRef,
     check_well_defined,
     consumer_key,
-    dependency_graph,
-    negated_shape_labels,
-    reachable_labels,
 )
 
 TypingEntry = tuple[str, str, str]  # (node id, shape label, '+' | '-')
@@ -100,7 +97,9 @@ class CertainTyping:
     Those shapes sit on an acyclic dependency region, so each (node, shape)
     question has a unique answer, decided recursively and memoized. Only the
     decisions on labels that actually occur negated are exposed as the
-    certain typing; the rest of the region backs them internally.
+    certain typing; the rest of the region backs them internally. The
+    negated labels and the region are read off the schema, which derives
+    them once.
     """
 
     def __init__(
@@ -114,8 +113,8 @@ class CertainTyping:
         self.schema = schema
         self.graph = graph
         self.bag_bound = bag_bound
-        self.negated = frozenset(negated_shape_labels(schema))
-        self.region = frozenset(reachable_labels(dependency_graph(schema), set(self.negated)))
+        self.negated = schema.negated_labels
+        self.region = schema.certain_region
         self._memo: dict[Hypothesis, tuple[bool, dict | None]] = {}
 
     def is_negated_label(self, label: str) -> bool:
@@ -318,9 +317,12 @@ class _WitnessSource:
         return self._seen[position] if position < len(self._seen) else None
 
 
-def _validate_typing0(
-    typing0: Iterable[TypingEntry], graph: Graph, schema: Schema, certain: CertainTyping
+def check_request(
+    typing0: Iterable[TypingEntry], graph: Graph, schema: Schema
 ) -> list[TypingEntry]:
+    """The requested entries without repeats, once each names a graph node,
+    a schema shape and a sign, and each negative one a negated-occurring
+    shape; raises :class:`UnknownNodeError` or ``ValueError`` otherwise."""
     entries = []
     for entry in typing0:
         node, label, sign = entry
@@ -330,7 +332,7 @@ def _validate_typing0(
             raise ValueError(f"requested shape <{label}> is not in the schema")
         if sign not in ("+", "-"):
             raise ValueError(f"typing sign must be '+' or '-', got {sign!r}")
-        if sign == "-" and not certain.is_negated_label(label):
+        if sign == "-" and label not in schema.negated_labels:
             raise ValueError(
                 f"negative assertions are only supported for negated-occurring"
                 f" shapes, and <{label}> is not one"
@@ -367,7 +369,7 @@ def flooding_validation(
     stats.setdefault("cert_skips", 0)
     stats.setdefault("restores", 0)
 
-    typing0_entries = _validate_typing0(typing0, graph, schema, certain)
+    typing0_entries = check_request(typing0, graph, schema)
     contradicting = [
         (n, s, sign)
         for n, s, sign in typing0_entries
@@ -522,7 +524,7 @@ def reference_validate(
         raise SearchBudgetExceededError(
             f"{len(graph.nodes)} nodes exceed the reference bound of {max_nodes}"
         )
-    typing0_entries = _validate_typing0(typing0, graph, schema, certain)
+    typing0_entries = check_request(typing0, graph, schema)
     steps = [budget]
 
     witness_lists: dict[Hypothesis, list[dict]] = {}

@@ -373,10 +373,26 @@ def bag_matches(
     shape_def: ShapeDefinition, bag: Mapping[int, int], bound: int = DEFAULT_BAG_BOUND
 ) -> bool:
     """Decide bag membership in a shape's expression: the interval fast path
-    on single-occurrence shapes, the exhaustive fallback otherwise."""
-    if shape_def.single_occurrence:
-        return interval(shape_def.unfolded, bag).contains(1)
-    return brute_match(shape_def.expr, bag, bound)
+    on single-occurrence shapes, the exhaustive fallback otherwise.
+
+    Verdicts are memoized on the shape by sorted non-zero count vector, so
+    a repeated bag costs one lookup. Membership does not depend on the bound;
+    only the exhaustive path does, by raising :class:`BagTooLargeError` for a
+    bag over it. Such a bag is never answered from the memo, whatever an
+    earlier call with a larger bound stored, and a raise stores nothing.
+    """
+    key = tuple(sorted((sym, c) for sym, c in bag.items() if c > 0))
+    if not shape_def.single_occurrence and sum(c for _, c in key) > bound:
+        return brute_match(shape_def.expr, bag, bound)  # raises BagTooLargeError
+    verdicts = shape_def.bag_verdicts
+    hit = verdicts.get(key)
+    if hit is None:
+        if shape_def.single_occurrence:
+            hit = interval(shape_def.unfolded, bag).contains(1)
+        else:
+            hit = brute_match(shape_def.expr, bag, bound)
+        verdicts[key] = hit
+    return hit
 
 
 # --- the local witness check ------------------------------------------------
@@ -481,8 +497,6 @@ def local_witnesses(
         running[(tc_ids, any(isinstance(c, ExtraSlot) for c in opts))] += 1
         classes[k] = tuple(running.items())
 
-    may_match: dict[tuple, bool] = {}
-
     def completable(bag: Counter, k: int) -> bool:
         spreads = []
         for (tc_ids, to_extra), count in classes[k]:
@@ -496,15 +510,10 @@ def local_witnesses(
             total = bag.copy()
             for part in parts:
                 total.update(part)
-            key = tuple(sorted(total.items()))
-            hit = may_match.get(key)
-            if hit is None:
-                try:
-                    hit = bag_matches(shape_def, total, bag_bound)
-                except BagTooLargeError:
-                    hit = True
-                may_match[key] = hit
-            if hit:
+            try:
+                if bag_matches(shape_def, total, bag_bound):
+                    return True
+            except BagTooLargeError:
                 return True
         return False
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ParseError, UnknownNodeError, UnknownPrefixError
 
@@ -149,6 +150,16 @@ class TripleSet:
     prefixes: dict[str, str]
 
 
+def _edge_pair(s: str, prop: str, o: str) -> tuple[Edge, Edge]:
+    """The forward and the inverse edge of the triple with keys (s, prop, o)."""
+    fwd = Edge.make(s, DirectedProperty(prop), o)
+    return fwd, fwd.inverse_edge()
+
+
+def _by_id(edges) -> tuple[Edge, ...]:
+    return tuple(sorted(edges, key=lambda e: e.id))
+
+
 class Graph:
     """Immutable doubled-edge view of a triple set."""
 
@@ -158,25 +169,80 @@ class Graph:
         values: dict[str, Value] = {}
         adjacency: dict[str, list[Edge]] = {}
         edge_by_id: dict[str, Edge] = {}
-
-        def register(term: Term) -> str:
-            key = term_key(term)
-            values.setdefault(key, term_to_value(term))
-            adjacency.setdefault(key, [])
-            return key
-
+        # Whether some key is met with values of two types (an IRI spelled
+        # like a blank node); the node takes the first one met.
+        self._mixed = False
         for t in triples:
-            s = register(t.subject)
-            o = register(t.obj)
-            fwd = Edge.make(s, DirectedProperty(t.prop), o)
-            inv = fwd.inverse_edge()
-            for e in (fwd, inv):
+            keys = term_key(t.subject), term_key(t.obj)
+            for key, term in zip(keys, (t.subject, t.obj)):
+                value = term_to_value(term)
+                if type(values.setdefault(key, value)) is not type(value):
+                    self._mixed = True
+            for e in _edge_pair(keys[0], t.prop, keys[1]):
                 if e.id not in edge_by_id:
                     edge_by_id[e.id] = e
-                    adjacency[e.source].append(e)
+                    adjacency.setdefault(e.source, []).append(e)
         self._values = values
-        self._adjacency = {n: tuple(sorted(es, key=lambda e: e.id)) for n, es in adjacency.items()}
+        self._adjacency = {n: _by_id(es) for n, es in adjacency.items()}
         self.edge_by_id = edge_by_id
+
+    def edited(self, deletions: Iterable[Triple], insertions: Iterable[Triple]) -> "Graph":
+        """``Graph(triples, self.prefixes)``, where ``triples`` are this graph's
+        triples without those whose key a deletion has, followed by the
+        insertions in the order given; built from this graph's tables.
+
+        The node, adjacency and edge tables are copied; only the edges of
+        the edited triples are dropped or added, only the nodes they touch
+        are re-sorted, and a node left with no edge is dropped. A node keeps
+        its value while one of its triples survives and otherwise takes the
+        value of its first insertion, as a rebuild gives it, unless this
+        graph meets one key with values of two types: then it is rebuilt.
+        """
+        deleted = {t.key() for t in deletions}
+        insertions = tuple(insertions)
+        triples = self.triples
+        if deleted:
+            triples = tuple(t for t in triples if t.key() not in deleted)
+        triples += insertions
+        if self._mixed:
+            return Graph(triples, self.prefixes)
+        values = dict(self._values)
+        adjacency = dict(self._adjacency)
+        edge_by_id = dict(self.edge_by_id)
+        removed: set[str] = set()
+        touched: set[str] = set()
+        for key in deleted:
+            for e in _edge_pair(*key):
+                if edge_by_id.pop(e.id, None) is not None:
+                    removed.add(e.id)
+                    touched.add(e.source)
+        added: dict[str, list[Edge]] = {}
+        inserted_values: list[tuple[str, Value]] = []
+        first_value: dict[str, Value] = {}
+        for t in insertions:
+            keys = term_key(t.subject), term_key(t.obj)
+            for key, term in zip(keys, (t.subject, t.obj)):
+                value = term_to_value(term)
+                inserted_values.append((key, value))
+                first_value.setdefault(key, value)
+            for e in _edge_pair(keys[0], t.prop, keys[1]):
+                if e.id not in edge_by_id:
+                    edge_by_id[e.id] = e
+                    added.setdefault(e.source, []).append(e)
+        for node in touched | added.keys():
+            kept = [e for e in adjacency.get(node, ()) if e.id not in removed]
+            edges = kept + added.get(node, [])
+            if not edges:
+                del values[node], adjacency[node]
+            else:
+                adjacency[node] = _by_id(edges)
+                if not kept:
+                    values[node] = first_value[node]
+        out = Graph.__new__(Graph)
+        out.triples, out.prefixes = triples, dict(self.prefixes)
+        out._values, out._adjacency, out.edge_by_id = values, adjacency, edge_by_id
+        out._mixed = any(type(values[key]) is not type(value) for key, value in inserted_values)
+        return out
 
     @property
     def nodes(self) -> tuple[str, ...]:

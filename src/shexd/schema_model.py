@@ -155,6 +155,9 @@ class ShapeDefinition:
     value_only_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
     unfolded: ShapeExpr = _derived()
     single_occurrence: bool = _derived()
+    # Bag-membership verdicts by sorted non-zero count vector; filled by
+    # matching.bag_matches, which alone decides what may be stored here.
+    bag_verdicts: dict[tuple[tuple[int, int], ...], bool] = _derived()
 
     def __post_init__(self):
         tcs = iter_triple_constraints(self.expr)
@@ -175,15 +178,38 @@ class ShapeDefinition:
             },
             "unfolded": unfolded,
             "single_occurrence": is_single_occurrence(unfolded),
+            "bag_verdicts": {},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schema:
+    """Shapes by label, with the schema-level facts derived once when the
+    object is built, as :class:`ShapeDefinition` derives its own: the labels
+    that occur negated, the certain-typing region (every label reachable
+    from them), and the well-definedness report. The shapes must not change
+    afterwards."""
+
     shapes: dict[str, ShapeDefinition]
     prefixes: dict[str, str] = field(default_factory=dict)
+    negated_labels: frozenset[str] = _derived()
+    certain_region: frozenset[str] = _derived()
+    cycle_report: CycleReport | None = _derived()
+
+    def __post_init__(self):
+        deps = dependency_graph(self)
+        negated = frozenset(l2 for label in self.shapes for l2 in negated_shapes(self, label))
+        cycle_report = None
+        for label in sorted(negated):
+            cycle = _find_cycle(deps, label)
+            if cycle:
+                cycle_report = CycleReport(label, cycle)
+                break
+        object.__setattr__(self, "negated_labels", negated)
+        object.__setattr__(self, "certain_region", frozenset(reachable_labels(deps, negated)))
+        object.__setattr__(self, "cycle_report", cycle_report)
 
 
 # --- triple consumers -------------------------------------------------------
@@ -258,11 +284,9 @@ def negated_shapes(schema: Schema, label: str) -> set[str]:
     return out
 
 
-def negated_shape_labels(schema: Schema) -> set[str]:
-    out: set[str] = set()
-    for label in schema.shapes:
-        out |= negated_shapes(schema, label)
-    return out
+def negated_shape_labels(schema: Schema) -> frozenset[str]:
+    """Labels that occur negated anywhere in the schema (stored on it)."""
+    return schema.negated_labels
 
 
 def reachable_labels(deps: dict[str, set[str]], start: set[str]) -> set[str]:
@@ -308,13 +332,10 @@ def _find_cycle(deps: dict[str, set[str]], start: str) -> tuple[str, ...] | None
 
 
 def check_well_defined(schema: Schema) -> CycleReport | None:
-    """None when every negated label reaches only acyclic dependencies."""
-    deps = dependency_graph(schema)
-    for label in sorted(negated_shape_labels(schema)):
-        cycle = _find_cycle(deps, label)
-        if cycle:
-            return CycleReport(label, cycle)
-    return None
+    """None when every negated label reaches only acyclic dependencies;
+    otherwise the first negated label, in sorted order, that reaches a
+    cycle, with that cycle (stored on the schema)."""
+    return schema.cycle_report
 
 
 def validate_references(schema: Schema) -> None:

@@ -382,6 +382,84 @@ def test_repair_unknown_shape_exit_3(capsys):
     assert capsys.readouterr().err == "error: requested shape <NoShape> is not in the schema\n"
 
 
+def _chain_files(tmp_path, links):
+    """A chain of ``links`` ex:next links, each node but the last with an
+    ex:v literal: 2 * links + 1 nodes."""
+    schema = tmp_path / "chain.shex"
+    schema.write_text(
+        "PREFIX ex: <http://example.org/>\n"
+        "<Link> { ex:next @<Link> ?, ex:v Literal ?, ^ex:next IRI ? }\n"
+    )
+    data = tmp_path / "chain.ttl"
+    data.write_text("@prefix ex: <http://example.org/> .\n" + "".join(
+        f'ex:n{i} ex:next ex:n{i + 1} ; ex:v "{i}" .\n' for i in range(links)
+    ))
+    return ["--schema", str(schema), "--data", str(data)]
+
+
+@pytest.mark.parametrize(
+    "request_args, message",
+    [
+        (["--shape", "NoShape"], "error: requested shape <NoShape> is not in the schema\n"),
+        (["--shape", "Link", "--negate", "1"],
+         "error: negative assertions are only supported for negated-occurring shapes,"
+         " and <Link> is not one\n"),
+    ],
+    ids=["unknown-shape", "negated-unnegated"],
+)
+def test_repair_rejects_a_malformed_request_on_a_large_graph(
+    tmp_path, monkeypatch, capsys, request_args, message
+):
+    import shexd.repair
+
+    checks = []
+    real = shexd.repair.is_valid_after
+    monkeypatch.setattr(
+        shexd.repair, "is_valid_after", lambda *a, **k: checks.append(a) or real(*a, **k)
+    )
+    files = _chain_files(tmp_path, 40)
+    argv = [*files, "--node", "ex:n0", *request_args]
+    assert main(["validate", *argv]) == 3
+    validate_err = capsys.readouterr().err
+    assert main(["repair", *argv, "--max-edits", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == validate_err == message
+    assert captured.out == "" and checks == []
+    # a well-formed request on the 81-node graph still meets the oracle's bound
+    ok = [*files, "--node", "ex:n0", "--shape", "Link"]
+    assert main(["repair", *ok, "--max-edits", "1"]) == 4
+    assert "81 nodes exceed the reference bound of 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--data", ISSUES, "--node", "ex:issue1", "--shape", "IssueShape"],
+        ["repair", "--schema", SCHEMA, "--data", ISSUES, "--node", "ex:issue1",
+         "--shape", "IssueShape", "--max-edits", "two"],
+        ["validate", "--schema", SCHEMA, "--data", ISSUES, "--node", "ex:issue1",
+         "--shape", "IssueShape", "--no-such-flag"],
+        ["no-such-command"],
+    ],
+    ids=["missing-schema", "max-edits-not-int", "unknown-flag", "unknown-command"],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: shexd") and "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["repair", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert "usage: shexd" in capsys.readouterr().out
+
+
 def test_negative_assertion_on_unnegated_shape_exit_3(capsys):
     code = main(
         [
@@ -417,8 +495,9 @@ def test_validate_resource_bound_exit_4(tmp_path):
     assert main(args) == 0
 
 
-def test_parsed_schema_dies_after_validate(tmp_path, monkeypatch):
-    import gc
+def _parsed_schema_refs_after(argv, tmp_path, monkeypatch):
+    """Run one request on a fresh schema and return weakrefs to the parsed
+    Schema and its shapes, for the caller to check after ``gc.collect()``."""
     import weakref
 
     import shexd.cli
@@ -432,7 +511,7 @@ def test_parsed_schema_dies_after_validate(tmp_path, monkeypatch):
     data = tmp_path / "lifetime.ttl"
     data.write_text(
         "@prefix l: <http://lifetime.example/> .\n"
-        "l:a l:p l:b ; l:q \"x\" .\nl:b l:q \"y\" .\n"
+        "l:a l:p l:b ; l:q \"x\" .\nl:b l:q \"y\" .\nl:c l:p l:a .\n"
     )
     refs = []
     original = shexd.cli.parse_schema
@@ -445,10 +524,31 @@ def test_parsed_schema_dies_after_validate(tmp_path, monkeypatch):
 
     monkeypatch.setattr(shexd.cli, "parse_schema", recording)
     code = main(
-        ["validate", "--schema", str(schema), "--data", str(data),
-         "--node", "l:a", "--shape", "S", "--json"]
+        [argv[0], "--schema", str(schema), "--data", str(data), *argv[1:], "--json"]
     )
     assert code == 0
     assert len(refs) == 3
+    return refs
+
+
+def test_parsed_schema_dies_after_validate(tmp_path, monkeypatch):
+    import gc
+
+    refs = _parsed_schema_refs_after(
+        ["validate", "--node", "l:a", "--shape", "S"], tmp_path, monkeypatch
+    )
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_parsed_schema_dies_after_repair(tmp_path, monkeypatch):
+    # the repair search fills the shapes' bag-verdict memos and patches
+    # edited graphs onto the request's graph; none of it may outlive it
+    import gc
+
+    # l:c lacks its l:q, so the search checks edit sets until one adds it
+    refs = _parsed_schema_refs_after(
+        ["repair", "--node", "l:c", "--shape", "S", "--max-edits", "1"], tmp_path, monkeypatch
+    )
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)

@@ -334,6 +334,50 @@ def test_bag_matches_uses_fallback_for_duplicates():
     assert not bag_matches(shape, Counter({1: 1, 2: 1}))
 
 
+def test_memoized_bag_matches_agrees_with_the_oracles():
+    # Each bag is asked twice under each of two bounds, against a shape on
+    # the interval path and one on the exhaustive path (every id doubled).
+    rng = random.Random(61018)
+    raised = 0
+    for _ in range(150):
+        expr = random_expr(rng, alphabet=4, depth=3)
+        bags = [random_bag(rng, expr, total_max=6) for _ in range(3)]
+        for shape in (ShapeDefinition(expr=expr), ShapeDefinition(expr=Group((expr, expr)))):
+            assert shape.single_occurrence == (shape.expr is expr)
+            for bound in (16, 3):
+                for bag in bags * 2:
+                    if not shape.single_occurrence and sum(bag.values()) > bound:
+                        with pytest.raises(BagTooLargeError):
+                            bag_matches(shape, bag, bound)
+                        raised += 1
+                        continue
+                    if shape.single_occurrence:
+                        expected = interval(expr, bag).contains(1)
+                    else:
+                        expected = brute_match(shape.expr, bag, bound)
+                    assert bag_matches(shape, bag, bound) == expected
+    assert raised > 100
+
+
+def test_bag_memo_never_answers_over_the_bound():
+    bag = Counter({1: 2, 2: 2})
+    answered = ShapeDefinition(expr=Repetition(Group((_tc(1), _tc(2))), 2, 3))
+    assert not answered.single_occurrence
+    assert bag_matches(answered, bag, 16)
+    assert answered.bag_verdicts == {((1, 2), (2, 2)): True}
+    with pytest.raises(BagTooLargeError):
+        bag_matches(answered, bag, 3)
+    raised_first = ShapeDefinition(expr=answered.expr)
+    with pytest.raises(BagTooLargeError):
+        bag_matches(raised_first, bag, 3)
+    assert raised_first.bag_verdicts == {}
+    assert bag_matches(raised_first, bag, 4)
+    # zero counts name the same bag; the interval path ignores the bound
+    single = ShapeDefinition(expr=Repetition(_tc(1), 0, None))
+    assert bag_matches(single, Counter({1: 40, 2: 0}), 4)
+    assert single.bag_verdicts == {((1, 40),): True}
+
+
 # --- interval vs brute equivalence -------------------------------------------------
 
 def test_randomized_interval_brute_agreement_seeded():

@@ -27,3 +27,21 @@ def test_script_exits_0(argv):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# Recorded on the tree before per-shape bag memos, stored schema facts and
+# patched edited graphs; equal under PYTHONHASHSEED 0, 7 and 123.
+CORPUS_DIGEST = (
+    "1956 invocations, sha256 e6f2076d85b05e51a449de1c92e44b7e69b7511e9f2043d9a6e7d897aa59db78\n"
+)
+
+
+def test_corpus_digest_is_pinned():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "corpus_digest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == CORPUS_DIGEST
