@@ -323,9 +323,8 @@ def check_request(
     """The requested entries without repeats, once each names a graph node,
     a schema shape and a sign, and each negative one a negated-occurring
     shape; raises :class:`UnknownNodeError` or ``ValueError`` otherwise."""
-    entries = []
-    for entry in typing0:
-        node, label, sign = entry
+    entries = list(dict.fromkeys(typing0))
+    for node, label, sign in entries:
         if not graph.has_node(node):
             raise UnknownNodeError(f"requested node {node!r} is not in the graph")
         if label not in schema.shapes:
@@ -337,8 +336,6 @@ def check_request(
                 f"negative assertions are only supported for negated-occurring"
                 f" shapes, and <{label}> is not one"
             )
-        if entry not in entries:
-            entries.append(entry)
     return entries
 
 
@@ -505,6 +502,11 @@ def verify_global_typing_witness(
 
 # --- exhaustive reference validator -------------------------------------------
 
+# Candidate witnesses of one (node, shape) pair beyond which the reference
+# validator gives up.
+REFERENCE_MAX_CANDIDATES = 256
+
+
 def reference_validate(
     schema: Schema,
     graph: Graph,
@@ -513,7 +515,6 @@ def reference_validate(
     certain: CertainTyping | None = None,
     bag_bound: int = DEFAULT_BAG_BOUND,
     max_nodes: int = 12,
-    max_candidates: int = 256,
     budget: int = 200_000,
 ) -> GlobalTypingWitness:
     """Depth-first search over all candidate witnesses, with full
@@ -535,9 +536,9 @@ def reference_validate(
             return cached
         node, label = key
         shape_def = schema.shapes[label]
-        if candidate_count(node, shape_def, graph) > max_candidates:
+        if candidate_count(node, shape_def, graph) > REFERENCE_MAX_CANDIDATES:
             raise SearchBudgetExceededError(
-                f"({node}, {label}) has more than {max_candidates} candidates"
+                f"({node}, {label}) has more than {REFERENCE_MAX_CANDIDATES} candidates"
             )
         usable = []
         for cand in candidate_witnesses(node, shape_def, graph):

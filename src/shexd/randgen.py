@@ -26,7 +26,6 @@ from .schema_model import (
     TripleConstraint,
     check_well_defined,
     iter_triple_constraints,
-    negated_shape_labels,
 )
 
 _P = "http://rand.example/p"
@@ -184,7 +183,7 @@ def random_instance(rng: random.Random, max_nodes: int = 8, max_labels: int = 4)
             label = f"S{rng.randrange(n_labels)}"
             typing0.append((node, label, "+"))
         if rng.random() < 0.15:
-            negated = sorted(negated_shape_labels(schema))
+            negated = sorted(schema.negated_labels)
             if negated:
                 typing0.append(
                     (rng.choice(graph.nodes), rng.choice(negated), rng.choice("+-"))

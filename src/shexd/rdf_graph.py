@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .errors import ParseError, UnknownNodeError, UnknownPrefixError
@@ -161,88 +162,73 @@ def _by_id(edges) -> tuple[Edge, ...]:
 
 
 class Graph:
-    """Immutable doubled-edge view of a triple set."""
+    """Immutable doubled-edge view of a triple set.
+
+    A node id names one term: triples that give one key to terms of two
+    kinds (the IRI ``<_:b>`` and the blank node ``_:b``) raise ``ValueError``.
+    """
 
     def __init__(self, triples: tuple[Triple, ...], prefixes: dict[str, str] | None = None):
-        self.triples = triples
         self.prefixes = dict(prefixes or {})
-        values: dict[str, Value] = {}
-        adjacency: dict[str, list[Edge]] = {}
-        edge_by_id: dict[str, Edge] = {}
-        # Whether some key is met with values of two types (an IRI spelled
-        # like a blank node); the node takes the first one met.
-        self._mixed = False
-        for t in triples:
-            keys = term_key(t.subject), term_key(t.obj)
-            for key, term in zip(keys, (t.subject, t.obj)):
-                value = term_to_value(term)
-                if type(values.setdefault(key, value)) is not type(value):
-                    self._mixed = True
-            for e in _edge_pair(keys[0], t.prop, keys[1]):
-                if e.id not in edge_by_id:
-                    edge_by_id[e.id] = e
-                    adjacency.setdefault(e.source, []).append(e)
-        self._values = values
-        self._adjacency = {n: _by_id(es) for n, es in adjacency.items()}
-        self.edge_by_id = edge_by_id
+        self._build(None, set(), triples)
 
     def edited(self, deletions: Iterable[Triple], insertions: Iterable[Triple]) -> "Graph":
         """``Graph(triples, self.prefixes)``, where ``triples`` are this graph's
         triples without those whose key a deletion has, followed by the
-        insertions in the order given; built from this graph's tables.
+        insertions in the order given; built from this graph's tables."""
+        out = Graph.__new__(Graph)
+        out.prefixes = dict(self.prefixes)
+        out._build(self, {t.key() for t in deletions}, insertions)
+        return out
 
-        The node, adjacency and edge tables are copied; only the edges of
-        the edited triples are dropped or added, only the nodes they touch
-        are re-sorted, and a node left with no edge is dropped. A node keeps
-        its value while one of its triples survives and otherwise takes the
-        value of its first insertion, as a rebuild gives it, unless this
-        graph meets one key with values of two types: then it is rebuilt.
-        """
-        deleted = {t.key() for t in deletions}
-        insertions = tuple(insertions)
-        triples = self.triples
+    def _build(
+        self, base: "Graph | None", deleted: set[tuple[str, str, str]], insertions: Iterable[Triple]
+    ) -> None:
+        """Set this graph's tables to those of ``base`` (no base: the empty
+        graph) without the triples whose key is in ``deleted``, followed by
+        ``insertions``. Only the edited edges are dropped or added, only the
+        nodes they touch are re-sorted, and a node left with no edge is
+        dropped; each triple's key is kept beside it."""
+        if base is None:
+            triples, keys, values, adjacency, edge_by_id = (), (), {}, {}, {}
+        else:
+            triples, keys = base.triples, base._keys
+            values, adjacency = dict(base._values), dict(base._adjacency)
+            edge_by_id = dict(base.edge_by_id)
         if deleted:
-            triples = tuple(t for t in triples if t.key() not in deleted)
-        triples += insertions
-        if self._mixed:
-            return Graph(triples, self.prefixes)
-        values = dict(self._values)
-        adjacency = dict(self._adjacency)
-        edge_by_id = dict(self.edge_by_id)
-        removed: set[str] = set()
-        touched: set[str] = set()
-        for key in deleted:
-            for e in _edge_pair(*key):
-                if edge_by_id.pop(e.id, None) is not None:
-                    removed.add(e.id)
-                    touched.add(e.source)
+            kept = [key not in deleted for key in keys]
+            triples, keys = tuple(compress(triples, kept)), tuple(compress(keys, kept))
+            removed: set[str] = set()
+            touched: set[str] = set()
+            for key in deleted:
+                for e in _edge_pair(*key):
+                    if edge_by_id.pop(e.id, None) is not None:
+                        removed.add(e.id)
+                        touched.add(e.source)
+            for node in touched:
+                edges = tuple(e for e in adjacency[node] if e.id not in removed)
+                if edges:
+                    adjacency[node] = edges
+                else:
+                    del values[node], adjacency[node]
+        insertions = tuple(insertions)
+        new_keys = []
         added: dict[str, list[Edge]] = {}
-        inserted_values: list[tuple[str, Value]] = []
-        first_value: dict[str, Value] = {}
         for t in insertions:
-            keys = term_key(t.subject), term_key(t.obj)
-            for key, term in zip(keys, (t.subject, t.obj)):
+            s, o = term_key(t.subject), term_key(t.obj)
+            new_keys.append((s, t.prop, o))
+            for node, term in zip((s, o), (t.subject, t.obj)):
                 value = term_to_value(term)
-                inserted_values.append((key, value))
-                first_value.setdefault(key, value)
-            for e in _edge_pair(keys[0], t.prop, keys[1]):
+                if type(values.setdefault(node, value)) is not type(value):
+                    raise ValueError(f"data key {node!r} names two kinds of term")
+            for e in _edge_pair(s, t.prop, o):
                 if e.id not in edge_by_id:
                     edge_by_id[e.id] = e
                     added.setdefault(e.source, []).append(e)
-        for node in touched | added.keys():
-            kept = [e for e in adjacency.get(node, ()) if e.id not in removed]
-            edges = kept + added.get(node, [])
-            if not edges:
-                del values[node], adjacency[node]
-            else:
-                adjacency[node] = _by_id(edges)
-                if not kept:
-                    values[node] = first_value[node]
-        out = Graph.__new__(Graph)
-        out.triples, out.prefixes = triples, dict(self.prefixes)
-        out._values, out._adjacency, out.edge_by_id = values, adjacency, edge_by_id
-        out._mixed = any(type(values[key]) is not type(value) for key, value in inserted_values)
-        return out
+        for node, edges in added.items():
+            adjacency[node] = _by_id(adjacency.get(node, ()) + tuple(edges))
+        self.triples, self._keys = triples + insertions, keys + tuple(new_keys)
+        self._values, self._adjacency, self.edge_by_id = values, adjacency, edge_by_id
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -453,17 +439,7 @@ def to_ntriples(triples: tuple[Triple, ...] | list[Triple]) -> str:
     """Canonical N-Triples serialization (sorted, forward triples only)."""
 
     def term_nt(term: Term) -> str:
-        if isinstance(term, Iri):
-            return f"<{term.text}>"
-        return term_key(term) if not isinstance(term, Literal) else _literal_nt(term)
-
-    def _literal_nt(lit: Literal) -> str:
-        body = f'"{escape_string(lit.lexical)}"'
-        if lit.lang is not None:
-            return f"{body}@{lit.lang}"
-        if lit.datatype == XSD_STRING:
-            return body
-        return f"{body}^^<{lit.datatype}>"
+        return f"<{term.text}>" if isinstance(term, Iri) else term_key(term)
 
     lines = [
         f"{term_nt(t.subject)} <{t.prop}> {term_nt(t.obj)} ."

@@ -38,6 +38,10 @@ from .schema_model import (
     ShapeRef,
 )
 
+# The reference validator's node bound and step budget for one repair check.
+CHECK_MAX_NODES = 64
+CHECK_BUDGET = 200_000
+
 _FRESH_LITERALS = {
     XSD_INTEGER: "0",
     XSD_STRING: "",
@@ -152,8 +156,6 @@ def is_valid_after(
     typing0: list[TypingEntry],
     *,
     bag_bound: int = DEFAULT_BAG_BOUND,
-    max_nodes: int = 64,
-    budget: int = 200_000,
 ) -> bool:
     """Apply the edits and ask the reference validator.
 
@@ -171,8 +173,8 @@ def is_valid_after(
             typing0,
             certain=CertainTyping(schema, edited, bag_bound=bag_bound),
             bag_bound=bag_bound,
-            max_nodes=max_nodes,
-            budget=budget,
+            max_nodes=CHECK_MAX_NODES,
+            budget=CHECK_BUDGET,
         )
         return True
     except ValidationError:
@@ -372,7 +374,6 @@ def enumerate_repairs(
     max_edits: int = 2,
     *,
     bag_bound: int = DEFAULT_BAG_BOUND,
-    budget_per_check: int = 200_000,
 ) -> RepairResult:
     """Breadth-first sweep over edit-set sizes 0, 1, ...; returns every valid
     edit set of the first size that admits one.
@@ -437,9 +438,7 @@ def enumerate_repairs(
                 if canonical in seen:
                     continue
                 seen.add(canonical)
-            if is_valid_after(
-                graph, edits, schema, typing0, bag_bound=bag_bound, budget=budget_per_check
-            ):
+            if is_valid_after(graph, edits, schema, typing0, bag_bound=bag_bound):
                 valid.append(edits)
         if valid:
             valid.sort(key=EditSet.sort_key)

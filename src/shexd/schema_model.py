@@ -284,11 +284,6 @@ def negated_shapes(schema: Schema, label: str) -> set[str]:
     return out
 
 
-def negated_shape_labels(schema: Schema) -> frozenset[str]:
-    """Labels that occur negated anywhere in the schema (stored on it)."""
-    return schema.negated_labels
-
-
 def reachable_labels(deps: dict[str, set[str]], start: set[str]) -> set[str]:
     seen = set()
     stack = sorted(start)

@@ -1,7 +1,9 @@
-"""Edited graphs patched onto the base graph's tables against a rebuild.
+"""Graph tables against a reference, and edited graphs against a rebuild.
 
-``repair.apply_edits`` must give exactly the graph that ``Graph`` builds
-from the surviving triples followed by the sorted insertions.
+``Graph`` must hold the node values, id-sorted neighbourhoods and edges a
+direct reading of its triples gives, and ``repair.apply_edits`` must give
+exactly the graph that ``Graph`` builds from the surviving triples followed
+by the sorted insertions.
 """
 
 from __future__ import annotations
@@ -10,12 +12,43 @@ import random
 
 import pytest
 
+import shexd.rdf_graph
 from shexd.errors import UnknownNodeError
 from shexd.randgen import random_instance
-from shexd.rdf_graph import BlankRef, Graph, Iri, Literal, Triple, parse_data
+from shexd.rdf_graph import (
+    BLANK,
+    BlankRef,
+    DirectedProperty,
+    Edge,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    parse_data,
+    term_key,
+)
 from shexd.repair import EditSet, FreshBlank, apply_edits, insertion_domain
 
 from conftest import DATA, EX, load_graph, load_schema
+
+
+def assert_matches_reference(graph: Graph) -> None:
+    """Compare the tables with ones derived straight from ``graph.triples``."""
+    values, edge_by_id, neighbourhoods = {}, {}, {}
+    for t in graph.triples:
+        s, o = term_key(t.subject), term_key(t.obj)
+        for key, term in ((s, t.subject), (o, t.obj)):
+            values[key] = BLANK if isinstance(term, BlankRef) else term
+        for source, inverse, target in ((s, False, o), (o, True, s)):
+            edge_id = f"{source}|{'<' if inverse else '>'}|{t.prop}|{target}"
+            edge_by_id[edge_id] = Edge(source, DirectedProperty(t.prop, inverse), target, edge_id)
+    for edge_id in sorted(edge_by_id):
+        neighbourhoods.setdefault(edge_by_id[edge_id].source, []).append(edge_by_id[edge_id])
+    assert graph.nodes == tuple(sorted(values))
+    for node, value in values.items():
+        assert graph.val(node) == value  # dataclass equality includes the type
+        assert graph.neighbourhood(node) == tuple(neighbourhoods[node])
+    assert graph.edge_by_id == edge_by_id
 
 
 def rebuilt(graph: Graph, edits: EditSet) -> Graph:
@@ -39,6 +72,7 @@ def check(graph: Graph, edits: EditSet) -> Graph:
     got = apply_edits(graph, edits)
     want = rebuilt(graph, edits)
     assert_same_graph(got, want)
+    assert_matches_reference(got)
     return got
 
 
@@ -67,6 +101,7 @@ def test_corpus_edits_equal_a_rebuild(schema_name, data_names):
         t for name in data_names for t in parse_data((DATA / name).read_text()).triples
     ))
     graph = Graph(triples, {"ex": EX})
+    assert_matches_reference(graph)
     pool = insertion_domain(graph, schema, 2)
     rng = random.Random(len(triples))
     for _ in range(150):
@@ -78,6 +113,7 @@ def test_random_instance_edits_equal_a_rebuild():
     rng = random.Random(6)
     for _ in range(300):
         schema, graph, _ = random_instance(rng)
+        assert_matches_reference(graph)
         pool = insertion_domain(graph, schema, 2)
         check(graph, random_edits(rng, graph, pool))
 
@@ -123,17 +159,37 @@ def test_absent_deletion_and_present_insertion_change_nothing_but_triples():
     assert edited.edge_by_id == graph.edge_by_id
 
 
-def test_one_key_with_two_value_types():
-    # <_:b> is an IRI whose key is the blank node _:b's; the first value met wins
+def test_one_key_never_names_two_kinds_of_term():
+    # the IRI <_:b> and the blank node _:b would share the key _:b
     iri_b, blank_b, x = Iri("_:b"), BlankRef("b"), Iri(EX + "x")
-    mixed = Graph((Triple(iri_b, EX + "p", x), Triple(blank_b, EX + "q", x)))
-    assert mixed.val("_:b") == iri_b
-    edited = check(mixed, EditSet(frozenset({Triple(iri_b, EX + "p", x)}), frozenset()))
-    assert type(edited.val("_:b")) is not Iri
+    for triples in (
+        (Triple(iri_b, EX + "p", x), Triple(blank_b, EX + "q", x)),
+        (Triple(blank_b, EX + "q", x), Triple(iri_b, EX + "p", x)),
+    ):
+        with pytest.raises(ValueError, match="_:b"):
+            Graph(triples)
     plain = Graph((Triple(blank_b, EX + "q", x),))
-    made_mixed = check(plain, EditSet(frozenset(), frozenset({Triple(iri_b, EX + "p", x)})))
-    check(made_mixed, EditSet(frozenset({Triple(blank_b, EX + "q", x)}), frozenset()))
+    with pytest.raises(ValueError, match="_:b"):
+        apply_edits(plain, EditSet(frozenset(), frozenset({Triple(x, EX + "p", iri_b)})))
+    # once its last triple is deleted, the key may name the other kind
     swapped = check(plain, EditSet(
         frozenset({Triple(blank_b, EX + "q", x)}), frozenset({Triple(iri_b, EX + "p", x)})
     ))
     assert swapped.val("_:b") == iri_b
+
+
+def test_an_edit_costs_the_same_term_keys_at_any_graph_size(monkeypatch):
+    calls = []
+    real = shexd.rdf_graph.term_key
+    monkeypatch.setattr(shexd.rdf_graph, "term_key", lambda term: calls.append(1) or real(term))
+    inserted = Triple(Iri(EX + "s0"), EX + "q", Iri(EX + "new"))
+    counts = []
+    for size in (10, 1_000):
+        graph = Graph(tuple(
+            Triple(Iri(f"{EX}s{i}"), EX + "p", Iri(f"{EX}o{i}")) for i in range(size)
+        ))
+        calls.clear()
+        edited = apply_edits(graph, EditSet(frozenset({graph.triples[3]}), frozenset({inserted})))
+        counts.append(len(calls))
+        assert edited.has_node(EX + "new") and not edited.has_node(EX + "o3")
+    assert counts[0] == counts[1]

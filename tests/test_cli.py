@@ -112,6 +112,22 @@ def test_validate_parse_error_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+def test_validate_key_naming_an_iri_and_a_blank_exit_3(tmp_path, capsys, swapped):
+    # <_:b> is an IRI and _:b a blank node: one node id cannot name both
+    lines = ["<http://e/a> <http://e/p> <_:b> .", "_:b <http://e/q> <http://e/a> ."]
+    data = tmp_path / "mixed.nt"
+    data.write_text("\n".join(lines[::-1] if swapped else lines) + "\n")
+    schema = tmp_path / "iri.shex"
+    schema.write_text("PREFIX ex: <http://e/>\n<S> { ex:p IRI * }\n")
+    code = main([
+        "validate", "--schema", str(schema), "--data", str(data), "--format", "nt",
+        "--node", "<http://e/a>", "--shape", "S",
+    ])
+    assert code == 3
+    assert "'_:b'" in capsys.readouterr().err
+
+
 def test_validate_multiple_data_files(capsys):
     code = main(
         [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 
 import pytest
@@ -21,6 +22,7 @@ from shexd.engine import (
     CertainTyping,
     GlobalTypingWitness,
     backtrack,
+    check_request,
     copy_proof,
 )
 from shexd.errors import (
@@ -31,7 +33,7 @@ from shexd.errors import (
     WellDefinednessError,
 )
 from shexd.randgen import random_instance
-from shexd.rdf_graph import DirectedProperty
+from shexd.rdf_graph import DirectedProperty, Graph, Iri, Triple
 from shexd.schema_model import ByConstraint, ExtraSlot, OpenSlot
 
 from conftest import DATA, EX, IS, load_graph, load_schema
@@ -441,6 +443,20 @@ def test_reference_node_bound():
     schema, graph, typing0 = random_instance(random.Random(5))
     with pytest.raises(SearchBudgetExceededError):
         reference_validate(schema, graph, typing0, max_nodes=1)
+
+
+def test_check_request_dedupes_in_linear_time():
+    graph = Graph(tuple(
+        Triple(Iri(f"{EX}s{i}"), EX + "p", Iri(f"{EX}o{i}")) for i in range(10_000)
+    ))
+    schema = parse_schema("PREFIX ex: <http://example.org/>\n<S> { ex:p IRI }")
+    entries = [(node, "S", "+") for node in graph.nodes]
+    assert len(entries) == 20_000
+    started = time.perf_counter()
+    assert check_request(entries + entries[::-1], graph, schema) == entries
+    assert time.perf_counter() - started < 1
+    with pytest.raises(UnknownNodeError):
+        check_request(entries[:2] * 2 + [(EX + "absent", "S", "+")], graph, schema)
 
 
 def test_flooding_matches_reference_on_random_instances():

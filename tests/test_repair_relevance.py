@@ -29,7 +29,6 @@ from shexd.repair import (
     insertion_domain,
     is_valid_after,
 )
-from shexd.schema_model import negated_shape_labels
 
 from conftest import EX, IS, load_graph, load_schema
 
@@ -76,7 +75,7 @@ def assert_same_as_exhaustive(graph, schema, typing0, max_edits):
 
 
 def _negated_request(rng, schema, graph):
-    negated = sorted(negated_shape_labels(schema))
+    negated = sorted(schema.negated_labels)
     if not negated:
         return None
     return [(rng.choice(graph.nodes), rng.choice(negated), "-")]

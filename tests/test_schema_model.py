@@ -11,7 +11,6 @@ from shexd.schema_model import (
     ShapeDefinition,
     consumer_key,
     lint_schema,
-    negated_shape_labels,
     shape_refs,
 )
 
@@ -40,7 +39,7 @@ def test_negated_shapes_running_example(issues_schema):
     assert negated_shapes(issues_schema, "IssueShape") == {"TesterShape", "ProgrammerShape"}
     assert negated_shapes(issues_schema, "LowImpactIssueShape") == {"ClientShape"}
     assert negated_shapes(issues_schema, "TesterShape") == set()
-    assert negated_shape_labels(issues_schema) == {
+    assert issues_schema.negated_labels == {
         "TesterShape",
         "ProgrammerShape",
         "ClientShape",
