@@ -10,7 +10,6 @@ certified and EXTRA consumption genuinely violating the bypassed constraints.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -200,38 +199,89 @@ def _compatible_with_certain(prop: Iterable[TypingEntry], certain: CertainTyping
 
 # --- the flooding engine -----------------------------------------------------
 
+_TABLES = ("typing_hyp", "lw_hyp", "requires", "positions")
+
+
 @dataclass
 class TUC:
-    """Typing witness under construction."""
+    """Typing witness under construction.
 
-    typing_hyp: set[TypingEntry] = field(default_factory=set)
+    ``typing_hyp`` and ``requires`` are insertion-ordered sets (dicts whose
+    values are ``None``) and ``lw_hyp`` and ``positions`` are dicts: the four
+    *tables*. ``to_check`` only ever grows at its end; the queue is
+    ``to_check[head:]``.
+
+    Between two removals the state only grows: the search inserts new keys
+    into the tables, appends to ``to_check`` and ``failures``, and moves
+    ``head`` forward. A removal is a :func:`backtrack`, or a candidate
+    position that changes for a key already in ``positions``. So a snapshot
+    records each table with its length, the queue head and the lengths of the
+    two lists, in O(1), and a restore truncates back to them. A removal that
+    would change a table in place first swaps in a copy of it if the latest
+    logged choice still reads it (see :meth:`own`), so a table is copied at
+    most once per removal, and never on a run without removals.
+    """
+
+    typing_hyp: dict[TypingEntry, None] = field(default_factory=dict)
     lw_hyp: dict[Hypothesis, dict] = field(default_factory=dict)
-    requires: set[tuple[Hypothesis, Hypothesis]] = field(default_factory=set)
-    to_check: deque[Hypothesis] = field(default_factory=deque)
+    requires: dict[tuple[Hypothesis, Hypothesis], None] = field(default_factory=dict)
+    to_check: list[Hypothesis] = field(default_factory=list)
+    head: int = 0
     positions: dict[Hypothesis, int] = field(default_factory=dict)
     choice_log: list = field(default_factory=list)
     failures: list[tuple[str, str, int]] = field(default_factory=list)
 
-    def positive_keys(self) -> set[Hypothesis]:
-        return {(n, s) for n, s, sign in self.typing_hyp if sign == "+"}
-
-    def snapshot(self, front: Hypothesis) -> dict:
+    def snapshot(self) -> dict:
+        """The state as it stood before the hypothesis just dequeued was
+        taken off the queue."""
         return {
-            "typing_hyp": set(self.typing_hyp),
-            "lw_hyp": dict(self.lw_hyp),
-            "requires": set(self.requires),
-            "to_check": [front, *self.to_check],
-            "positions": dict(self.positions),
-            "failures": list(self.failures),
+            "typing_hyp": (self.typing_hyp, len(self.typing_hyp)),
+            "lw_hyp": (self.lw_hyp, len(self.lw_hyp)),
+            "requires": (self.requires, len(self.requires)),
+            "positions": (self.positions, len(self.positions)),
+            "head": self.head - 1,
+            "to_check": len(self.to_check),
+            "failures": len(self.failures),
         }
 
     def restore(self, snap: dict) -> None:
-        self.typing_hyp = set(snap["typing_hyp"])
-        self.lw_hyp = dict(snap["lw_hyp"])
-        self.requires = set(snap["requires"])
-        self.to_check = deque(snap["to_check"])
-        self.positions = dict(snap["positions"])
-        self.failures = list(snap["failures"])
+        """Go back to ``snap``, which must be the latest logged snapshot.
+
+        Earlier snapshots that read the same tables hold shorter prefixes of
+        them, and every later one has been dropped, so truncating the tables
+        in place loses nothing a logged choice needs.
+        """
+        for name in _TABLES:
+            table, length = snap[name]
+            while len(table) > length:
+                table.popitem()
+            setattr(self, name, table)
+        self.head = snap["head"]
+        del self.to_check[snap["to_check"]:]
+        del self.failures[snap["failures"]:]
+
+    def own(self, name: str) -> dict:
+        """The table ``name``, first replaced by a copy if the latest logged
+        choice still reads it. Take it before a change that is not growth:
+        a deletion, or a new value for a key already present.
+
+        A table that the latest snapshot does not read is read by no logged
+        snapshot: tables only change hands by being copied, rebuilt, or
+        taken back by a restore of the latest snapshot.
+        """
+        table = getattr(self, name)
+        if self.choice_log and self.choice_log[-1][0][name][0] is table:
+            table = dict(table)
+            setattr(self, name, table)
+        return table
+
+    def set_position(self, key: Hypothesis, position: int) -> None:
+        """Move ``key`` to its candidate ``position``; a removal when ``key``
+        already had one."""
+        if key in self.positions:
+            self.own("positions")[key] = position
+        else:
+            self.positions[key] = position
 
 
 def backtrack(failed: Hypothesis, tuc: TUC, protected: frozenset = frozenset()) -> None:
@@ -243,34 +293,34 @@ def backtrack(failed: Hypothesis, tuc: TUC, protected: frozenset = frozenset()) 
     hypotheses that pointed into the removed set lose their witness and go
     back on the queue so their requirements get re-established.
     """
-    direct = {a for (a, b) in tuc.requires if b == failed}
-    removal = set(direct) | {failed}
+    requirers: dict[Hypothesis, set[Hypothesis]] = {}
+    for a, b in tuc.requires:
+        requirers.setdefault(b, set()).add(a)
+    direct = requirers.get(failed, set())
+    removal = direct | {failed}
     changed = True
     while changed:
         changed = False
-        targets = {b for (_, b) in tuc.requires}
-        for h in targets:
-            if h in removal or h in protected:
-                continue
-            requirers = {a for (a, b) in tuc.requires if b == h}
-            if requirers and requirers <= removal:
+        for h, hs in requirers.items():
+            if h not in removal and h not in protected and hs <= removal:
                 removal.add(h)
                 changed = True
     invalidated = sorted(
         {a for (a, b) in tuc.requires if b in removal and a not in removal}
     )
+    typing_hyp, lw_hyp = tuc.own("typing_hyp"), tuc.own("lw_hyp")
     for h in removal:
-        tuc.typing_hyp.discard((h[0], h[1], "+"))
-        tuc.lw_hyp.pop(h, None)
+        typing_hyp.pop((h[0], h[1], "+"), None)
+        lw_hyp.pop(h, None)
     tuc.requires = {
-        (a, b) for (a, b) in tuc.requires if a not in removal and b not in removal
+        (a, b): None for (a, b) in tuc.requires if a not in removal and b not in removal
     }
     for h in sorted(direct):
-        tuc.positions[h] = tuc.positions.get(h, 0) + 1
-        tuc.typing_hyp.add((h[0], h[1], "+"))
+        tuc.set_position(h, tuc.positions.get(h, 0) + 1)
+        typing_hyp[(h[0], h[1], "+")] = None
         tuc.to_check.append(h)
     for h in invalidated:
-        tuc.lw_hyp.pop(h, None)
+        lw_hyp.pop(h, None)
         tuc.to_check.append(h)
 
 
@@ -288,9 +338,9 @@ def copy_proof(
         return
     witness = certain.witness(node, label)
     tuc.lw_hyp[key] = witness
-    tuc.typing_hyp.add((node, label, "+"))
+    tuc.typing_hyp[(node, label, "+")] = None
     for n2, l2, sign in sorted(propagation(witness, graph, schema.shapes[label])):
-        tuc.typing_hyp.add((n2, l2, sign))
+        tuc.typing_hyp[(n2, l2, sign)] = None
         if sign == "+":
             copy_proof(n2, l2, certain, tuc, graph, schema)
 
@@ -357,6 +407,14 @@ def flooding_validation(
     ends without covering ``typing0``, the most recent accepted choice with
     remaining candidates is restored and the search resumes, so the engine is
     complete relative to the declarative semantics.
+
+    Each accepted choice is logged with an O(1) :meth:`TUC.snapshot`. A
+    table is copied only when a removal is about to change one that a logged
+    choice still reads, so on a run without removals (no backtracking, and
+    no hypothesis that rejects two candidates), such as a valid request whose
+    first candidates hold, the search state grows by O(1) per accepted
+    witness and the run's time and memory stay linear in the facts it
+    establishes.
     """
     if certain is None:
         certain = CertainTyping(schema, graph, bag_bound=bag_bound)
@@ -388,12 +446,13 @@ def flooding_validation(
         return src
 
     tuc = TUC()
-    tuc.typing_hyp = set(typing0_entries)
-    tuc.to_check = deque(sorted(protected))
+    tuc.typing_hyp = dict.fromkeys(typing0_entries)
+    tuc.to_check = sorted(protected)
 
     while True:
-        while tuc.to_check:
-            key = tuc.to_check.popleft()
+        while tuc.head < len(tuc.to_check):
+            key = tuc.to_check[tuc.head]
+            tuc.head += 1
             if (key[0], key[1], "+") not in tuc.typing_hyp:
                 continue  # removed while queued
             if key in tuc.lw_hyp:
@@ -417,18 +476,18 @@ def flooding_validation(
             if check_gtw_extra(schema, label, witness, certain, graph) and _compatible_with_certain(
                 prop, certain
             ):
-                tuc.choice_log.append((tuc.snapshot(key), key, position))
+                tuc.choice_log.append((tuc.snapshot(), key, position))
                 tuc.lw_hyp[key] = witness
                 for n2, l2, sign in sorted(prop):
                     entry = (n2, l2, sign)
                     if entry not in tuc.typing_hyp:
-                        tuc.typing_hyp.add(entry)
+                        tuc.typing_hyp[entry] = None
                         if sign == "+":
                             tuc.to_check.append((n2, l2))
                     if sign == "+":
-                        tuc.requires.add((key, (n2, l2)))
+                        tuc.requires[(key, (n2, l2))] = None
             else:
-                tuc.positions[key] = position + 1
+                tuc.set_position(key, position + 1)
                 tuc.to_check.append(key)
 
         if all(entry in tuc.typing_hyp for entry in typing0_entries):
@@ -442,7 +501,7 @@ def flooding_validation(
             )
         snap, key, position = tuc.choice_log.pop()
         tuc.restore(snap)
-        tuc.positions[key] = position + 1
+        tuc.set_position(key, position + 1)
         stats["restores"] += 1
 
     for n, s, sign in sorted(tuc.typing_hyp):
@@ -521,9 +580,9 @@ def reference_validate(
     chronological backtracking. Slow, simple, and trusted as the oracle."""
     if certain is None:
         certain = CertainTyping(schema, graph, bag_bound=bag_bound)
-    if len(graph.nodes) > max_nodes:
+    if graph.node_count > max_nodes:
         raise SearchBudgetExceededError(
-            f"{len(graph.nodes)} nodes exceed the reference bound of {max_nodes}"
+            f"{graph.node_count} nodes exceed the reference bound of {max_nodes}"
         )
     typing0_entries = check_request(typing0, graph, schema)
     steps = [budget]

@@ -172,7 +172,7 @@ def random_instance(rng: random.Random, max_nodes: int = 8, max_labels: int = 4)
                 o = Literal(str(rng.randint(1, 2)), XSD_INTEGER)
             triples.append(Triple(s, p, o))
         graph = Graph(tuple(dict.fromkeys(triples)))
-        if not graph.nodes or len(graph.nodes) > max_nodes:
+        if not graph.node_count or graph.node_count > max_nodes:
             continue
         fanout = Counter((t.subject, t.prop) for t in graph.triples)
         if fanout and fanout.most_common(1)[0][1] > 3:

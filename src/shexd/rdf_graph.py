@@ -234,6 +234,10 @@ class Graph:
     def nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self._values))
 
+    @property
+    def node_count(self) -> int:
+        return len(self._values)
+
     def has_node(self, node: str) -> bool:
         return node in self._values
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 
 import pytest
 
@@ -285,10 +284,9 @@ def test_witness_json_deterministic(issues_schema, issues_graph):
 
 def _tuc_with(requires, hyps):
     tuc = TUC()
-    tuc.typing_hyp = {(n, s, "+") for n, s in hyps}
+    tuc.typing_hyp = dict.fromkeys((n, s, "+") for n, s in hyps)
     tuc.lw_hyp = {h: {"edge": OpenSlot()} for h in hyps}
-    tuc.requires = set(requires)
-    tuc.to_check = deque()
+    tuc.requires = dict.fromkeys(requires)
     return tuc
 
 
@@ -301,7 +299,7 @@ def test_backtrack_single_requirer():
     assert list(tuc.to_check) == [A]
     assert tuc.positions[A] == 1  # advanced to the next candidate
     assert A not in tuc.lw_hyp
-    assert tuc.requires == set()
+    assert tuc.requires == {}
 
 
 def test_backtrack_chain_invalidates_but_keeps_root():
@@ -344,6 +342,44 @@ def test_backtrack_protects_requested_entries():
     tuc = _tuc_with({(A, B), (B, A)}, [A, B])
     backtrack(A, tuc, protected=frozenset([B]))
     assert ("b", "T", "+") in tuc.typing_hyp
+
+
+def _state(tuc):
+    return (
+        list(tuc.typing_hyp), list(tuc.lw_hyp.items()), list(tuc.requires),
+        tuc.to_check[tuc.head:], list(tuc.positions.items()), list(tuc.failures),
+    )
+
+
+def test_restore_brings_back_each_logged_state_exactly():
+    A, B, C, D = ("a", "S"), ("b", "T"), ("c", "U"), ("d", "V")
+    tuc = _tuc_with({(A, B)}, [A, B])
+    tuc.to_check = [A, C, D]
+    tuc.positions = {A: 1}
+    tuc.failures = [("x", "S", 0)]
+    states = []
+
+    def choose():
+        # as the search does: dequeue, then log a snapshot of the state
+        # from before the dequeue
+        states.append(_state(tuc))
+        tuc.head += 1
+        tuc.choice_log.append((tuc.snapshot(), tuc.to_check[tuc.head - 1], 0))
+
+    choose()  # A
+    tuc.requires[(C, D)] = None
+    tuc.typing_hyp[("d", "V", "+")] = None
+    tuc.to_check.append(D)
+    choose()  # C: same tables as the first snapshot, longer prefixes
+    tuc.lw_hyp[C] = {}
+    tuc.failures.append(("c", "U", 0))
+    tuc.set_position(C, 1)  # growth: C was not in positions
+    tuc.set_position(A, 2)  # a changed position: positions is copied first
+    backtrack(B, tuc)  # shrinks typing_hyp and lw_hyp in place, after copying them
+    tuc.set_position(A, 3)  # copied already, the snapshots no longer read it
+    while tuc.choice_log:
+        tuc.restore(tuc.choice_log.pop()[0])
+        assert _state(tuc) == states.pop()
 
 
 # --- copy_proof ------------------------------------------------------------------
@@ -443,6 +479,21 @@ def test_reference_node_bound():
     schema, graph, typing0 = random_instance(random.Random(5))
     with pytest.raises(SearchBudgetExceededError):
         reference_validate(schema, graph, typing0, max_nodes=1)
+
+
+def test_reference_node_bound_never_lists_the_nodes(monkeypatch):
+    # Graph.nodes sorts every node id; the bound needs only their number
+    schema, graph, typing0 = random_instance(random.Random(5))
+    count = len(graph.nodes)
+    assert graph.node_count == count > 1
+
+    def listed(self):
+        raise AssertionError("Graph.nodes called")
+
+    monkeypatch.setattr(Graph, "nodes", property(listed))
+    with pytest.raises(SearchBudgetExceededError) as raised:
+        reference_validate(schema, graph, typing0, max_nodes=1)
+    assert str(raised.value) == f"{count} nodes exceed the reference bound of 1"
 
 
 def test_check_request_dedupes_in_linear_time():
