@@ -18,6 +18,7 @@ from .engine import (
 )
 from .errors import (
     BagTooLargeError,
+    CertificateError,
     ParseError,
     SearchBudgetExceededError,
     ShexdError,
@@ -239,6 +240,9 @@ def cmd_repair(args) -> int:
         return EXIT_NOT_WELL_DEFINED
     except (BagTooLargeError, SearchBudgetExceededError) as exc:
         print(f"resource bound hit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (UnknownNodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Validation engine: certain typing, flooding with backtracking, a witness
-verifier, and an exhaustive reference validator used as the oracle.
+"""Validation engine: certain typing, flooding with backtracking, a decider
+by the maximal typing with a local-witness cache, a witness verifier, and an
+exhaustive reference validator used as the oracle.
 
 A run answers "can the requested typing be extended to a global typing
 witness?", i.e. a consistent set of signed (node, shape) facts plus one local
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     IncompatibleInitialTypingError,
@@ -99,6 +100,10 @@ class CertainTyping:
     certain typing; the rest of the region backs them internally. The
     negated labels and the region are read off the schema, which derives
     them once.
+
+    ``witnesses`` maps (node, label) to that pair's local witnesses, each
+    with its propagation, in :func:`local_witnesses` order; by default they
+    are enumerated lazily, one at a time, until a decision is reached.
     """
 
     def __init__(
@@ -107,6 +112,7 @@ class CertainTyping:
         graph: Graph,
         *,
         bag_bound: int = DEFAULT_BAG_BOUND,
+        witnesses: Callable[[str, str], Iterable[tuple[dict, Iterable[TypingEntry]]]] | None = None,
     ):
         ensure_well_defined(schema)
         self.schema = schema
@@ -114,7 +120,15 @@ class CertainTyping:
         self.bag_bound = bag_bound
         self.negated = schema.negated_labels
         self.region = schema.certain_region
+        # None reads _local_witnesses; that bound method, kept here, would
+        # make a reference cycle that holds the graph until a collection
+        self._witnesses = witnesses
         self._memo: dict[Hypothesis, tuple[bool, dict | None]] = {}
+
+    def _local_witnesses(self, node: str, label: str):
+        shape_def = self.schema.shapes[label]
+        for cand in local_witnesses(node, shape_def, self.graph, bag_bound=self.bag_bound):
+            yield cand, propagation(cand, self.graph, shape_def)
 
     def is_negated_label(self, label: str) -> bool:
         return label in self.negated
@@ -136,9 +150,7 @@ class CertainTyping:
         return self._memo[(node, label)][1]
 
     def _decide(self, node: str, label: str) -> tuple[bool, dict | None]:
-        shape_def = self.schema.shapes[label]
-        for cand in local_witnesses(node, shape_def, self.graph, bag_bound=self.bag_bound):
-            prop = propagation(cand, self.graph, shape_def)
+        for cand, prop in (self._witnesses or self._local_witnesses)(node, label):
             if all(self.sign(n2, l2) == (s2 == "+") for n2, l2, s2 in prop) and check_gtw_extra(
                 self.schema, label, cand, self, self.graph
             ):
@@ -518,6 +530,211 @@ def _certain_entries_for(
         if certain.is_negated_label(s):
             out.append((n, s, "+" if certain.sign(n, s) else "-"))
     return out
+
+
+# --- the maximal typing ---------------------------------------------------------
+
+# One local witness, kept compactly: its consumers in neighbourhood order, its
+# propagation (sorted), the positive needs on labels that are not negated, and
+# the positions of its EXTRA-consumed edges.
+CompactWitness = tuple[tuple, tuple[TypingEntry, ...], tuple[Hypothesis, ...], tuple[int, ...]]
+
+
+class LocalWitnessCache:
+    """The local witnesses, with their propagation, of the pairs of ``graph``
+    and of the graphs edited from it, against one schema with one bag bound.
+
+    Entries are keyed by (node, label) and kept only for a node whose
+    neighbourhood in the graph read is the very tuple it has in ``graph``.
+    That key is exact: :meth:`Graph.edited` gives a new tuple to every node
+    an edit touches, so a shared tuple holds the same edges, and each of
+    their targets keeps that edge, hence its node and value; the edges and
+    the targets' values are all that :func:`local_witnesses` and
+    :func:`propagation` read of a graph. So a pair whose neighbourhood an
+    edit leaves alone is enumerated once. Pairs at touched nodes are
+    enumerated on every read and not kept: an edit set's new
+    neighbourhoods are rarely met again (757 of the 775 in the boolean
+    two-edit repair are read once), and keeping them added about 0.4 MB to
+    the repair benchmark's peak RSS. Their enumerations share, per label,
+    the admitted consumers of each edge by directed property and target
+    value (``edge_options`` of :func:`local_witnesses`), so only an edit's
+    own edges are matched anew. Read the cache through :meth:`reader`,
+    which charges a budget.
+    """
+
+    def __init__(self, schema: Schema, graph: Graph, *, bag_bound: int = DEFAULT_BAG_BOUND):
+        self.schema = schema
+        self.graph = graph
+        self.bag_bound = bag_bound
+        self._entries: dict[Hypothesis, tuple[CompactWitness, ...]] = {}
+        self._edge_options: dict[str, dict] = {}  # label -> local_witnesses' edge memo
+
+    def reader(self, graph: Graph, budget: float = float("inf")) -> "WitnessReader":
+        return WitnessReader(self, graph, budget)
+
+
+class WitnessReader:
+    """The local witnesses of one graph's pairs, read through a
+    :class:`LocalWitnessCache` under a budget of local witnesses read.
+
+    Every read is charged the pair's full list, whether it was cached or
+    not, so an answer never depends on what is cached; a read past the
+    budget raises :class:`SearchBudgetExceededError`. A reader is also a
+    witness source for :class:`CertainTyping`.
+    """
+
+    def __init__(self, cache: LocalWitnessCache, graph: Graph, budget: float):
+        self.cache = cache
+        self.graph = graph
+        self.remaining = budget
+
+    def compact(self, node: str, label: str) -> tuple[CompactWitness, ...]:
+        cache, base = self.cache, self.cache.graph
+        kept = base.has_node(node) and base.neighbourhood(node) is self.graph.neighbourhood(node)
+        found = cache._entries.get((node, label)) if kept else None
+        if found is None:
+            found = self._enumerate(node, label)
+            if kept:
+                cache._entries[(node, label)] = found
+        self.remaining -= len(found)
+        if self.remaining < 0:
+            raise SearchBudgetExceededError("local witness budget exhausted")
+        return found
+
+    def _enumerate(self, node: str, label: str) -> tuple[CompactWitness, ...]:
+        graph, schema = self.graph, self.cache.schema
+        shape_def = schema.shapes[label]
+        out = []
+        for cand in local_witnesses(
+            node, shape_def, graph, bag_bound=self.cache.bag_bound,
+            edge_options=self.cache._edge_options.setdefault(label, {}),
+        ):
+            if len(out) >= self.remaining:
+                raise SearchBudgetExceededError("local witness budget exhausted")
+            consumers = tuple(cand.values())
+            prop = tuple(sorted(propagation(cand, graph, shape_def)))
+            out.append((
+                consumers,
+                prop,
+                tuple(
+                    (n, l) for n, l, sign in prop
+                    if sign == "+" and l not in schema.negated_labels
+                ),
+                tuple(i for i, c in enumerate(consumers) if isinstance(c, ExtraSlot)),
+            ))
+        return tuple(out)
+
+    def witness(self, node: str, consumers: tuple) -> dict:
+        """The witness dict of ``consumers`` at ``node``."""
+        return dict(zip((e.id for e in self.graph.neighbourhood(node)), consumers))
+
+    def __call__(self, node: str, label: str):
+        found = self.compact(node, label)
+        return ((self.witness(node, w[0]), w[1]) for w in found)
+
+
+def maximal_typing_validation(
+    schema: Schema,
+    graph: Graph,
+    typing0: Iterable[TypingEntry],
+    *,
+    certain: CertainTyping | None = None,
+    witnesses: WitnessReader | None = None,
+    bag_bound: int = DEFAULT_BAG_BOUND,
+) -> GlobalTypingWitness:
+    """Decide the request by the maximal typing; return its witness or fail.
+
+    The schema is stratified: the certain typing settles every label that
+    occurs negated, and the EXTRA check and negative facts read only those.
+    So the valid positive facts on the other labels are closed under union,
+    and they form one greatest fixpoint over the (node, label) pairs
+    reachable from the request. Each such pair starts alive. A pair is
+    dropped when none of its local witnesses (in :func:`local_witnesses`
+    order) passes :func:`_compatible_with_certain` and
+    :func:`check_gtw_extra` and has every positive need on a label that is
+    not negated still alive. Requested entries on negated labels are
+    settled by the certain typing. Pairs are explored and dropped in a
+    deterministic order.
+
+    On acceptance the witness takes, from the request outwards, the first
+    surviving local witness of each pair, and copies the certain proofs as
+    :func:`flooding_validation` does.
+    """
+    if witnesses is None:
+        witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound).reader(graph)
+    if certain is None:
+        certain = CertainTyping(schema, graph, bag_bound=bag_bound, witnesses=witnesses)
+    entries = check_request(typing0, graph, schema)
+    contradicting = [
+        (n, s, sign)
+        for n, s, sign in entries
+        if certain.is_negated_label(s) and certain.sign(n, s) != (sign == "+")
+    ]
+    if contradicting:
+        raise IncompatibleInitialTypingError(
+            "the requested typing contradicts the certain typing",
+            failed=contradicting,
+        )
+
+    # usable[key]: the local witnesses of the pair that pass the certain
+    # typing and the EXTRA check
+    usable: dict[Hypothesis, list[CompactWitness]] = {}
+    requirers: dict[Hypothesis, list[Hypothesis]] = {}
+    requested = sorted(
+        {(n, s) for n, s, sign in entries if sign == "+" and s not in certain.negated}
+    )
+    pairs = list(requested)
+    seen = set(pairs)
+    for key in pairs:  # grows while it is walked
+        node, label = key
+        found = usable[key] = []
+        for cand in witnesses.compact(node, label):
+            consumers, prop, needs, extras = cand
+            if not _compatible_with_certain(prop, certain):
+                continue
+            if extras:
+                edges = graph.neighbourhood(node)
+                extra = {edges[i].id: consumers[i] for i in extras}
+                if not check_gtw_extra(schema, label, extra, certain, graph):
+                    continue
+            found.append(cand)
+            for need in needs:
+                requirers.setdefault(need, []).append(key)
+                if need not in seen:
+                    seen.add(need)
+                    pairs.append(need)
+
+    alive = {key for key in pairs if usable[key]}
+    dropped = [key for key in pairs if not usable[key]]
+
+    def survivors(key: Hypothesis):
+        return (cand for cand in usable[key] if all(need in alive for need in cand[2]))
+
+    while dropped:
+        for key in requirers.get(dropped.pop(), ()):
+            if key in alive and next(survivors(key), None) is None:
+                alive.remove(key)
+                dropped.append(key)
+
+    missing = [(n, s, "+") for n, s in requested if (n, s) not in alive]
+    if missing:
+        raise ValidationError(
+            "no global typing witness extends the requested typing", failed=missing
+        )
+
+    tuc = TUC(typing_hyp=dict.fromkeys(entries))  # the tables copy_proof fills
+    order = list(requested)
+    for key in order:  # grows while it is walked
+        if key in tuc.lw_hyp:
+            continue
+        consumers, prop, needs, _ = next(survivors(key))
+        tuc.lw_hyp[key] = witnesses.witness(key[0], consumers)
+        tuc.typing_hyp.update(dict.fromkeys(prop))
+        order.extend(needs)
+    for n, s, sign in sorted(tuc.typing_hyp):
+        if sign == "+" and certain.is_negated_label(s) and certain.sign(n, s):
+            copy_proof(n, s, certain, tuc, graph, schema)
+    return GlobalTypingWitness(frozenset(tuc.typing_hyp), dict(tuc.lw_hyp))
 
 
 # --- independent verification --------------------------------------------------

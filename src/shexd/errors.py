@@ -64,6 +64,10 @@ class SearchBudgetExceededError(ShexdError):
     """An exhaustive search ran past its configured resource bound."""
 
 
+class CertificateError(ShexdError):
+    """An accepted answer's certificate failed verification: an internal error."""
+
+
 class ValidationError(ShexdError):
     """The requested typing cannot be extended to a global typing witness.
 

@@ -413,6 +413,15 @@ def _edge_admits(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph)
     return True
 
 
+def _admitted(edge: Edge, shape_def: ShapeDefinition, graph: Graph) -> list:
+    """The consumers of :func:`matching_consumers` that pass every per-edge
+    condition of a local witness."""
+    return [
+        c for c in matching_consumers(edge, shape_def, graph)
+        if _edge_admits(edge, c, shape_def, graph)
+    ]
+
+
 def check_local_witness(
     witness: LocalWitness,
     node: str,
@@ -455,6 +464,7 @@ def local_witnesses(
     graph: Graph,
     *,
     bag_bound: int = DEFAULT_BAG_BOUND,
+    edge_options: dict | None = None,
 ) -> Iterator[dict]:
     """Lazily enumerate the local witnesses of node vs. shape.
 
@@ -471,12 +481,22 @@ def local_witnesses(
     condition holds by construction, so a leaf is tested by its bag alone.
     The consumers are exactly those of :func:`matching_consumers`: there is
     no look-ahead at the opposite nodes.
+
+    ``edge_options``, when given, memoizes an edge's admitted consumers for
+    this shape across calls, keyed by the edge's directed property and its
+    target's value: all they depend on.
     """
     edges = graph.neighbourhood(node)
-    options = [
-        [c for c in matching_consumers(e, shape_def, graph) if _edge_admits(e, c, shape_def, graph)]
-        for e in edges
-    ]
+    if edge_options is None:
+        options = [_admitted(e, shape_def, graph) for e in edges]
+    else:
+        options = []
+        for e in edges:
+            key = (e.dprop, graph.val(e.target))
+            opts = edge_options.get(key)
+            if opts is None:
+                opts = edge_options[key] = _admitted(e, shape_def, graph)
+            options.append(opts)
     if not all(options):
         return
     ids = [e.id for e in edges]

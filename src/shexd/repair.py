@@ -14,8 +14,15 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .engine import CertainTyping, TypingEntry, reference_validate
-from .errors import SearchBudgetExceededError, ValidationError
+from .engine import (
+    CertainTyping,
+    LocalWitnessCache,
+    TypingEntry,
+    maximal_typing_validation,
+    reference_validate,
+    verify_global_typing_witness,
+)
+from .errors import CertificateError, SearchBudgetExceededError, ValidationError
 from .matching import DEFAULT_BAG_BOUND
 from .rdf_graph import (
     XSD_DATE,
@@ -38,7 +45,9 @@ from .schema_model import (
     ShapeRef,
 )
 
-# The reference validator's node bound and step budget for one repair check.
+# The reference validator's node bound for one check of is_repair, and the
+# step budget of one repair check: the reference validator's steps there,
+# local witnesses read in is_valid_after.
 CHECK_MAX_NODES = 64
 CHECK_BUDGET = 200_000
 
@@ -156,12 +165,58 @@ def is_valid_after(
     typing0: list[TypingEntry],
     *,
     bag_bound: int = DEFAULT_BAG_BOUND,
+    witnesses: LocalWitnessCache | None = None,
 ) -> bool:
-    """Apply the edits and ask the reference validator.
+    """Apply the edits and decide the request on the edited graph by its
+    maximal typing (:func:`maximal_typing_validation`).
+
+    Local witnesses are read through ``witnesses``, a cache for this graph,
+    schema and bag bound shared by the checks of one search (a fresh one
+    when None), under a budget of ``CHECK_BUDGET`` local witnesses; past it,
+    :class:`SearchBudgetExceededError`. An accepted set counts only once
+    :func:`verify_global_typing_witness`, with a certain typing of its own,
+    accepts the decider's witness; a rejected certificate raises
+    :class:`CertificateError`. The graph's size is not bounded.
 
     Edit sets that delete a node mentioned by the requested typing fail:
     the request must stay addressable.
     """
+    if witnesses is None:
+        witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
+    elif (witnesses.schema, witnesses.graph, witnesses.bag_bound) != (schema, graph, bag_bound):
+        raise ValueError("the local witness cache belongs to another request")
+    edited = apply_edits(graph, edits)
+    for node, _, _ in typing0:
+        if not edited.has_node(node):
+            return False
+    reader = witnesses.reader(edited, CHECK_BUDGET)
+    try:
+        gtw = maximal_typing_validation(
+            schema,
+            edited,
+            typing0,
+            certain=CertainTyping(schema, edited, bag_bound=bag_bound, witnesses=reader),
+            witnesses=reader,
+            bag_bound=bag_bound,
+        )
+    except ValidationError:
+        return False
+    certain = CertainTyping(schema, edited, bag_bound=bag_bound)
+    if not verify_global_typing_witness(gtw, edited, schema, certain, bag_bound=bag_bound):
+        raise CertificateError("the witness of an accepted edit set failed verification")
+    return True
+
+
+def _reference_valid_after(
+    graph: Graph,
+    edits: EditSet,
+    schema: Schema,
+    typing0: list[TypingEntry],
+    *,
+    bag_bound: int = DEFAULT_BAG_BOUND,
+) -> bool:
+    """:func:`is_valid_after` by the reference validator, with its node
+    bound ``CHECK_MAX_NODES`` and step budget ``CHECK_BUDGET``."""
     edited = apply_edits(graph, edits)
     for node, _, _ in typing0:
         if not edited.has_node(node):
@@ -406,8 +461,8 @@ def enumerate_repairs(
     the same signs on P(E) (by induction over its acyclic region), and W
     with e's edge added or dropped as open is a witness for the smaller
     set. So a minimum valid E has no such edit. Resource bounds (the
-    reference validator's node bound, the step budgets) are outside this
-    argument: a skipped edit set can no longer raise them.
+    step budgets) are outside this argument: a skipped edit set can no
+    longer raise them.
 
     The sets are generated in ``itertools.combinations`` order over the
     edit atoms, but a set whose edits do not all count under P(∅) is never
@@ -421,9 +476,15 @@ def enumerate_repairs(
     first keeps the dedupe to the few sets that pass. (A request that names
     a fresh blank's label breaks that symmetry; the CLI rejects requests
     for nodes the graph does not hold.)
+
+    Each set is checked by :func:`is_valid_after`, and all the checks of
+    one call share one :class:`LocalWitnessCache`: a pair whose
+    neighbourhood a set leaves alone is not enumerated again. The graph's
+    size is not bounded.
     """
     atoms = _edit_atoms(graph, schema, max_edits)
     relevance = _Relevance(graph, schema, typing0, atoms)
+    witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
     fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
 
     for size in range(max_edits + 1):
@@ -438,7 +499,9 @@ def enumerate_repairs(
                 if canonical in seen:
                     continue
                 seen.add(canonical)
-            if is_valid_after(graph, edits, schema, typing0, bag_bound=bag_bound):
+            if is_valid_after(
+                graph, edits, schema, typing0, bag_bound=bag_bound, witnesses=witnesses
+            ):
                 valid.append(edits)
         if valid:
             valid.sort(key=EditSet.sort_key)
@@ -458,8 +521,10 @@ def is_repair(
     """Is ``graph_prime`` a minimally edited valid variant of ``graph``?
 
     Deliberately exponential and independent of the search: validity of the
-    edited graph, plus a sweep checking every strictly smaller edit set
-    with :func:`is_valid_after`, without skipping any.
+    edited graph, plus a sweep checking every strictly smaller edit set,
+    without skipping any. Each check asks :func:`reference_validate`, under
+    its node bound ``CHECK_MAX_NODES`` and step budget ``CHECK_BUDGET``, not
+    the decider :func:`is_valid_after` uses.
     """
     before = {t.key(): t for t in graph.triples}
     after = {t.key(): t for t in graph_prime.triples}
@@ -470,14 +535,15 @@ def is_repair(
         raise SearchBudgetExceededError(
             f"graphs differ by {edits.size} triples, beyond the budget of {budget}"
         )
-    if not is_valid_after(graph, edits, schema, typing0, bag_bound=bag_bound):
+    if not _reference_valid_after(graph, edits, schema, typing0, bag_bound=bag_bound):
         return False
     if edits.size == 0:
         return True
     atoms = _edit_atoms(graph, schema, edits.size - 1)
     for size in range(edits.size):
         for combo in itertools.combinations(atoms, size):
-            if is_valid_after(graph, _edit_set(combo), schema, typing0, bag_bound=bag_bound):
+            edits = _edit_set(combo)
+            if _reference_valid_after(graph, edits, schema, typing0, bag_bound=bag_bound):
                 return False
     return True
 

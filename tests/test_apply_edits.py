@@ -73,6 +73,12 @@ def check(graph: Graph, edits: EditSet) -> Graph:
     want = rebuilt(graph, edits)
     assert_same_graph(got, want)
     assert_matches_reference(got)
+    # engine.LocalWitnessCache keys a neighbourhood shared with the base
+    # graph by its node alone: its targets must keep their values
+    for node in got.nodes:
+        edges = got.neighbourhood(node)
+        if graph.has_node(node) and graph.neighbourhood(node) is edges:
+            assert all(got.val(e.target) == graph.val(e.target) for e in edges)
     return got
 
 

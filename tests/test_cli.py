@@ -441,10 +441,66 @@ def test_repair_rejects_a_malformed_request_on_a_large_graph(
     captured = capsys.readouterr()
     assert captured.err == validate_err == message
     assert captured.out == "" and checks == []
-    # a well-formed request on the 81-node graph still meets the oracle's bound
+    # a well-formed request on the 81-node graph is decided: it is valid
     ok = [*files, "--node", "ex:n0", "--shape", "Link"]
-    assert main(["repair", *ok, "--max-edits", "1"]) == 4
-    assert "81 nodes exceed the reference bound of 64" in capsys.readouterr().err
+    assert main(["repair", *ok, "--max-edits", "1"]) == 0
+    assert capsys.readouterr().out.startswith("minimal repairs of size 0: 1\n")
+
+
+def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsys):
+    # 33 nodes joined by 32 ex:next links, the last one unnamed: 65 graph
+    # nodes, past the reference validator's bound of 64. The repairs insert
+    # a name for the last node (one per string literal of the pool: 32
+    # names and "") or cut one of the 32 links: 2 * 33 - 1.
+    import shexd.engine
+    import shexd.repair
+
+    schema = tmp_path / "chain.shex"
+    schema.write_text(
+        "PREFIX ex: <http://example.org/>\n"
+        "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+        "<P> { ex:name xsd:string, ex:next @<P> ? }\n"
+    )
+    data = tmp_path / "chain.ttl"
+    data.write_text("@prefix ex: <http://example.org/> .\n" + "".join(
+        f'ex:n{i} ex:name "name {i}" ; ex:next ex:n{i + 1} .\n' for i in range(32)
+    ))
+    counts = {"checks": 0, "enumerations": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        shexd.repair, "is_valid_after", counted("checks", shexd.repair.is_valid_after)
+    )
+    monkeypatch.setattr(
+        shexd.engine, "local_witnesses", counted("enumerations", shexd.engine.local_witnesses)
+    )
+    argv = ["repair", "--schema", str(schema), "--data", str(data),
+            "--node", "ex:n0", "--shape", "P", "--max-edits", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("minimal repairs of size 1: 65\n")
+    # 4,423 checks; a check enumerates the pairs whose neighbourhood its edit
+    # set changed (5,511 in all), not the 33 pairs it decides
+    assert counts["checks"] <= 4_500
+    assert counts["enumerations"] <= 6_000
+
+
+def test_repair_certificate_failure_is_an_internal_error(monkeypatch, capsys):
+    import shexd.repair
+
+    monkeypatch.setattr(shexd.repair, "verify_global_typing_witness", lambda *a, **k: False)
+    argv = ["repair", "--schema", SCHEMA, "--data", str(DATA / "repairing.ttl"),
+            "--node", "ex:issue", "--shape", "IssueShape", "--max-edits", "1"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: the witness of an accepted edit set failed verification\n"
+    )
 
 
 @pytest.mark.parametrize(

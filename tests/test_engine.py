@@ -89,6 +89,23 @@ def test_certain_typing_is_on_demand(issues_schema, issues_graph):
     assert len(certain._memo) < len(issues_graph.nodes) * len(certain.negated)
 
 
+def test_certain_typing_dies_without_the_cycle_collector(issues_schema, issues_graph):
+    # it holds the request's graph, which must go with the request, not at
+    # the next collection
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        certain = CertainTyping(issues_schema, issues_graph)
+        certain.decided_entries()
+        ref = weakref.ref(certain)
+        del certain
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_certain_region_labels_only(issues_certain):
     with pytest.raises(ValueError):
         issues_certain.sign(EX + "issue1", "IssueShape")
