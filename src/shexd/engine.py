@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .errors import (
     IncompatibleInitialTypingError,
@@ -401,6 +401,21 @@ def check_request(
     return entries
 
 
+def _check_request_signs(entries: list[TypingEntry], certain: CertainTyping) -> None:
+    """Raise :class:`IncompatibleInitialTypingError` when a requested entry
+    on a negated label contradicts the certain typing."""
+    contradicting = [
+        (n, s, sign)
+        for n, s, sign in entries
+        if certain.is_negated_label(s) and certain.sign(n, s) != (sign == "+")
+    ]
+    if contradicting:
+        raise IncompatibleInitialTypingError(
+            "the requested typing contradicts the certain typing",
+            failed=contradicting,
+        )
+
+
 def flooding_validation(
     schema: Schema,
     graph: Graph,
@@ -437,16 +452,7 @@ def flooding_validation(
     stats.setdefault("restores", 0)
 
     typing0_entries = check_request(typing0, graph, schema)
-    contradicting = [
-        (n, s, sign)
-        for n, s, sign in typing0_entries
-        if certain.is_negated_label(s) and certain.sign(n, s) != (sign == "+")
-    ]
-    if contradicting:
-        raise IncompatibleInitialTypingError(
-            "the requested typing contradicts the certain typing",
-            failed=contradicting,
-        )
+    _check_request_signs(typing0_entries, certain)
 
     protected = frozenset((n, s) for n, s, sign in typing0_entries if sign == "+")
     sources: dict[Hypothesis, _WitnessSource] = {}
@@ -541,25 +547,28 @@ CompactWitness = tuple[tuple, tuple[TypingEntry, ...], tuple[Hypothesis, ...], t
 
 
 class LocalWitnessCache:
-    """The local witnesses, with their propagation, of the pairs of ``graph``
-    and of the graphs edited from it, against one schema with one bag bound.
+    """What the checks of one repair search share: the local witnesses of
+    the pairs of ``graph`` against one schema with one bag bound, each edit
+    triple's edges, and each request's base fixpoint.
 
-    Entries are keyed by (node, label) and kept only for a node whose
-    neighbourhood in the graph read is the very tuple it has in ``graph``.
-    That key is exact: :meth:`Graph.edited` gives a new tuple to every node
-    an edit touches, so a shared tuple holds the same edges, and each of
-    their targets keeps that edge, hence its node and value; the edges and
-    the targets' values are all that :func:`local_witnesses` and
-    :func:`propagation` read of a graph. So a pair whose neighbourhood an
-    edit leaves alone is enumerated once. Pairs at touched nodes are
-    enumerated on every read and not kept: an edit set's new
-    neighbourhoods are rarely met again (757 of the 775 in the boolean
-    two-edit repair are read once), and keeping them added about 0.4 MB to
-    the repair benchmark's peak RSS. Their enumerations share, per label,
-    the admitted consumers of each edge by directed property and target
-    value (``edge_options`` of :func:`local_witnesses`), so only an edit's
-    own edges are matched anew. Read the cache through :meth:`reader`,
-    which charges a budget.
+    Local witnesses are kept with their propagation, keyed by (node, label),
+    and only for a node whose neighbourhood in the graph read is the very
+    tuple it has in ``graph``. That key is exact: :meth:`Graph.edited` and
+    ``shexd.incremental.GraphPatch`` give a new tuple to every node an edit
+    touches, so a shared tuple holds the same edges, and each of their
+    targets keeps that edge, hence its node and value; the edges and the targets' values are
+    all that :func:`local_witnesses` and :func:`propagation` read of a
+    graph. So a pair whose neighbourhood an edit leaves alone is enumerated
+    once. Pairs at touched nodes are enumerated on every read and not kept:
+    an edit set's new neighbourhoods are rarely met again. Their enumerations
+    share, per label, the admitted consumers of each edge by directed
+    property and target value (``edge_options`` of :func:`local_witnesses`),
+    so only an edit's own edges are matched anew. Read the witnesses through
+    :meth:`reader`, which charges a budget.
+
+    :mod:`shexd.incremental` decides a request on a patch of ``graph`` as a
+    delta on the request's fixpoint over ``graph``, which it keeps here.
+    Nothing here outlives the object: one is made per search.
     """
 
     def __init__(self, schema: Schema, graph: Graph, *, bag_bound: int = DEFAULT_BAG_BOUND):
@@ -568,9 +577,15 @@ class LocalWitnessCache:
         self.bag_bound = bag_bound
         self._entries: dict[Hypothesis, tuple[CompactWitness, ...]] = {}
         self._edge_options: dict[str, dict] = {}  # label -> local_witnesses' edge memo
+        # kept for shexd.incremental: id(triple) -> (triple, its edges), the
+        # triple kept so that its id stays its own; request -> base fixpoint
+        self._triple_edges: dict[int, tuple] = {}
+        self._bases: dict[tuple[TypingEntry, ...], _Fixpoint] = {}
 
-    def reader(self, graph: Graph, budget: float = float("inf")) -> "WitnessReader":
-        return WitnessReader(self, graph, budget)
+    def reader(
+        self, graph: Graph, budget: float = float("inf"), touched: Container[str] | None = None
+    ) -> "WitnessReader":
+        return WitnessReader(self, graph, budget, touched)
 
 
 class WitnessReader:
@@ -580,34 +595,52 @@ class WitnessReader:
     Every read is charged the pair's full list, whether it was cached or
     not, so an answer never depends on what is cached; a read past the
     budget raises :class:`SearchBudgetExceededError`. A reader is also a
-    witness source for :class:`CertainTyping`.
+    witness source for :class:`CertainTyping`. It holds the cache's tables,
+    not the cache, so a cache that keeps a reader makes no reference cycle.
     """
 
-    def __init__(self, cache: LocalWitnessCache, graph: Graph, budget: float):
-        self.cache = cache
+    def __init__(
+        self, cache: LocalWitnessCache, graph: Graph, budget: float,
+        touched: Container[str] | None = None,
+    ):
+        self.schema = cache.schema
+        self.base = cache.graph
+        self.bag_bound = cache.bag_bound
         self.graph = graph
         self.remaining = budget
+        self._entries = cache._entries
+        self._edge_options = cache._edge_options
+        # the nodes whose neighbourhood differs from the cache's graph, when
+        # the caller knows them (a patch of that graph does)
+        self._touched = touched
+
+    def charge(self, count: int) -> None:
+        """Count ``count`` local witnesses read against the budget."""
+        self.remaining -= count
+        if self.remaining < 0:
+            raise SearchBudgetExceededError("local witness budget exhausted")
 
     def compact(self, node: str, label: str) -> tuple[CompactWitness, ...]:
-        cache, base = self.cache, self.cache.graph
-        kept = base.has_node(node) and base.neighbourhood(node) is self.graph.neighbourhood(node)
-        found = cache._entries.get((node, label)) if kept else None
+        base = self.base
+        if self._touched is not None:
+            kept = node not in self._touched and base.has_node(node)
+        else:
+            kept = base.has_node(node) and base.neighbourhood(node) is self.graph.neighbourhood(node)
+        found = self._entries.get((node, label)) if kept else None
         if found is None:
             found = self._enumerate(node, label)
             if kept:
-                cache._entries[(node, label)] = found
-        self.remaining -= len(found)
-        if self.remaining < 0:
-            raise SearchBudgetExceededError("local witness budget exhausted")
+                self._entries[(node, label)] = found
+        self.charge(len(found))
         return found
 
     def _enumerate(self, node: str, label: str) -> tuple[CompactWitness, ...]:
-        graph, schema = self.graph, self.cache.schema
+        graph, schema = self.graph, self.schema
         shape_def = schema.shapes[label]
         out = []
         for cand in local_witnesses(
-            node, shape_def, graph, bag_bound=self.cache.bag_bound,
-            edge_options=self.cache._edge_options.setdefault(label, {}),
+            node, shape_def, graph, bag_bound=self.bag_bound,
+            edge_options=self._edge_options.setdefault(label, {}),
         ):
             if len(out) >= self.remaining:
                 raise SearchBudgetExceededError("local witness budget exhausted")
@@ -633,6 +666,171 @@ class WitnessReader:
         return ((self.witness(node, w[0]), w[1]) for w in found)
 
 
+def _requested(entries: Iterable[TypingEntry], certain: CertainTyping) -> list[Hypothesis]:
+    """The requested pairs the fixpoint decides: positive, on labels that
+    are not negated, sorted."""
+    return sorted({(n, s) for n, s, sign in entries if sign == "+" and s not in certain.negated})
+
+
+def _support(witnesses: list[CompactWitness], start: int, alive) -> int | None:
+    """Decide one pair: the index of its first usable witness, from
+    ``start`` on, whose needs are all ``alive``; None when it has none."""
+    for index in range(start, len(witnesses)):
+        for need in witnesses[index][2]:
+            if need not in alive:
+                break
+        else:
+            return index
+    return None
+
+
+class _Fixpoint:
+    """The maximal typing of a graph over the pairs reachable from a request.
+
+    ``usable`` maps each pair read to its usable local witnesses: those that
+    pass :func:`_compatible_with_certain` and :func:`check_gtw_extra`, in
+    :func:`local_witnesses` order. ``requirers`` maps a pair to the pairs
+    with a usable witness that needs it, and ``support`` maps each alive
+    pair to its support: the index of its first usable witness whose needs
+    are all alive. A pair without a support is dead.
+    """
+
+    def __init__(self, schema, graph, certain, witnesses):
+        self.schema = schema
+        self.graph = graph
+        self.certain = certain
+        self.witnesses = witnesses
+        self.requested: list[Hypothesis] = []
+        self.usable: dict[Hypothesis, list[CompactWitness]] = {}
+        self.requirers: dict[Hypothesis, list[Hypothesis]] = {}
+        self.support: dict[Hypothesis, int] = {}
+        self.sizes: dict[Hypothesis, int] = {}  # local witnesses read per pair
+        self.at_node: dict[str, list[Hypothesis]] = {}  # the pairs read, by node
+
+    # The tables as a check sees them; a _Delta reads through to its base.
+
+    def holds(self, key: Hypothesis) -> bool:
+        return key in self.usable
+
+    def usable_of(self, key: Hypothesis) -> list[CompactWitness]:
+        return self.usable[key]
+
+    def support_of(self, key: Hypothesis) -> int | None:
+        return self.support.get(key)
+
+    def requirers_of(self, key: Hypothesis):
+        return self.requirers.get(key, ())
+
+    def set_support(self, key: Hypothesis, index: int | None) -> None:
+        if index is None:
+            del self.support[key]
+        else:
+            self.support[key] = index
+
+    def redecide(self, key: Hypothesis, start: int) -> int | None:
+        return _support(self.usable_of(key), start, self)
+
+    def __contains__(self, key: Hypothesis) -> bool:
+        """Is ``key`` alive?"""
+        return self.support_of(key) is not None
+
+    def first_support(self, key: Hypothesis) -> int:
+        return self.support[key]
+
+    def witness_of(self, key: Hypothesis, consumers: tuple) -> dict:
+        return self.witnesses.witness(key[0], consumers)
+
+    # The fixpoint.
+
+    def read(self, key: Hypothesis) -> list[CompactWitness]:
+        """The usable local witnesses of ``key``."""
+        node, label = key
+        graph = self.graph
+        if not graph.has_node(node):
+            return []  # a requested node that only an edit creates
+        certain = self.certain
+        found = self.witnesses.compact(node, label)
+        self.sizes[key] = len(found)
+        out = []
+        for cand in found:
+            consumers, prop, needs, extras = cand
+            if not _compatible_with_certain(prop, certain):
+                continue
+            if extras:
+                edges = graph.neighbourhood(node)
+                extra = {edges[i].id: consumers[i] for i in extras}
+                if not check_gtw_extra(self.schema, label, extra, certain, graph):
+                    continue
+            out.append(cand)
+        return out
+
+    def explore(self, keys: Iterable[Hypothesis]) -> list[Hypothesis]:
+        """Read ``keys``, and every pair first reached from them through the
+        needs of usable witnesses; returns the pairs read, in order."""
+        pairs = list(keys)
+        seen = set(pairs)
+        for key in pairs:  # grows while it is walked
+            found = self.usable[key] = self.read(key)
+            self.at_node.setdefault(key[0], []).append(key)
+            for cand in found:
+                for need in cand[2]:
+                    requirers = self.requirers.setdefault(need, [])
+                    if not requirers or requirers[-1] != key:
+                        requirers.append(key)
+                    if need not in seen and not self.holds(need):
+                        seen.add(need)
+                        pairs.append(need)
+        return pairs
+
+    def settle(self, dropped: list[Hypothesis]) -> None:
+        """Drop the requirers of the ``dropped`` pairs that lose their
+        support, transitively. A pair's support only moves forward: the
+        witnesses before it have a dead need, and the dead stay dead."""
+        while dropped:
+            for key in self.requirers_of(dropped.pop()):
+                start = self.support_of(key)
+                if start is None:
+                    continue
+                index = self.redecide(key, start)
+                self.set_support(key, index)
+                if index is None:
+                    dropped.append(key)
+
+    def run(self, requested: list[Hypothesis]) -> None:
+        """The fixpoint from scratch: every pair reachable from the request
+        starts alive on its first usable witness."""
+        self.requested = requested
+        pairs = self.explore(requested)
+        for key in pairs:
+            if self.usable[key]:
+                self.support[key] = 0
+        self.settle([key for key in pairs if not self.usable[key]])
+
+    def answer(self, entries: list[TypingEntry], requested: list[Hypothesis]) -> GlobalTypingWitness:
+        """The witness of the request, from the request outwards, each pair
+        on its first surviving witness, with the certain proofs copied as
+        :func:`flooding_validation` copies them; or fail."""
+        missing = [(n, s, "+") for n, s in requested if self.support_of((n, s)) is None]
+        if missing:
+            raise ValidationError(
+                "no global typing witness extends the requested typing", failed=missing
+            )
+        tuc = TUC(typing_hyp=dict.fromkeys(entries))  # the tables copy_proof fills
+        order = list(requested)
+        for key in order:  # grows while it is walked
+            if key in tuc.lw_hyp:
+                continue
+            consumers, prop, needs, _ = self.usable_of(key)[self.first_support(key)]
+            tuc.lw_hyp[key] = self.witness_of(key, consumers)
+            tuc.typing_hyp.update(dict.fromkeys(prop))
+            order.extend(needs)
+        certain = self.certain
+        for n, s, sign in sorted(tuc.typing_hyp):
+            if sign == "+" and certain.is_negated_label(s) and certain.sign(n, s):
+                copy_proof(n, s, certain, tuc, self.graph, self.schema)
+        return GlobalTypingWitness(frozenset(tuc.typing_hyp), dict(tuc.lw_hyp))
+
+
 def maximal_typing_validation(
     schema: Schema,
     graph: Graph,
@@ -653,88 +851,25 @@ def maximal_typing_validation(
     order) passes :func:`_compatible_with_certain` and
     :func:`check_gtw_extra` and has every positive need on a label that is
     not negated still alive. Requested entries on negated labels are
-    settled by the certain typing. Pairs are explored and dropped in a
-    deterministic order.
+    settled by the certain typing. The verdict and the witness do not
+    depend on the order of the drops.
 
     On acceptance the witness takes, from the request outwards, the first
     surviving local witness of each pair, and copies the certain proofs as
-    :func:`flooding_validation` does.
+    :func:`flooding_validation` does. This is the from-scratch entry into
+    the fixpoint code that repair checks run as a delta
+    (:func:`shexd.incremental.decide`).
     """
     if witnesses is None:
         witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound).reader(graph)
     if certain is None:
         certain = CertainTyping(schema, graph, bag_bound=bag_bound, witnesses=witnesses)
     entries = check_request(typing0, graph, schema)
-    contradicting = [
-        (n, s, sign)
-        for n, s, sign in entries
-        if certain.is_negated_label(s) and certain.sign(n, s) != (sign == "+")
-    ]
-    if contradicting:
-        raise IncompatibleInitialTypingError(
-            "the requested typing contradicts the certain typing",
-            failed=contradicting,
-        )
-
-    # usable[key]: the local witnesses of the pair that pass the certain
-    # typing and the EXTRA check
-    usable: dict[Hypothesis, list[CompactWitness]] = {}
-    requirers: dict[Hypothesis, list[Hypothesis]] = {}
-    requested = sorted(
-        {(n, s) for n, s, sign in entries if sign == "+" and s not in certain.negated}
-    )
-    pairs = list(requested)
-    seen = set(pairs)
-    for key in pairs:  # grows while it is walked
-        node, label = key
-        found = usable[key] = []
-        for cand in witnesses.compact(node, label):
-            consumers, prop, needs, extras = cand
-            if not _compatible_with_certain(prop, certain):
-                continue
-            if extras:
-                edges = graph.neighbourhood(node)
-                extra = {edges[i].id: consumers[i] for i in extras}
-                if not check_gtw_extra(schema, label, extra, certain, graph):
-                    continue
-            found.append(cand)
-            for need in needs:
-                requirers.setdefault(need, []).append(key)
-                if need not in seen:
-                    seen.add(need)
-                    pairs.append(need)
-
-    alive = {key for key in pairs if usable[key]}
-    dropped = [key for key in pairs if not usable[key]]
-
-    def survivors(key: Hypothesis):
-        return (cand for cand in usable[key] if all(need in alive for need in cand[2]))
-
-    while dropped:
-        for key in requirers.get(dropped.pop(), ()):
-            if key in alive and next(survivors(key), None) is None:
-                alive.remove(key)
-                dropped.append(key)
-
-    missing = [(n, s, "+") for n, s in requested if (n, s) not in alive]
-    if missing:
-        raise ValidationError(
-            "no global typing witness extends the requested typing", failed=missing
-        )
-
-    tuc = TUC(typing_hyp=dict.fromkeys(entries))  # the tables copy_proof fills
-    order = list(requested)
-    for key in order:  # grows while it is walked
-        if key in tuc.lw_hyp:
-            continue
-        consumers, prop, needs, _ = next(survivors(key))
-        tuc.lw_hyp[key] = witnesses.witness(key[0], consumers)
-        tuc.typing_hyp.update(dict.fromkeys(prop))
-        order.extend(needs)
-    for n, s, sign in sorted(tuc.typing_hyp):
-        if sign == "+" and certain.is_negated_label(s) and certain.sign(n, s):
-            copy_proof(n, s, certain, tuc, graph, schema)
-    return GlobalTypingWitness(frozenset(tuc.typing_hyp), dict(tuc.lw_hyp))
+    _check_request_signs(entries, certain)
+    fixpoint = _Fixpoint(schema, graph, certain, witnesses)
+    requested = _requested(entries, certain)
+    fixpoint.run(requested)
+    return fixpoint.answer(entries, requested)
 
 
 # --- independent verification --------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import BagTooLargeError, NotSingleOccurrenceError
-from .rdf_graph import BlankValue, Edge, Graph, Iri, Literal, Value
+from .rdf_graph import BlankValue, DirectedProperty, Edge, Graph, Iri, Literal, Value
 from .schema_model import (
     VALUE_SET_KINDS,
     AtomicConstr,
@@ -397,12 +397,19 @@ def bag_matches(
 
 # --- the local witness check ------------------------------------------------
 
+def open_only(shape_def: ShapeDefinition, dprop: DirectedProperty) -> bool:
+    """Can an edge on ``dprop`` take the open slot, and only it? So when the
+    shape mentions the directed property neither in a constraint nor as
+    EXTRA, and is not closed in its direction."""
+    if dprop in shape_def.tcs_by_dprop or dprop in shape_def.extra:
+        return False
+    return not (shape_def.closed_inv if dprop.inverse else shape_def.closed_fwd)
+
+
 def _edge_admits(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph) -> bool:
     """The conditions of a local witness that concern one edge alone."""
     if isinstance(consumer, OpenSlot):
-        if edge.dprop in shape_def.tcs_by_dprop or edge.dprop in shape_def.extra:
-            return False
-        return not (shape_def.closed_inv if edge.dprop.inverse else shape_def.closed_fwd)
+        return open_only(shape_def, edge.dprop)
     if not edge_matches(edge, consumer, shape_def, graph):
         return False
     if isinstance(consumer, ExtraSlot):
@@ -415,11 +422,20 @@ def _edge_admits(edge: Edge, consumer, shape_def: ShapeDefinition, graph: Graph)
 
 def _admitted(edge: Edge, shape_def: ShapeDefinition, graph: Graph) -> list:
     """The consumers of :func:`matching_consumers` that pass every per-edge
-    condition of a local witness."""
-    return [
-        c for c in matching_consumers(edge, shape_def, graph)
-        if _edge_admits(edge, c, shape_def, graph)
-    ]
+    condition of a local witness (:func:`_edge_admits`). Those consumers
+    match the edge already, so only the open slot's and EXTRA's conditions
+    are left, and the constraints EXTRA must not hide are among them."""
+    consumers = matching_consumers(edge, shape_def, graph)
+    if not consumers:
+        return consumers
+    last = consumers[-1]
+    if isinstance(last, OpenSlot):
+        return consumers if open_only(shape_def, edge.dprop) else []
+    if isinstance(last, ExtraSlot):
+        value_only = shape_def.value_only_by_dprop.get(edge.dprop, ())
+        if any(c.tc_id == tc.tc_id for c in consumers[:-1] for tc in value_only):
+            return consumers[:-1]
+    return consumers
 
 
 def check_local_witness(
@@ -482,24 +498,57 @@ def local_witnesses(
     The consumers are exactly those of :func:`matching_consumers`: there is
     no look-ahead at the opposite nodes.
 
-    ``edge_options``, when given, memoizes an edge's admitted consumers for
-    this shape across calls, keyed by the edge's directed property and its
-    target's value: all they depend on.
+    ``edge_options``, when given, memoizes for this shape and bag bound
+    across calls: an edge's admitted consumers, keyed by the edge's directed
+    property and its target's value, all they depend on, and also by edge
+    id, with the target's value they were found for (an id fixes the
+    directed property and hashes faster; a hit whose value differs is
+    looked up again), one list object per content; and the assignments of
+    a whole neighbourhood, keyed by the ids of its edges' consumer lists,
+    all the search reads, once it has been searched to the end.
     """
     edges = graph.neighbourhood(node)
     if edge_options is None:
         options = [_admitted(e, shape_def, graph) for e in edges]
-    else:
-        options = []
-        for e in edges:
-            key = (e.dprop, graph.val(e.target))
+        if all(options):
+            ids = [e.id for e in edges]
+            for chosen in _assignments(options, shape_def, bag_bound):
+                yield dict(zip(ids, chosen))
+        return
+    options = []
+    for e in edges:
+        value = graph.val(e.target)
+        hit = edge_options.get(e.id)
+        if hit is None or not (hit[0] is value or hit[0] == value):
+            key = (e.dprop, value)
             opts = edge_options.get(key)
             if opts is None:
-                opts = edge_options[key] = _admitted(e, shape_def, graph)
-            options.append(opts)
-    if not all(options):
-        return
+                opts = _admitted(e, shape_def, graph)
+                # one list per content, so that equal lists share an id
+                opts = edge_options[key] = edge_options.setdefault(("consumers", *opts), opts)
+            hit = edge_options[e.id] = (value, opts)
+        if not hit[1]:
+            return
+        options.append(hit[1])
     ids = [e.id for e in edges]
+    key = tuple(map(id, options))  # the lists are kept in the memo, so ids stay theirs
+    found = edge_options.get(key)
+    if found is None:
+        found = []
+        for chosen in _assignments(options, shape_def, bag_bound):
+            found.append(tuple(chosen))
+            yield dict(zip(ids, chosen))
+        edge_options[key] = found
+    else:
+        for chosen in found:
+            yield dict(zip(ids, chosen))
+
+
+def _assignments(options: list[list], shape_def: ShapeDefinition, bag_bound: int) -> Iterator[list]:
+    """The search of :func:`local_witnesses` over the admitted consumers of
+    each edge: yields, in candidate order, each choice of one consumer per
+    edge whose bag passes :func:`bag_matches`, as one list changed in place
+    between yields."""
     chosen = [opts[0] for opts in options]
     branching = [i for i, opts in enumerate(options) if len(opts) > 1]
     fixed = Counter(
@@ -543,7 +592,7 @@ def local_witnesses(
     while k >= 0:
         if k == len(branching):
             if bag_matches(shape_def, bags[k], bag_bound):
-                yield dict(zip(ids, chosen))
+                yield chosen
             k -= 1
             continue
         if cursor[k] < 0 and not completable(bags[k], k):

@@ -175,11 +175,16 @@ class Graph:
     def edited(self, deletions: Iterable[Triple], insertions: Iterable[Triple]) -> "Graph":
         """``Graph(triples, self.prefixes)``, where ``triples`` are this graph's
         triples without those whose key a deletion has, followed by the
-        insertions in the order given; built from this graph's tables.
+        insertions in the order given; built from copies of this graph's
+        tables, so it costs the size of the graph. A repair check reads its
+        edited graph as a ``shexd.incremental.GraphPatch`` instead, which
+        costs the edits, and builds this one only for an accepted edit set,
+        to verify it.
 
         A node whose edges no edit removes or adds keeps its neighbourhood
         tuple, the very object, and so do the targets of those edges keep
-        their values; ``engine.LocalWitnessCache`` relies on both."""
+        their values; ``engine.LocalWitnessCache`` relies on both, for this
+        graph and for a ``GraphPatch`` alike."""
         out = Graph.__new__(Graph)
         out.prefixes = dict(self.prefixes)
         out._build(self, {t.key() for t in deletions}, insertions)

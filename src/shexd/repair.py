@@ -18,7 +18,6 @@ from .engine import (
     CertainTyping,
     LocalWitnessCache,
     TypingEntry,
-    maximal_typing_validation,
     reference_validate,
     verify_global_typing_witness,
 )
@@ -167,40 +166,41 @@ def is_valid_after(
     bag_bound: int = DEFAULT_BAG_BOUND,
     witnesses: LocalWitnessCache | None = None,
 ) -> bool:
-    """Apply the edits and decide the request on the edited graph by its
-    maximal typing (:func:`maximal_typing_validation`).
+    """Decide the request on the edited graph by its maximal typing.
 
-    Local witnesses are read through ``witnesses``, a cache for this graph,
-    schema and bag bound shared by the checks of one search (a fresh one
-    when None), under a budget of ``CHECK_BUDGET`` local witnesses; past it,
-    :class:`SearchBudgetExceededError`. An accepted set counts only once
-    :func:`verify_global_typing_witness`, with a certain typing of its own,
-    accepts the decider's witness; a rejected certificate raises
-    :class:`CertificateError`. The graph's size is not bounded.
+    ``witnesses`` is the state the checks of one search share, for this
+    graph, schema and bag bound (a fresh one when None). The edited graph
+    is a ``GraphPatch`` of ``graph`` (:func:`incremental.patch`), and
+    the request is decided on it as a delta on the request's fixpoint over
+    ``graph`` (:func:`incremental.decide`), reading at most
+    ``CHECK_BUDGET`` local witnesses; past it,
+    :class:`SearchBudgetExceededError`. The fixpoint over ``graph`` is
+    computed once per request, under a budget of its own, and no check
+    changes it, so the verdict does not depend on the checks made before.
+    Only an accepted set gets the full graph of :func:`apply_edits`: it
+    counts only once :func:`verify_global_typing_witness`, with a certain
+    typing of its own, accepts the decider's witness there; a rejected
+    certificate raises :class:`CertificateError`. The graph's size is not
+    bounded.
 
     Edit sets that delete a node mentioned by the requested typing fail:
     the request must stay addressable.
     """
+    from . import incremental  # loaded by the first check, so `import shexd` stays as it was
+
     if witnesses is None:
         witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
     elif (witnesses.schema, witnesses.graph, witnesses.bag_bound) != (schema, graph, bag_bound):
         raise ValueError("the local witness cache belongs to another request")
-    edited = apply_edits(graph, edits)
+    patched = incremental.patch(witnesses, edits.deletions, edits.insertions)
     for node, _, _ in typing0:
-        if not edited.has_node(node):
+        if not patched.has_node(node):
             return False
-    reader = witnesses.reader(edited, CHECK_BUDGET)
     try:
-        gtw = maximal_typing_validation(
-            schema,
-            edited,
-            typing0,
-            certain=CertainTyping(schema, edited, bag_bound=bag_bound, witnesses=reader),
-            witnesses=reader,
-            bag_bound=bag_bound,
-        )
+        gtw = incremental.decide(witnesses, typing0, patched, CHECK_BUDGET)
     except ValidationError:
         return False
+    edited = apply_edits(graph, edits)
     certain = CertainTyping(schema, edited, bag_bound=bag_bound)
     if not verify_global_typing_witness(gtw, edited, schema, certain, bag_bound=bag_bound):
         raise CertificateError("the witness of an accepted edit set failed verification")
@@ -275,18 +275,25 @@ def _edit_set(atoms) -> EditSet:
     )
 
 
-def _admissible_combinations(size: int, counts: list[bool], enables: list[bool]):
+def _admissible_combinations(
+    size: int, counts: list[bool], grows: list[bool], covers: list[tuple[list[int], ...]]
+):
     """The index sets of ``itertools.combinations(range(len(counts)), size)``,
-    in that order, that hold no atom whose ``counts`` is false or hold an
-    atom whose ``enables`` is true; the others are never built."""
+    in that order, that hold an atom whose ``grows`` is true, or whose every
+    atom counts or is covered by another atom of the set; the others are
+    never built. ``covers[i]`` holds sorted lists of the atoms that atom i
+    covers, all of them past i."""
     n = len(counts)
-    enablers = [i for i in range(n) if enables[i]]
-    live = [i for i in range(n) if counts[i] or enables[i]]
+    growers = [i for i in range(n) if grows[i]]
+    live = [i for i in range(n) if counts[i] or grows[i]]
 
     def within(pool: list[int], start: int, stop: int) -> list[int]:
         return pool[bisect_left(pool, start):bisect_left(pool, stop)]
 
-    def extend(prefix: tuple[int, ...], start: int, enabled: bool, needs_enabler: bool):
+    def covered(i: int, covering: tuple[list[int], ...]) -> bool:
+        return any(within(pool, i, i + 1) for pool in covering)
+
+    def extend(prefix: tuple[int, ...], start: int, enabled: bool, pending: bool, covering):
         slots = size - len(prefix)
         if not slots:
             yield prefix
@@ -295,20 +302,28 @@ def _admissible_combinations(size: int, counts: list[bool], enables: list[bool])
         if enabled:
             pool = range(start, stop)
         else:
-            # any atom before the last enabler can still be followed by it;
-            # past it, a set that needs an enabler can take only that one
-            last = enablers[-1] if enablers and slots > 1 else -1
+            # any atom before the last grower can still be followed by it;
+            # past it, a set with an atom that needs a grower can take only
+            # that one, and any other set only atoms that count or are covered
+            last = growers[-1] if growers and slots > 1 else -1
             reach = max(start, min(last, stop))
-            pool = itertools.chain(
-                range(start, reach), within(enablers if needs_enabler else live, reach, stop)
-            )
+            if pending:
+                tail = within(growers, reach, stop)
+            else:
+                tail = within(live, reach, stop)
+                if covering:
+                    tail = sorted(set(tail).union(*(within(c, reach, stop) for c in covering)))
+            pool = itertools.chain(range(start, reach), tail)
         for i in pool:
-            yield from extend(
-                prefix + (i,), i + 1, enabled or enables[i],
-                (needs_enabler or not counts[i]) and not enables[i],
-            )
+            if enabled or grows[i]:
+                yield from extend(prefix + (i,), i + 1, True, False, ())
+            else:
+                ok = counts[i] or covered(i, covering)
+                yield from extend(
+                    prefix + (i,), i + 1, False, pending or not ok, covering + covers[i]
+                )
 
-    return extend((), 0, False, False)
+    return extend((), 0, False, False, ())
 
 
 class _Relevance:
@@ -317,15 +332,16 @@ class _Relevance:
     Pairs are held as node -> labels. The base closure P(∅), the endpoints
     of every atom, and whether an atom counts already under P(∅) are
     computed once; an edit set extends the closure only when one of its
-    insertions adds a pair to it. An atom that does not count under P(∅)
-    can count only in a set that also holds an *enabler*: an insertion that
-    grows the closure, or a deletion (insertions at its ends may then keep
-    the node in the graph).
+    insertions adds a pair to it (the atom *grows* it). An atom that does
+    not count under P(∅) can count only in a set that also holds a growing
+    insertion, or, for an insertion, a deletion that *covers* it: one with
+    an endpoint in common where P(∅) holds a pair (the insertion may then
+    keep that node in the graph). ``covers[i]`` holds, for a deletion, the
+    sorted lists of the insertions at each such endpoint.
     """
 
     def __init__(self, graph: Graph, schema: Schema, typing0: list[TypingEntry], atoms: list[Atom]):
         self.graph = graph
-        self.shapes = schema.shapes
         # label -> directed property -> labels its constraints on it reference
         self.refs = {
             label: {
@@ -336,22 +352,61 @@ class _Relevance:
             }
             for label, sd in schema.shapes.items()
         }
+        # directed property -> labels at which an edge on it counts: the
+        # shape mentions it, as a constraint or as EXTRA, or is closed in
+        # its direction
+        closed = {
+            inverse: frozenset(
+                label for label, sd in schema.shapes.items()
+                if (sd.closed_inv if inverse else sd.closed_fwd)
+            )
+            for inverse in (False, True)
+        }
+        directed: dict[tuple[str, bool], tuple[DirectedProperty, frozenset[str]]] = {}
+
+        def directed_of(prop: str, inverse: bool) -> tuple[DirectedProperty, frozenset[str]]:
+            found = directed.get((prop, inverse))
+            if found is None:
+                dprop = DirectedProperty(prop, inverse)
+                found = directed[(prop, inverse)] = (dprop, closed[inverse] | {
+                    label for label, sd in schema.shapes.items()
+                    if dprop in sd.tcs_by_dprop or dprop in sd.extra
+                })
+            return found
+
         self.inserts = [kind == "ins" for kind, _ in atoms]
         # (node, directed property) of the edit's edge at its subject, then at its object
-        self.ends = [
-            (
-                (term_key(t.subject), DirectedProperty(t.prop)),
-                (term_key(t.obj), DirectedProperty(t.prop, inverse=True)),
-            )
-            for _, t in atoms
-        ]
+        self.ends = []
+        # per end: its node, the labels it counts at, and whether the graph holds the node
+        self._ends_counting = []
+        for _, t in atoms:
+            s, p, o = t.key()
+            (fwd, fwd_counting), (inv, inv_counting) = directed_of(p, False), directed_of(p, True)
+            self.ends.append(((s, fwd), (o, inv)))
+            self._ends_counting.append((
+                (s, fwd_counting, graph.has_node(s)), (o, inv_counting, graph.has_node(o))
+            ))
+        self._steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self.base: dict[str, set[str]] = {}
+        requested: dict[str, set[str]] = {}
         for node, label, _ in typing0:
-            self.base.setdefault(node, set()).add(label)
-        self._close(self.base, {}, [(n, l) for n, ls in self.base.items() for l in ls])
-        self.base_counts = [self._counts(i, self.base, set()) for i in range(len(atoms))]
+            requested.setdefault(node, set()).add(label)
+        self._close(requested, {}, [(n, l) for n, ls in requested.items() for l in ls])
+        self.base = requested
+        self.base_counts = [self._counts(i, {}, set()) for i in range(len(atoms))]
         self.grows = [self.inserts[i] and self._adds_pair(i) for i in range(len(atoms))]
-        self.enables = [grows or not inserts for grows, inserts in zip(self.grows, self.inserts)]
+        inserted_at: dict[str, list[int]] = {}  # node with pairs -> insertions there
+        for i, ((s, _), (o, _)) in enumerate(self.ends):
+            if self.inserts[i]:
+                for node in dict.fromkeys((s, o)):
+                    if node in self.base:
+                        inserted_at.setdefault(node, []).append(i)
+        self.covers = [
+            () if self.inserts[i] else tuple(
+                inserted_at[node] for node in dict.fromkeys((s, o)) if node in inserted_at
+            )
+            for i, ((s, _), (o, _)) in enumerate(self.ends)
+        ]
 
     def _adds_pair(self, i: int) -> bool:
         """Does the edge of edit ``i``, read from either end, add a pair to P(∅)?"""
@@ -363,51 +418,57 @@ class _Relevance:
                         return True
         return False
 
+    def _graph_steps(self, node: str, label: str) -> list[tuple[str, str]]:
+        """The pairs one reference step from (node, label) along the graph's edges."""
+        steps = self._steps.get((node, label))
+        if steps is None:
+            refs = self.refs.get(label)
+            steps = [
+                (e.target, l2) for e in self.graph.neighbourhood(node)
+                for l2 in refs.get(e.dprop, ())
+            ] if refs and self.graph.has_node(node) else []
+            self._steps[(node, label)] = steps
+        return steps
+
     def _close(self, pairs: dict[str, set[str]], inserted: dict, work: list) -> None:
-        """Close ``pairs`` in place under the reference step, over the graph's
-        edges plus ``inserted`` (node -> [(directed property, target)]),
-        expanding from the pairs in ``work``."""
+        """Add to ``pairs``, in place, the pairs outside P(∅) that the
+        reference step reaches from the pairs in ``work``, over the graph's
+        edges plus ``inserted`` (node -> [(directed property, target)])."""
+        base = self.base
         while work:
             node, label = work.pop()
-            refs = self.refs.get(label)
-            if not refs:
-                continue
-            edges = [(e.dprop, e.target) for e in self.graph.neighbourhood(node)] if (
-                self.graph.has_node(node)
-            ) else []
-            for dprop, target in edges + inserted.get(node, []):
-                for l2 in refs.get(dprop, ()):
-                    held = pairs.setdefault(target, set())
-                    if l2 not in held:
-                        held.add(l2)
-                        work.append((target, l2))
+            steps = self._graph_steps(node, label)
+            edges = inserted.get(node)
+            if edges:
+                refs = self.refs.get(label, {})
+                steps = steps + [(target, l2) for dprop, target in edges for l2 in refs.get(dprop, ())]
+            for target, l2 in steps:
+                if l2 in base.get(target, ()):
+                    continue
+                held = pairs.setdefault(target, set())
+                if l2 not in held:
+                    held.add(l2)
+                    work.append((target, l2))
 
-    def _counts(self, i: int, pairs: dict[str, set[str]], deleted_at: set[str]) -> bool:
-        """Does edit ``i`` count at one of its ends, given the pairs and the
-        nodes the edit set deletes a triple at?"""
-        for node, dprop in self.ends[i]:
-            labels = pairs.get(node)
-            if not labels:
+    def _counts(self, i: int, added: dict[str, set[str]], deleted_at: set[str]) -> bool:
+        """Does edit ``i`` count at one of its ends, given the pairs ``added``
+        to P(∅) and the nodes the edit set deletes a triple at?"""
+        for node, counting, in_graph in self._ends_counting[i]:
+            held, more = self.base.get(node), added.get(node)
+            if not held and not more:
                 continue
-            if self.inserts[i] and (node in deleted_at or not self.graph.has_node(node)):
+            if self.inserts[i] and (node in deleted_at or not in_graph):
                 return True
-            for label in labels:
-                sd = self.shapes.get(label)
-                if sd is not None and (
-                    dprop in sd.tcs_by_dprop
-                    or dprop in sd.extra
-                    or (sd.closed_inv if dprop.inverse else sd.closed_fwd)
-                ):
-                    return True
+            if (held and not held.isdisjoint(counting)) or (more and not more.isdisjoint(counting)):
+                return True
         return False
 
     def admits(self, combo: tuple[int, ...]) -> bool:
         """Does every edit of the set count at one of its endpoints?"""
-        if all(self.base_counts[i] for i in combo):
+        if all(map(self.base_counts.__getitem__, combo)):
             return True  # counting only grows with the pairs and the deletions
-        pairs = self.base
-        if any(self.grows[i] for i in combo):
-            pairs = {node: set(labels) for node, labels in self.base.items()}
+        added: dict[str, set[str]] = {}
+        if any(map(self.grows.__getitem__, combo)):
             inserted: dict[str, list] = {}
             work = []
             for i in combo:
@@ -415,11 +476,11 @@ class _Relevance:
                     (s, dprop), (o, inverse) = self.ends[i]
                     inserted.setdefault(s, []).append((dprop, o))
                     inserted.setdefault(o, []).append((inverse, s))
-                    work.extend((s, label) for label in pairs.get(s, ()))
-                    work.extend((o, label) for label in pairs.get(o, ()))
-            self._close(pairs, inserted, work)
+                    work.extend((s, label) for label in self.base.get(s, ()))
+                    work.extend((o, label) for label in self.base.get(o, ()))
+            self._close(added, inserted, work)
         deleted_at = {node for i in combo if not self.inserts[i] for node, _ in self.ends[i]}
-        return all(self._counts(i, pairs, deleted_at) for i in combo)
+        return all(self._counts(i, added, deleted_at) for i in combo)
 
 
 def enumerate_repairs(
@@ -466,9 +527,11 @@ def enumerate_repairs(
 
     The sets are generated in ``itertools.combinations`` order over the
     edit atoms, but a set whose edits do not all count under P(∅) is never
-    built unless it holds an enabler (see :class:`_Relevance`): without
-    one, P(E) = P(∅) and no insertion lands on a node E deletes at, so it
-    would fail the test anyway. Of the sets that pass, those differing only
+    built unless it holds an insertion that grows the closure, or each of
+    its edits that does not count is an insertion at a node of P(∅) where
+    the set deletes a triple (see :class:`_Relevance`). Otherwise P(E) =
+    P(∅), and an edit that does not count under P(∅) does not count under
+    E either, so the set would fail the test anyway. Of the sets that pass, those differing only
     by a renaming of fresh blanks are checked once, the first in order.
     Fresh blanks are never graph nodes, so the test gives every renaming
     the same answer, and the set checked is the first of its renaming
@@ -490,7 +553,9 @@ def enumerate_repairs(
     for size in range(max_edits + 1):
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in _admissible_combinations(size, relevance.base_counts, relevance.enables):
+        for combo in _admissible_combinations(
+            size, relevance.base_counts, relevance.grows, relevance.covers
+        ):
             if not relevance.admits(combo):
                 continue
             edits = _edit_set(atoms[i] for i in combo)

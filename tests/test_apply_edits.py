@@ -14,6 +14,7 @@ import pytest
 
 import shexd.rdf_graph
 from shexd.errors import UnknownNodeError
+from shexd.incremental import GraphPatch, triple_edges
 from shexd.randgen import random_instance
 from shexd.rdf_graph import (
     BLANK,
@@ -68,11 +69,39 @@ def assert_same_graph(got: Graph, want: Graph) -> None:
     assert got.edge_by_id == want.edge_by_id
 
 
+def patch(graph: Graph, edits: EditSet) -> GraphPatch:
+    insertions = sorted(edits.insertions, key=Triple.key)
+    return GraphPatch(
+        graph, [triple_edges(t) for t in edits.deletions], [triple_edges(t) for t in insertions]
+    )
+
+
+def assert_patch_reads_as(patched: GraphPatch, graph: Graph, got: Graph) -> None:
+    """A patch of ``graph`` reads as the edited graph ``got``, and keeps the
+    base graph's tuple at every node it does not touch."""
+    for node in set(graph.nodes) | set(got.nodes) | set(patched.touched):
+        assert patched.has_node(node) == got.has_node(node)
+        if got.has_node(node):
+            assert patched.val(node) == got.val(node)
+            assert patched.neighbourhood(node) == got.neighbourhood(node)
+            if node not in patched.touched:
+                assert patched.neighbourhood(node) is graph.neighbourhood(node)
+        else:
+            with pytest.raises(UnknownNodeError):
+                patched.neighbourhood(node)
+    for edge_id, edge in got.edge_by_id.items():
+        assert patched.edge_by_id[edge_id] == edge
+    for edge_id in graph.edge_by_id.keys() - got.edge_by_id.keys():
+        with pytest.raises(KeyError):
+            patched.edge_by_id[edge_id]
+
+
 def check(graph: Graph, edits: EditSet) -> Graph:
     got = apply_edits(graph, edits)
     want = rebuilt(graph, edits)
     assert_same_graph(got, want)
     assert_matches_reference(got)
+    assert_patch_reads_as(patch(graph, edits), graph, got)
     # engine.LocalWitnessCache keys a neighbourhood shared with the base
     # graph by its node alone: its targets must keep their values
     for node in got.nodes:
@@ -199,3 +228,25 @@ def test_an_edit_costs_the_same_term_keys_at_any_graph_size(monkeypatch):
         counts.append(len(calls))
         assert edited.has_node(EX + "new") and not edited.has_node(EX + "o3")
     assert counts[0] == counts[1]
+
+
+def test_a_patch_writes_the_same_table_entries_at_any_graph_size():
+    # a repair check reads the edited graph through a patch of the base
+    # graph's tables: one deletion and one insertion write as many entries
+    # on a graph of 1,000 triples as on one of 10, where copying the tables
+    # wrote entries for every node and edge
+    inserted = Triple(Iri(EX + "s0"), EX + "q", Iri(EX + "new"))
+    counts = []
+    for size in (10, 1_000):
+        graph = Graph(tuple(
+            Triple(Iri(f"{EX}s{i}"), EX + "p", Iri(f"{EX}o{i}")) for i in range(size)
+        ))
+        patched = patch(graph, EditSet(frozenset({graph.triples[3]}), frozenset({inserted})))
+        for node in patched.touched:
+            if patched.has_node(node):
+                patched.neighbourhood(node)
+        tables = (patched.added, patched.removed, patched.gone, patched._values,
+                  patched._adjacency, *patched.edits_at.values())
+        counts.append(sum(map(len, tables)) + len(patched.edits_at))
+        assert patched.has_node(EX + "new") and not patched.has_node(EX + "o3")
+    assert counts[0] == counts[1] <= 20

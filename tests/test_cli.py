@@ -465,7 +465,7 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     data.write_text("@prefix ex: <http://example.org/> .\n" + "".join(
         f'ex:n{i} ex:name "name {i}" ; ex:next ex:n{i + 1} .\n' for i in range(32)
     ))
-    counts = {"checks": 0, "enumerations": 0}
+    counts = {"checks": 0, "enumerations": 0, "decisions": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -479,6 +479,7 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(
         shexd.engine, "local_witnesses", counted("enumerations", shexd.engine.local_witnesses)
     )
+    monkeypatch.setattr(shexd.engine, "_support", counted("decisions", shexd.engine._support))
     argv = ["repair", "--schema", str(schema), "--data", str(data),
             "--node", "ex:n0", "--shape", "P", "--max-edits", "1"]
     assert main(argv) == 0
@@ -487,6 +488,12 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     # set changed (5,511 in all), not the 33 pairs it decides
     assert counts["checks"] <= 4_500
     assert counts["enumerations"] <= 6_000
+    # a check re-decides a pair only where its edits can change the pair's
+    # status: a few pairs per rejected set, and the revived links of an
+    # accepted one (1,649 decisions in all, where deciding every pair of
+    # every check makes about 146,000)
+    links, repairs = 32, 65
+    assert counts["decisions"] <= 4 * counts["checks"] + 2 * links * repairs
 
 
 def test_repair_certificate_failure_is_an_internal_error(monkeypatch, capsys):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from shexd import flooding_validation, parse_schema, reference_validate
+from shexd import flooding_validation, incremental, parse_schema, reference_validate
 from shexd.engine import (
     CertainTyping,
     LocalWitnessCache,
@@ -23,7 +23,13 @@ from shexd.engine import (
 from shexd.errors import BagTooLargeError, SearchBudgetExceededError, ValidationError
 from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_STRING, Graph, Iri, Literal, Triple
-from shexd.repair import _edit_atoms, _edit_set, _reference_valid_after, is_valid_after
+from shexd.repair import (
+    _edit_atoms,
+    _edit_set,
+    _reference_valid_after,
+    apply_edits,
+    is_valid_after,
+)
 
 EX = "http://example.org/"
 
@@ -164,3 +170,68 @@ def test_cached_witnesses_count_their_full_length():
     assert reader.remaining == 0
     with pytest.raises(SearchBudgetExceededError):
         maximal_typing_validation(schema, graph, typing0, witnesses=cache.reader(graph, 15))
+
+
+def fresh_verdict(graph, edits, schema, request):
+    """The decider on the edited graph, from scratch, with a fresh cache."""
+    edited = apply_edits(graph, edits)
+    if not all(edited.has_node(node) for node, _, _ in request):
+        return None
+    try:
+        return maximal_typing_validation(schema, edited, request)
+    except ValidationError:
+        return None
+
+
+def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
+    # the checks of a repair search decide each edit set as a delta on the
+    # base graph's fixpoint; per instance, seeded edit sets of one or two
+    # edits go through one shared cache, in order and reversed, and each
+    # verdict must be the decider's on the edited graph from scratch. An
+    # accepted set's witness is verified by is_valid_after, and must be the
+    # one the fresh decision gives.
+    stale = []
+    real = incremental._PatchedCertainTyping.__init__
+
+    def recorded(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        stale.append(bool(self.stale))
+
+    monkeypatch.setattr(incremental._PatchedCertainTyping, "__init__", recorded)
+    compared = valid = negated = 0
+    for seed in range(3_000):
+        rng = random.Random(seed)
+        schema, graph, typing0 = random_instance(rng)
+        requests = [typing0]
+        if schema.negated_labels:
+            label = rng.choice(sorted(schema.negated_labels))
+            requests.append([(rng.choice(graph.nodes), label, rng.choice("+-"))])
+        atoms = _edit_atoms(graph, schema, 2)
+        # half the sets edit at a requested node, where the certain typing
+        # decides the requested signs on negated labels
+        requested = {node for request in requests for node, _, _ in request}
+        near = [atom for atom in atoms if requested & {atom[1].key()[0], atom[1].key()[2]}]
+        sets = [
+            _edit_set(rng.sample(pool, min(len(pool), rng.randint(1, 2))))
+            for pool in [atoms] * 5 + [near or atoms] * 5
+        ]
+        for request in requests:
+            try:
+                expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
+            except (SearchBudgetExceededError, BagTooLargeError):
+                continue
+            for order in (sets, sets[::-1]):
+                cache = LocalWitnessCache(schema, graph)
+                for edits in order:
+                    want = expected[sets.index(edits)]
+                    got = is_valid_after(graph, edits, schema, request, witnesses=cache)
+                    assert got == (want is not None), f"seed {seed}, {request}, {edits}"
+                    if got:
+                        patched = incremental.patch(cache, edits.deletions, edits.insertions)
+                        assert incremental.decide(cache, request, patched, float("inf")) == want
+            compared += 1
+            valid += sum(want is not None for want in expected)
+            negated += any(label in schema.negated_labels for _, label, _ in request)
+    assert compared >= 3_300 and valid >= 6_000 and negated >= 600, (compared, valid, negated)
+    # checks that re-decide a certain sign of the base graph (11,100 of 25,250)
+    assert sum(stale) >= 5_000, sum(stale)
