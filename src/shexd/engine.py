@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     IncompatibleInitialTypingError,
@@ -582,10 +582,8 @@ class LocalWitnessCache:
         self._triple_edges: dict[int, tuple] = {}
         self._bases: dict[tuple[TypingEntry, ...], _Fixpoint] = {}
 
-    def reader(
-        self, graph: Graph, budget: float = float("inf"), touched: Container[str] | None = None
-    ) -> "WitnessReader":
-        return WitnessReader(self, graph, budget, touched)
+    def reader(self, graph: Graph, budget: float = float("inf")) -> "WitnessReader":
+        return WitnessReader(self, graph, budget)
 
 
 class WitnessReader:
@@ -599,10 +597,7 @@ class WitnessReader:
     not the cache, so a cache that keeps a reader makes no reference cycle.
     """
 
-    def __init__(
-        self, cache: LocalWitnessCache, graph: Graph, budget: float,
-        touched: Container[str] | None = None,
-    ):
+    def __init__(self, cache: LocalWitnessCache, graph: Graph, budget: float):
         self.schema = cache.schema
         self.base = cache.graph
         self.bag_bound = cache.bag_bound
@@ -610,9 +605,6 @@ class WitnessReader:
         self.remaining = budget
         self._entries = cache._entries
         self._edge_options = cache._edge_options
-        # the nodes whose neighbourhood differs from the cache's graph, when
-        # the caller knows them (a patch of that graph does)
-        self._touched = touched
 
     def charge(self, count: int) -> None:
         """Count ``count`` local witnesses read against the budget."""
@@ -622,10 +614,7 @@ class WitnessReader:
 
     def compact(self, node: str, label: str) -> tuple[CompactWitness, ...]:
         base = self.base
-        if self._touched is not None:
-            kept = node not in self._touched and base.has_node(node)
-        else:
-            kept = base.has_node(node) and base.neighbourhood(node) is self.graph.neighbourhood(node)
+        kept = base.has_node(node) and base.neighbourhood(node) is self.graph.neighbourhood(node)
         found = self._entries.get((node, label)) if kept else None
         if found is None:
             found = self._enumerate(node, label)
@@ -785,7 +774,9 @@ class _Fixpoint:
     def settle(self, dropped: list[Hypothesis]) -> None:
         """Drop the requirers of the ``dropped`` pairs that lose their
         support, transitively. A pair's support only moves forward: the
-        witnesses before it have a dead need, and the dead stay dead."""
+        witnesses before it have a dead need, and the dead stay dead. (A
+        delta that revives pairs dead in its base breaks this for the base
+        supports, so its ``redecide`` scans those from the first witness.)"""
         while dropped:
             for key in self.requirers_of(dropped.pop()):
                 start = self.support_of(key)

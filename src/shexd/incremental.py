@@ -33,12 +33,12 @@ from .engine import (
 from .errors import UnknownNodeError
 from .matching import open_only
 from .rdf_graph import (
-    DirectedProperty,
     Edge,
     Graph,
     Triple,
     Value,
     _by_id,
+    _edge_pair,
     term_key,
     term_to_value,
 )
@@ -48,9 +48,7 @@ from .schema_model import OPEN
 def triple_edges(t: Triple) -> tuple[Edge, Edge, Value, Value]:
     """The forward and the inverse edge of a triple, and the values of its
     subject and its object: what :class:`GraphPatch` needs of an edit."""
-    s, o = term_key(t.subject), term_key(t.obj)
-    fwd = Edge(s, DirectedProperty(t.prop), o, f"{s}|>|{t.prop}|{o}")
-    inv = Edge(o, DirectedProperty(t.prop, True), s, f"{o}|<|{t.prop}|{s}")
+    fwd, inv = _edge_pair(term_key(t.subject), t.prop, term_key(t.obj))
     return fwd, inv, term_to_value(t.subject), term_to_value(t.obj)
 
 
@@ -189,15 +187,12 @@ def decide(
     pair it enumerates anew and of each pair it re-decides, and the reads
     of the certain signs it decides anew."""
     typing0 = tuple(typing0)
+    # checked on the patch: a requested node may be one that an edit creates
+    entries = check_request(typing0, graph, cache.schema)
     base = cache._bases.get(typing0)
     if base is None:
-        base = cache._bases[typing0] = _base_fixpoint(
-            cache, check_request(typing0, graph, cache.schema), budget
-        )
-    for node, _, _ in base.entries:
-        if not graph.has_node(node):
-            raise UnknownNodeError(f"requested node {node!r} is not in the graph")
-    witnesses = cache.reader(graph, budget, touched=graph.edits_at)
+        base = cache._bases[typing0] = _base_fixpoint(cache, entries, budget)
+    witnesses = cache.reader(graph, budget)
     certain = base.certain
     if certain.region:  # else no sign is ever decided
         certain = _PatchedCertainTyping(certain, graph, witnesses)
@@ -322,7 +317,10 @@ class _Delta(_Fixpoint):
       witnesses had, and every dead pair that requires a revived one.
     - The changed pairs that were alive, and the revived ones, are decided
       from their first witness; a pair that loses its support is dropped
-      through its requirers, as in :meth:`_Fixpoint.settle`.
+      through its requirers, as in :meth:`_Fixpoint.settle`. When a pair
+      dead in the base was revived, a witness before a requirer's base
+      support may hold now, so each requirer is decided from its first
+      witness the first time too, and so is each pair the answer reads.
 
     Every other pair keeps its base status and support. That is the
     maximal typing of the patch: starting from the base's alive pairs plus
@@ -337,13 +335,9 @@ class _Delta(_Fixpoint):
     def __init__(self, base: _Fixpoint, graph, certain, witnesses):
         super().__init__(base.schema, graph, certain, witnesses)
         self.base = base
-        self.revived: set[Hypothesis] = set()
+        self.rescan = False  # was a pair dead in the base revived?
         self.scanned: set[Hypothesis] = set()  # pairs decided from their first witness
         self.charged: set[Hypothesis] = set()
-
-    def __contains__(self, key: Hypothesis) -> bool:
-        """Is ``key`` alive?"""
-        return self.support_of(key) is not None
 
     def holds(self, key: Hypothesis) -> bool:
         return key in self.usable or key in self.base.usable
@@ -370,13 +364,15 @@ class _Delta(_Fixpoint):
         if key not in self.charged:
             self.charged.add(key)
             self.witnesses.charge(self.base.sizes.get(key, 0))
-        if start == 0:
+        if key not in self.scanned and (start == 0 or self.rescan):
+            # a revived need may give the pair an earlier surviving witness;
+            # once scanned, the dead stay dead and the support moves forward
+            start = 0
             self.scanned.add(key)
         return super().redecide(key, start)
 
     def first_support(self, key: Hypothesis) -> int:
-        if self.revived and key not in self.scanned:
-            # a revived need may give the pair an earlier surviving witness
+        if self.rescan and key not in self.scanned:
             return _Fixpoint.redecide(self, key, 0)
         return self.support_of(key)
 
@@ -432,7 +428,8 @@ class _Delta(_Fixpoint):
             if key not in revived:
                 revived.add(key)
                 work.extend(q for q in base.requirers.get(key, ()) if q not in base.support)
-        self.revived = revived
+        # a pair first reached now is needed by no base witness
+        self.rescan = any(key in base.usable for key in revived)
         suspects = [key for key in changed if key in base.support] + sorted(revived)
         for key in suspects:
             self.support[key] = 0  # alive until decided

@@ -183,13 +183,32 @@ def fresh_verdict(graph, edits, schema, request):
         return None
 
 
+def compare_in_either_order(schema, graph, request, sets) -> list | None:
+    """Pass ``sets`` through one shared cache, in order and reversed; each
+    verdict must be the decider's on the edited graph from scratch. An
+    accepted set's witness is verified by is_valid_after, and must be the
+    one the fresh decision gives. Returns the fresh witnesses, or None when
+    a fresh decision runs out of budget."""
+    try:
+        expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
+    except (SearchBudgetExceededError, BagTooLargeError):
+        return None
+    for order in (sets, sets[::-1]):
+        cache = LocalWitnessCache(schema, graph)
+        for edits in order:
+            want = expected[sets.index(edits)]
+            got = is_valid_after(graph, edits, schema, request, witnesses=cache)
+            assert got == (want is not None), f"{request}, {edits}"
+            if got:
+                patched = incremental.patch(cache, edits.deletions, edits.insertions)
+                assert incremental.decide(cache, request, patched, float("inf")) == want
+    return expected
+
+
 def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
     # the checks of a repair search decide each edit set as a delta on the
     # base graph's fixpoint; per instance, seeded edit sets of one or two
-    # edits go through one shared cache, in order and reversed, and each
-    # verdict must be the decider's on the edited graph from scratch. An
-    # accepted set's witness is verified by is_valid_after, and must be the
-    # one the fresh decision gives.
+    # edits go through one shared cache, in order and reversed
     stale = []
     real = incremental._PatchedCertainTyping.__init__
 
@@ -216,22 +235,30 @@ def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
             for pool in [atoms] * 5 + [near or atoms] * 5
         ]
         for request in requests:
-            try:
-                expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
-            except (SearchBudgetExceededError, BagTooLargeError):
+            expected = compare_in_either_order(schema, graph, request, sets)
+            if expected is None:
                 continue
-            for order in (sets, sets[::-1]):
-                cache = LocalWitnessCache(schema, graph)
-                for edits in order:
-                    want = expected[sets.index(edits)]
-                    got = is_valid_after(graph, edits, schema, request, witnesses=cache)
-                    assert got == (want is not None), f"seed {seed}, {request}, {edits}"
-                    if got:
-                        patched = incremental.patch(cache, edits.deletions, edits.insertions)
-                        assert incremental.decide(cache, request, patched, float("inf")) == want
             compared += 1
             valid += sum(want is not None for want in expected)
             negated += any(label in schema.negated_labels for _, label, _ in request)
     assert compared >= 3_300 and valid >= 6_000 and negated >= 600, (compared, valid, negated)
     # checks that re-decide a certain sign of the base graph (11,100 of 25,250)
     assert sum(stale) >= 5_000, sum(stale)
+    # an edit that revives a pair dead in the base and kills another: an
+    # untouched requirer whose base support needed the killed pair must
+    # find its earlier witness, which needs the revived one, whichever of
+    # the two comes first
+    for first, second in (("Q", "R"), ("R", "Q")):
+        schema = parse_schema(f"""PREFIX ex: <{EX}>
+<SP> {{ ex:p @<S{first}> ?, ex:p @<S{second}> ? }}
+<SQ> {{ ex:q IRI }}
+<SR> CLOSED {{ ex:r IRI }}
+""")
+        graph = Graph([
+            Triple(Iri(EX + "p0"), EX + "p", Iri(EX + "t")),
+            Triple(Iri(EX + "t"), EX + "r", Iri(EX + "x")),
+        ])
+        request = [(EX + "p0", "SP", "+"), (EX + "t", "SQ", "+")]
+        revive = _edit_set([("ins", Triple(Iri(EX + "t"), EX + "q", Iri(EX + "x")))])
+        expected = compare_in_either_order(schema, graph, request, [revive])
+        assert expected is not None and expected[0] is not None
