@@ -30,9 +30,10 @@ from .engine import (
     _requested,
     check_request,
 )
-from .errors import UnknownNodeError
-from .matching import open_only
+from .errors import ShexdError, UnknownNodeError
+from .matching import _assignments, admitted_options, open_only
 from .rdf_graph import (
+    DirectedProperty,
     Edge,
     Graph,
     Triple,
@@ -187,11 +188,15 @@ def decide(
     pair it enumerates anew and of each pair it re-decides, and the reads
     of the certain signs it decides anew."""
     typing0 = tuple(typing0)
-    # checked on the patch: a requested node may be one that an edit creates
-    entries = check_request(typing0, graph, cache.schema)
     base = cache._bases.get(typing0)
     if base is None:
+        # checked on the patch: a requested node may be one that an edit creates
+        entries = check_request(typing0, graph, cache.schema)
         base = cache._bases[typing0] = _base_fixpoint(cache, entries, budget)
+    else:  # the labels and signs were checked with the base
+        for node, _, _ in base.entries:
+            if not graph.has_node(node):
+                raise UnknownNodeError(f"requested node {node!r} is not in the graph")
     witnesses = cache.reader(graph, budget)
     certain = base.certain
     if certain.region:  # else no sign is ever decided
@@ -255,6 +260,38 @@ class _RecordedCertainTyping(CertainTyping):
                 self.at_node.setdefault(node, []).append(key)
 
 
+def _decided_at(certain: _RecordedCertainTyping, nodes: Iterable[str]) -> list[Hypothesis]:
+    """The entries whose base decision read the neighbourhood of one of
+    ``nodes``: when those are the nodes a patch touches, the entries from
+    which its stale ones are found."""
+    return [key for node in nodes for key in certain.at_node.get(node, ())]
+
+
+def _changed_at(base: _Fixpoint, node: str, kept: bool, dprops: list) -> list[Hypothesis]:
+    """The base pairs at ``node`` that edits there, on the directed
+    properties ``dprops``, change: all of them at a node the edits create or
+    strip (``kept`` false), which has no base witnesses to keep; else those
+    whose shape does not leave each of ``dprops`` to the open slot
+    (:func:`open_only`). A pair that does keeps its base witnesses, with
+    the new edges open. The other changed pairs of a check are the readers
+    of stale certain entries whose sign the edits change."""
+    keys = base.at_node.get(node, [])
+    if not kept:
+        return keys
+    shapes, opens = base.schema.shapes, base.opens
+    out = []
+    for key in keys:
+        for d in dprops:
+            memo = (key[1], d.prop, d.inverse)
+            found = opens.get(memo)
+            if found is None:
+                found = opens[memo] = open_only(shapes[key[1]], d)
+            if not found:
+                out.append(key)
+                break
+    return out
+
+
 class _PatchedCertainTyping(CertainTyping):
     """The certain typing of a :class:`GraphPatch`, read off the recorded
     certain typing of its base graph.
@@ -269,7 +306,7 @@ class _PatchedCertainTyping(CertainTyping):
         super().__init__(base.schema, graph, bag_bound=base.bag_bound, witnesses=witnesses)
         self.base_memo = base._memo
         self.stale: set[Hypothesis] = set()
-        work = [key for node in graph.touched for key in base.at_node.get(node, ())]
+        work = _decided_at(base, graph.touched)
         while work:
             key = work.pop()
             if key not in self.stale:
@@ -290,6 +327,10 @@ class _BaseFixpoint(_Fixpoint):
     typing that notes which pairs' usable lists read each sign."""
 
     entries: list[TypingEntry]  # the request, checked
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.opens: dict[tuple[str, str, bool], bool] = {}  # open_only by label and edge
 
     def read(self, key: Hypothesis) -> list[CompactWitness]:
         self.certain.reading = key
@@ -389,20 +430,10 @@ class _Delta(_Fixpoint):
         base, certain, graph = self.base, self.certain, self.graph
         changed = {}
         for node, edits in graph.edits_at.items():
-            keys = base.at_node.get(node)
-            if not keys:
-                continue
-            # a node the patch creates or strips has no base witnesses to keep
-            kept = graph.has_node(node) and base.graph.has_node(node)
-            for key in keys:
-                if kept:
-                    shape_def = self.schema.shapes[key[1]]
-                    for e in edits:
-                        if not open_only(shape_def, e.dprop):
-                            break
-                    else:
-                        continue
-                changed[key] = None
+            if node in base.at_node:
+                kept = graph.has_node(node) and base.graph.has_node(node)
+                dprops = [e.dprop for e in edits]
+                changed.update(dict.fromkeys(_changed_at(base, node, kept, dprops)))
         for entry in certain.stale:
             # at a node the patch strips, the pairs that read the sign lose
             # the edge they read it through, so they are changed already
@@ -439,3 +470,133 @@ class _Delta(_Fixpoint):
             if index is None:
                 dropped.append(key)
         self.settle(dropped)
+
+
+def screen_for(
+    cache: LocalWitnessCache, typing0: Iterable[TypingEntry], atoms: list, keys: list
+) -> Screen | None:
+    """The :class:`Screen` of a repair search over the edit ``atoms``
+    (``("del" | "ins", triple)``, with the triples' keys in ``keys``). Call
+    it only once the unedited graph has failed the request; None when that
+    check built no base fixpoint (a requested node the graph lacks)."""
+    base = cache._bases.get(tuple(typing0))
+    return None if base is None else Screen(cache, base, atoms, keys)
+
+
+class Screen:
+    """Rejects, without a patch, the edit sets whose check can only return
+    the base verdict, in a search whose unedited graph fails the request.
+
+    A set is rejected when (1) no node it touches holds a certain entry, so
+    no certain sign is stale; (2) every pair its check would re-read (the
+    pairs of :func:`_changed_at`) was dead in the base; and (3) none of
+    those pairs has a local witness on the edited graph. Then
+    :meth:`_Delta.run` finds no usable witness and no new pair, revives
+    nothing and keeps the base status of every pair, and its answer fails
+    as the base's did (an update that derives nothing new leaves the
+    materialisation as it was, as in the Backward/Forward algorithm). It
+    reads no witness and re-decides no pair, so the check would be charged
+    nothing against its budget; (2) keeps it so, since dropping a pair
+    alive in the base charges the re-decisions of its requirers. Any other
+    set goes to the full check.
+
+    (3) needs no patch. An edge's admitted consumers depend only on its
+    directed property and its target's value (:func:`admitted_options`),
+    and a pair has a local witness exactly when :func:`_assignments` yields
+    over the multiset of its edges' consumer lists, in any order. That
+    multiset is the base node's, minus the deleted edges' lists, plus the
+    inserted edges' lists; the answer is memoized per label and multiset.
+    When :func:`_assignments` raises (``BagTooLargeError``), the set goes
+    to the full check, which raises it too. Consumer lists are memoized by
+    label, directed property and target, so a set costs its edits.
+    """
+
+    def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint, atoms: list, keys: list):
+        self.base = base
+        self.bag_bound = cache.bag_bound
+        self._edge_options = cache._edge_options
+        self._atoms = atoms
+        self._keys = keys
+        self._dprops: dict[tuple[str, bool], DirectedProperty] = {}
+        # (label, property, inverse?, target key) -> the id of the edge's consumer list
+        self._edge_lists: dict[tuple, int] = {}
+        self._lists: dict[int, list] = {}  # id -> consumer list, kept in the cache's memo
+        self._bags: dict[Hypothesis, dict[int, int]] = {}  # base pair -> its edges' list ids
+        self._verdicts: dict[tuple, bool | None] = {}  # (label, multiset) -> has a witness?
+
+    def _list_id(self, label: str, dprop: DirectedProperty, value: Value) -> int:
+        edge_options = self._edge_options.setdefault(label, {})
+        opts = admitted_options(dprop, value, self.base.schema.shapes[label], edge_options)
+        self._lists[id(opts)] = opts
+        return id(opts)
+
+    def _bag(self, key: Hypothesis) -> dict[int, int]:
+        bag = self._bags.get(key)
+        if bag is None:
+            graph, label = self.base.graph, key[1]
+            bag = self._bags[key] = {}
+            for e in graph.neighbourhood(key[0]):
+                n = self._list_id(label, e.dprop, graph.val(e.target))
+                bag[n] = bag.get(n, 0) + 1
+        return bag
+
+    def _has_witness(self, key: Hypothesis, ends: list) -> bool | None:
+        """Does ``key`` have a local witness once the edits ``ends`` at its
+        node are made? None when the search raised."""
+        label = key[1]
+        counts = dict(self._bag(key))
+        for dprop, inserted, target_key, target in ends:
+            memo = (label, dprop.prop, dprop.inverse, target_key)  # a key names one term
+            n = self._edge_lists.get(memo)
+            if n is None:
+                n = self._edge_lists[memo] = self._list_id(label, dprop, term_to_value(target))
+            count = counts.get(n, 0) + (1 if inserted else -1)
+            if count:
+                counts[n] = count
+            else:
+                del counts[n]
+        signature = (label, frozenset(counts.items()))
+        if signature not in self._verdicts:
+            options = [self._lists[n] for n, count in signature[1] for _ in range(count)]
+            found = False
+            if all(options):
+                shape_def = self.base.schema.shapes[label]
+                try:
+                    found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
+                except ShexdError:  # BagTooLargeError: the full check raises it too
+                    found = None
+            self._verdicts[signature] = found
+        return self._verdicts[signature]
+
+    def rejects(self, combo: tuple[int, ...]) -> bool:
+        """Is the edit set of the atoms ``combo`` certainly invalid?"""
+        base = self.base
+        pairs_at = base.at_node
+        at: dict[str, list] = {}  # node with base pairs -> its edits
+        for i in combo:
+            s, p, o = self._keys[i]
+            if _decided_at(base.certain, (s, o)):
+                return False
+            kind, t = self._atoms[i]
+            ends = ((s, False, o, t.obj), (o, True, s, t.subject))
+            for node, inverse, target_key, target in ends:
+                if node in pairs_at:
+                    dprop = self._dprops.get((p, inverse))
+                    if dprop is None:
+                        dprop = self._dprops[(p, inverse)] = DirectedProperty(p, inverse)
+                    at.setdefault(node, []).append((dprop, kind == "ins", target_key, target))
+        graph, support = base.graph, base.support
+        for node, ends in at.items():
+            if not graph.has_node(node):
+                return False  # a requested node that only an edit creates
+            # the node keeps an edge unless the set deletes all of them
+            kept = len(ends) < len(graph.neighbourhood(node)) or any(end[1] for end in ends)
+            changed = _changed_at(base, node, kept, [end[0] for end in ends])
+            for key in changed:
+                if key in support:
+                    return False
+            if kept:  # a stripped node's pairs have no witness
+                for key in changed:
+                    if self._has_witness(key, ends) is not False:
+                        return False
+        return True

@@ -520,12 +520,7 @@ def local_witnesses(
         value = graph.val(e.target)
         hit = edge_options.get(e.id)
         if hit is None or not (hit[0] is value or hit[0] == value):
-            key = (e.dprop, value)
-            opts = edge_options.get(key)
-            if opts is None:
-                opts = _admitted(e, shape_def, graph)
-                # one list per content, so that equal lists share an id
-                opts = edge_options[key] = edge_options.setdefault(("consumers", *opts), opts)
+            opts = admitted_options(e.dprop, value, shape_def, edge_options)
             hit = edge_options[e.id] = (value, opts)
         if not hit[1]:
             return
@@ -542,6 +537,32 @@ def local_witnesses(
     else:
         for chosen in found:
             yield dict(zip(ids, chosen))
+
+
+class _TargetValue:
+    """The one read :func:`_admitted` makes of a graph: the value of the
+    edge's target."""
+
+    def __init__(self, value: Value):
+        self.value = value
+
+    def val(self, node: str) -> Value:
+        return self.value
+
+
+def admitted_options(
+    dprop: DirectedProperty, value: Value, shape_def: ShapeDefinition, edge_options: dict
+) -> list:
+    """:func:`_admitted` for any edge on ``dprop`` whose target has
+    ``value``, all it depends on, memoized in ``edge_options`` (see
+    :func:`local_witnesses`), one list object per content, so that equal
+    lists share an id."""
+    key = (dprop, value)
+    opts = edge_options.get(key)
+    if opts is None:
+        opts = _admitted(Edge("", dprop, "", ""), shape_def, _TargetValue(value))
+        opts = edge_options[key] = edge_options.setdefault(("consumers", *opts), opts)
+    return opts
 
 
 def _assignments(options: list[list], shape_def: ShapeDefinition, bag_bound: int) -> Iterator[list]:

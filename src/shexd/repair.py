@@ -13,6 +13,7 @@ import itertools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .engine import (
     CertainTyping,
@@ -99,24 +100,28 @@ class FreshBlank(BlankRef):
     """
 
 
-def insertion_domain(graph: Graph, schema: Schema, max_edits: int) -> list[Triple]:
-    """Candidate triples for insertion, in a deterministic order."""
-    subjects: list[Iri | BlankRef] = []
-    objects: list[Term] = []
+def insertion_domain(
+    graph: Graph, schema: Schema, max_edits: int, *, keys: list | None = None
+) -> list[Triple]:
+    """Candidate triples for insertion, in a deterministic order (by key).
+    When ``keys`` is given, each triple's key is appended to it, in order."""
+    # (key, term) pairs; a graph node's key is its id
+    subjects: list[tuple[str, Iri | BlankRef]] = []
+    objects: list[tuple[str, Term]] = []
     for node in graph.nodes:
         value = graph.val(node)
         if isinstance(value, Iri):
-            subjects.append(value)
-            objects.append(value)
+            subjects.append((node, value))
+            objects.append((node, value))
         elif isinstance(value, Literal):
-            objects.append(value)
+            objects.append((node, value))
         else:
             blank = BlankRef(node[2:])
-            subjects.append(blank)
-            objects.append(blank)
+            subjects.append((node, blank))
+            objects.append((node, blank))
     labels = (f"repair{i}" for i in itertools.count())
     free = (label for label in labels if not graph.has_node("_:" + label))
-    fresh = [FreshBlank(label) for label in itertools.islice(free, max_edits)]
+    fresh = [("_:" + label, FreshBlank(label)) for label in itertools.islice(free, max_edits)]
     subjects.extend(fresh)
     objects.extend(fresh)
 
@@ -138,17 +143,19 @@ def insertion_domain(graph: Graph, schema: Schema, max_edits: int) -> list[Tripl
         if lexical is not None:
             lit = Literal(lexical, dt)
             pool.setdefault(term_key(lit), lit)
-    existing_objects = {term_key(o) for o in objects}
-    objects.extend(lit for key, lit in sorted(pool.items()) if key not in existing_objects)
+    existing_objects = {key for key, _ in objects}
+    objects.extend(item for item in sorted(pool.items()) if item[0] not in existing_objects)
 
-    present = {t.key() for t in graph.triples}
+    present = set(graph._keys)
     out = []
-    for s, p, o in itertools.product(subjects, sorted(properties), objects):
-        t = Triple(s, p, o)
-        if t.key() not in present:
-            out.append(t)
-    out.sort(key=Triple.key)
-    return out
+    for (s_key, s), p, (o_key, o) in itertools.product(subjects, sorted(properties), objects):
+        key = (s_key, p, o_key)
+        if key not in present:
+            out.append((key, Triple(s, p, o)))
+    out.sort(key=itemgetter(0))  # keys are unique: a key names one term
+    if keys is not None:
+        keys.extend(key for key, _ in out)
+    return [t for _, t in out]
 
 
 def apply_edits(graph: Graph, edits: EditSet) -> Graph:
@@ -260,11 +267,17 @@ def _is_fresh_blank(term: Term) -> bool:
 Atom = tuple[str, Triple]  # ("del" | "ins", triple)
 
 
-def _edit_atoms(graph: Graph, schema: Schema, max_edits: int) -> list[Atom]:
-    """Every single edit: the deletions in triple order, then the insertions."""
-    deletions = sorted(graph.triples, key=Triple.key)
-    insertions = insertion_domain(graph, schema, max_edits)
-    return [("del", t) for t in deletions] + [("ins", t) for t in insertions]
+def _edit_atoms(
+    graph: Graph, schema: Schema, max_edits: int, keys: list | None = None
+) -> list[Atom]:
+    """Every single edit: the deletions in triple order, then the
+    insertions. When ``keys`` is given, each edit's triple key is appended
+    to it, in order."""
+    deletions = sorted(zip(graph._keys, graph.triples), key=itemgetter(0))
+    if keys is not None:
+        keys.extend(key for key, _ in deletions)
+    insertions = insertion_domain(graph, schema, max_edits, keys=keys)
+    return [("del", t) for _, t in deletions] + [("ins", t) for t in insertions]
 
 
 def _edit_set(atoms) -> EditSet:
@@ -340,7 +353,14 @@ class _Relevance:
     sorted lists of the insertions at each such endpoint.
     """
 
-    def __init__(self, graph: Graph, schema: Schema, typing0: list[TypingEntry], atoms: list[Atom]):
+    def __init__(
+        self,
+        graph: Graph,
+        schema: Schema,
+        typing0: list[TypingEntry],
+        atoms: list[Atom],
+        keys: list[tuple[str, str, str]],
+    ):
         self.graph = graph
         # label -> directed property -> labels its constraints on it reference
         self.refs = {
@@ -379,14 +399,14 @@ class _Relevance:
         self.ends = []
         # per end: its node, the labels it counts at, and whether the graph holds the node
         self._ends_counting = []
-        for _, t in atoms:
-            s, p, o = t.key()
+        for s, p, o in keys:
             (fwd, fwd_counting), (inv, inv_counting) = directed_of(p, False), directed_of(p, True)
             self.ends.append(((s, fwd), (o, inv)))
             self._ends_counting.append((
                 (s, fwd_counting, graph.has_node(s)), (o, inv_counting, graph.has_node(o))
             ))
         self._steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self._closures: dict[tuple[int, ...], dict[str, set[str]]] = {}  # growers -> pairs added
         self.base: dict[str, set[str]] = {}
         requested: dict[str, set[str]] = {}
         for node, label, _ in typing0:
@@ -463,22 +483,41 @@ class _Relevance:
                 return True
         return False
 
+    def _closure(self, insertions) -> dict[str, set[str]]:
+        """The pairs outside P(∅) in the closure over the graph plus the
+        edges of ``insertions``."""
+        added: dict[str, set[str]] = {}
+        inserted: dict[str, list] = {}
+        work = []
+        for i in insertions:
+            (s, dprop), (o, inverse) = self.ends[i]
+            inserted.setdefault(s, []).append((dprop, o))
+            inserted.setdefault(o, []).append((inverse, s))
+            work.extend((s, label) for label in self.base.get(s, ()))
+            work.extend((o, label) for label in self.base.get(o, ()))
+        self._close(added, inserted, work)
+        return added
+
     def admits(self, combo: tuple[int, ...]) -> bool:
         """Does every edit of the set count at one of its endpoints?"""
         if all(map(self.base_counts.__getitem__, combo)):
             return True  # counting only grows with the pairs and the deletions
         added: dict[str, set[str]] = {}
-        if any(map(self.grows.__getitem__, combo)):
-            inserted: dict[str, list] = {}
-            work = []
+        growers = tuple(i for i in combo if self.grows[i])
+        if growers:
+            added = self._closures.get(growers)
+            if added is None:
+                added = self._closures[growers] = self._closure(growers)
+            # the closure over the growing insertions alone is the set's
+            # unless another insertion has an end where it added pairs: from
+            # the pairs of P(∅) at its ends, an insertion that does not grow
+            # P(∅) reaches only P(∅)
             for i in combo:
-                if self.inserts[i]:
-                    (s, dprop), (o, inverse) = self.ends[i]
-                    inserted.setdefault(s, []).append((dprop, o))
-                    inserted.setdefault(o, []).append((inverse, s))
-                    work.extend((s, label) for label in self.base.get(s, ()))
-                    work.extend((o, label) for label in self.base.get(o, ()))
-            self._close(added, inserted, work)
+                if self.inserts[i] and not self.grows[i]:
+                    (s, _), (o, _) = self.ends[i]
+                    if s in added or o in added:
+                        added = self._closure([i for i in combo if self.inserts[i]])
+                        break
         deleted_at = {node for i in combo if not self.inserts[i] for node, _ in self.ends[i]}
         return all(self._counts(i, added, deleted_at) for i in combo)
 
@@ -544,11 +583,27 @@ def enumerate_repairs(
     one call share one :class:`LocalWitnessCache`: a pair whose
     neighbourhood a set leaves alone is not enumerated again. The graph's
     size is not bounded.
+
+    Once the unedited graph has failed the request, each set of size one or
+    more is first screened by its atoms (``shexd.incremental.Screen``),
+    without a patch. A set is rejected unchecked when no node it touches
+    holds a certain-typing entry, every pair its check would re-read was
+    dead in the unedited graph's fixpoint, and none of those pairs has a
+    local witness on the edited graph. Whether a pair has one is read off
+    its edges' consumer lists, which depend only on each edge's directed
+    property and its target's value: the unedited node's lists, minus the
+    deleted edges', plus the inserted edges'. Such a set changes no certain
+    sign and gives no pair a usable witness, so its check would revive
+    nothing, keep the status of every pair, read no local witness and fail
+    as the unedited graph did. Every other set is checked, and so is one
+    whose witness search raises; the screen only ever rejects.
     """
-    atoms = _edit_atoms(graph, schema, max_edits)
-    relevance = _Relevance(graph, schema, typing0, atoms)
+    keys: list[tuple[str, str, str]] = []
+    atoms = _edit_atoms(graph, schema, max_edits, keys)
+    relevance = _Relevance(graph, schema, typing0, atoms, keys)
     witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
     fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
+    screen = None
 
     for size in range(max_edits + 1):
         valid: list[EditSet] = []
@@ -558,12 +613,17 @@ def enumerate_repairs(
         ):
             if not relevance.admits(combo):
                 continue
-            edits = _edit_set(atoms[i] for i in combo)
+            edits = None
             if any(fresh[i] for i in combo):
+                edits = _edit_set(atoms[i] for i in combo)
                 canonical = _canonical_blank_form(edits)
                 if canonical in seen:
                     continue
                 seen.add(canonical)
+            if screen is not None and screen.rejects(combo):
+                continue
+            if edits is None:
+                edits = _edit_set(atoms[i] for i in combo)
             if is_valid_after(
                 graph, edits, schema, typing0, bag_bound=bag_bound, witnesses=witnesses
             ):
@@ -571,6 +631,10 @@ def enumerate_repairs(
         if valid:
             valid.sort(key=EditSet.sort_key)
             return RepairResult(size, tuple(valid), max_edits)
+        if size == 0:
+            from . import incremental  # loaded by the check just made
+
+            screen = incremental.screen_for(witnesses, typing0, atoms, keys)
     return RepairResult(None, (), max_edits)
 
 

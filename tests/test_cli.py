@@ -447,14 +447,11 @@ def test_repair_rejects_a_malformed_request_on_a_large_graph(
     assert capsys.readouterr().out.startswith("minimal repairs of size 0: 1\n")
 
 
-def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsys):
-    # 33 nodes joined by 32 ex:next links, the last one unnamed: 65 graph
-    # nodes, past the reference validator's bound of 64. The repairs insert
-    # a name for the last node (one per string literal of the pool: 32
-    # names and "") or cut one of the 32 links: 2 * 33 - 1.
-    import shexd.engine
-    import shexd.repair
-
+def _named_chain_argv(tmp_path, links):
+    """``repair`` of ex:n0 on a chain of ``links`` ex:next links whose nodes
+    but the last have an ex:name, at one edit: 2 * links + 1 graph nodes.
+    The repairs insert a name for the last node (one per string literal of
+    the pool: the names and "") or cut one of the links: 2 * links + 1."""
     schema = tmp_path / "chain.shex"
     schema.write_text(
         "PREFIX ex: <http://example.org/>\n"
@@ -463,8 +460,18 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     )
     data = tmp_path / "chain.ttl"
     data.write_text("@prefix ex: <http://example.org/> .\n" + "".join(
-        f'ex:n{i} ex:name "name {i}" ; ex:next ex:n{i + 1} .\n' for i in range(32)
+        f'ex:n{i} ex:name "name {i}" ; ex:next ex:n{i + 1} .\n' for i in range(links)
     ))
+    return ["repair", "--schema", str(schema), "--data", str(data),
+            "--node", "ex:n0", "--shape", "P", "--max-edits", "1"]
+
+
+def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsys):
+    # 33 nodes joined by 32 ex:next links, the last one unnamed: 65 graph
+    # nodes, past the reference validator's bound of 64, and 65 repairs
+    import shexd.engine
+    import shexd.repair
+
     counts = {"checks": 0, "enumerations": 0, "decisions": 0}
 
     def counted(name, real):
@@ -480,12 +487,12 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
         shexd.engine, "local_witnesses", counted("enumerations", shexd.engine.local_witnesses)
     )
     monkeypatch.setattr(shexd.engine, "_support", counted("decisions", shexd.engine._support))
-    argv = ["repair", "--schema", str(schema), "--data", str(data),
-            "--node", "ex:n0", "--shape", "P", "--max-edits", "1"]
-    assert main(argv) == 0
+    assert main(_named_chain_argv(tmp_path, 32)) == 0
     assert capsys.readouterr().out.startswith("minimal repairs of size 1: 65\n")
-    # 4,423 checks; a check enumerates the pairs whose neighbourhood its edit
-    # set changed (5,511 in all), not the 33 pairs it decides
+    # 66 checks, where 4,423 sets pass the relevance test: the screen
+    # rejects the others; a check enumerates the pairs whose neighbourhood
+    # its edit set changed (98 in all; 4,455 when every set was checked),
+    # not the 33 pairs it decides
     assert counts["checks"] <= 4_500
     assert counts["enumerations"] <= 6_000
     # a check re-decides a pair only where its edits can change the pair's
@@ -494,6 +501,30 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     # every check makes about 146,000)
     links, repairs = 32, 65
     assert counts["decisions"] <= 4 * counts["checks"] + 2 * links * repairs
+
+
+def test_repair_of_a_long_chain_checks_few_sets(tmp_path, monkeypatch, capsys):
+    # 100 links: 41,006 one-edit sets pass the relevance test, and the
+    # screen leaves 202 checks, the size-0 set and the 201 repairs, where
+    # each set was checked before (41,007 checks)
+    import shexd.repair
+
+    checks = []
+    real = shexd.repair.is_valid_after
+    monkeypatch.setattr(
+        shexd.repair, "is_valid_after", lambda *a, **k: checks.append(a) or real(*a, **k)
+    )
+    links = 100
+    assert main([*_named_chain_argv(tmp_path, links), "--json"]) == 0
+    assert len(checks) <= 2 * links + 10
+    out = json.loads(capsys.readouterr().out)
+    ex = "http://example.org/"
+    names = [f'"name {i}"' for i in range(links)] + ['""']
+    assert out["minSize"] == 1
+    assert sorted((r["delete"], r["insert"]) for r in out["repairs"]) == sorted(
+        [([], [f"<{ex}n{links}> <{ex}name> {name} ."]) for name in names]
+        + [([f"<{ex}n{i}> <{ex}next> <{ex}n{i + 1}> ."], []) for i in range(links)]
+    )
 
 
 def test_repair_certificate_failure_is_an_internal_error(monkeypatch, capsys):

@@ -4,7 +4,8 @@
 ``reference_validate``'s verdict on random instances, negated requests
 included, and agree with the flooding on chains and fan-outs past the
 reference validator's node bound, where the answer is known by
-construction. Every witness it accepts must verify.
+construction. Every witness it accepts must verify. Every edit set the
+repair search's screen rejects must fail the full check too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from shexd.repair import (
     _edit_set,
     _reference_valid_after,
     apply_edits,
+    enumerate_repairs,
     is_valid_after,
 )
 
@@ -262,3 +264,108 @@ def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
         revive = _edit_set([("ins", Triple(Iri(EX + "t"), EX + "q", Iri(EX + "x")))])
         expected = compare_in_either_order(schema, graph, request, [revive])
         assert expected is not None and expected[0] is not None
+
+
+def searched(schema, graph, request, max_edits=2):
+    """The state of a repair search once its unedited graph has failed the
+    request: its cache, edit atoms and screen; None when the graph is valid,
+    the check runs out of budget, or it built no base fixpoint."""
+    cache = LocalWitnessCache(schema, graph)
+    keys = []
+    atoms = _edit_atoms(graph, schema, max_edits, keys)
+    try:
+        if is_valid_after(graph, _edit_set(()), schema, request, witnesses=cache):
+            return None
+    except (SearchBudgetExceededError, BagTooLargeError):
+        return None
+    screen = incremental.screen_for(cache, request, atoms, keys)
+    return None if screen is None else (cache, atoms, screen)
+
+
+def count_witness_tests(monkeypatch) -> list:
+    """Patch the screen to record each witness test's answer."""
+    answers = []
+    real = incremental.Screen._has_witness
+
+    def recorded(self, key, ends):
+        answers.append(real(self, key, ends))
+        return answers[-1]
+
+    monkeypatch.setattr(incremental.Screen, "_has_witness", recorded)
+    return answers
+
+
+def test_screened_sets_fail_the_full_check(monkeypatch):
+    # the sets of one or two edits of the differential test above: each set
+    # the screen rejects must fail is_valid_after, and the reference check
+    # within its bounds
+    answers = count_witness_tests(monkeypatch)
+    rejected = confirmed = 0
+    for seed in range(3_000):
+        rng = random.Random(seed)
+        schema, graph, typing0 = random_instance(rng)
+        requests = [typing0]
+        if schema.negated_labels:
+            label = rng.choice(sorted(schema.negated_labels))
+            requests.append([(rng.choice(graph.nodes), label, rng.choice("+-"))])
+        for request in requests:
+            state = searched(schema, graph, request)
+            if state is None:
+                continue
+            cache, atoms, screen = state
+            requested = {node for node, _, _ in request}
+            near = [i for i, (_, t) in enumerate(atoms)
+                    if requested & {t.key()[0], t.key()[2]}]
+            for pool in [range(len(atoms))] * 5 + [near or range(len(atoms))] * 5:
+                combo = tuple(sorted(rng.sample(pool, min(len(pool), rng.randint(1, 2)))))
+                if not screen.rejects(combo):
+                    continue
+                rejected += 1
+                edits = _edit_set(atoms[i] for i in combo)
+                assert not is_valid_after(graph, edits, schema, request, witnesses=cache), (
+                    f"seed {seed}, {request}, {edits}"
+                )
+                try:
+                    assert not _reference_valid_after(graph, edits, schema, request), (
+                        f"seed {seed}, {request}, {edits}"
+                    )
+                except (SearchBudgetExceededError, BagTooLargeError):
+                    continue
+                confirmed += 1
+    tested = sum(answer is False for answer in answers)
+    # 22,936 rejected sets, all of them within the reference bounds; 7,913
+    # rejections that needed a witness test
+    assert confirmed >= 20_000 and tested >= 7_000, (rejected, confirmed, tested)
+
+
+def test_screened_chain_sets_fail_the_full_check(monkeypatch):
+    # every one-edit set of an invalid 100-link chain: past the reference
+    # validator's node bound, so is_valid_after alone decides them
+    answers = count_witness_tests(monkeypatch)
+    schema = parse_schema(CHAIN_SCHEMA)
+    graph = chain_graph(101, False)
+    request = [(EX + "n0", "P", "+")]
+    cache, atoms, screen = searched(schema, graph, request, max_edits=1)
+    checked = []
+    for i in range(len(atoms)):
+        if screen.rejects((i,)):
+            edits = _edit_set([atoms[i]])
+            assert not is_valid_after(graph, edits, schema, request, witnesses=cache)
+        else:
+            checked.append(i)
+    # 201 of the 41,006 sets are left to the full check; 40,805 witness tests
+    assert len(checked) <= 2 * 100 + 10, len(checked)
+    assert sum(answer is False for answer in answers) >= 40_000
+
+
+def test_a_screen_whose_search_raises_leaves_the_set_to_the_check(monkeypatch):
+    # (e:p IRI, e:p IRI) [1;2] wants 2 or 4 edges and is matched
+    # exhaustively; a sixth edge takes the bag past the bound of 5, so the
+    # screen's witness search raises, and the check raises it as before
+    schema = parse_schema("PREFIX e: <http://e/>\n<S> { (e:p IRI, e:p IRI) [1;2] }")
+    hub = Iri("http://e/n")
+    graph = Graph([Triple(hub, "http://e/p", Iri(f"http://e/t{i}")) for i in range(5)])
+    answers = count_witness_tests(monkeypatch)
+    with pytest.raises(BagTooLargeError):
+        enumerate_repairs(graph, schema, [("http://e/n", "S", "+")], max_edits=1, bag_bound=5)
+    assert None in answers

@@ -4,7 +4,9 @@ A repair check patches the edited graph onto the request's graph, bag
 verdicts are memoized per shape, and local witnesses are cached per request,
 so a request builds one ``Graph``, makes a few dozen interval computations
 and enumerates a pair's witnesses again only where an edit set changes its
-neighbourhood, however many edit sets it checks.
+neighbourhood, however many edit sets it checks. Most sets never reach a
+check: the screen rejects those that revive no pair
+(``shexd.incremental.Screen``).
 The counts are taken in fresh interpreters under several hash seeds, since
 set order may steer the search.
 """
@@ -23,11 +25,12 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 
-# (schema, data, node, shape, --max-edits, checks)
+# (schema, data, node, shape, --max-edits, checks, screened sets); every
+# screened set was checked before the screen (231 / 41 / 1,051 checks)
 REQUESTS = [
-    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 231),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 41),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 1_051),
+    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 99, 132),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 40),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 1_046),
 ]
 # The three requests made 90 to 100 interval computations over hash seeds
 # 0-15 and 123 (3,513 to 3,706 when each check rebuilt the graph and
@@ -47,8 +50,9 @@ EDGE_MATCH_BOUND = 250
 
 
 def count_repair_work() -> list[dict[str, int]]:
-    """Graph builds, interval computations, edge matches and repair checks
-    per request."""
+    """Graph builds, interval computations, edge matches, repair checks and
+    screened sets per request."""
+    import shexd.incremental
     import shexd.matching
     import shexd.rdf_graph
     import shexd.repair
@@ -56,7 +60,7 @@ def count_repair_work() -> list[dict[str, int]]:
 
     from conftest import DATA, EX
 
-    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0}
+    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -64,18 +68,26 @@ def count_repair_work() -> list[dict[str, int]]:
             return func(*args, **kwargs)
         return wrapper
 
+    def screened(name, func):
+        def wrapper(*args, **kwargs):
+            rejected = func(*args, **kwargs)
+            counts[name] += rejected
+            return rejected
+        return wrapper
+
     patches = [
-        (shexd.rdf_graph.Graph, "__init__", "graphs"),
-        (shexd.matching, "interval", "intervals"),
-        (shexd.matching, "edge_matches", "edge_matches"),
-        (shexd.repair, "is_valid_after", "checks"),
+        (shexd.rdf_graph.Graph, "__init__", "graphs", counted),
+        (shexd.matching, "interval", "intervals", counted),
+        (shexd.matching, "edge_matches", "edge_matches", counted),
+        (shexd.repair, "is_valid_after", "checks", counted),
+        (shexd.incremental.Screen, "rejects", "screened", screened),
     ]
-    originals = [getattr(owner, attr) for owner, attr, _ in patches]
+    originals = [getattr(owner, attr) for owner, attr, _, _ in patches]
     out = []
     try:
-        for (owner, attr, name), original in zip(patches, originals):
-            setattr(owner, attr, counted(name, original))
-        for schema, data, node, shape, max_edits, _ in REQUESTS:
+        for (owner, attr, name, wrap), original in zip(patches, originals):
+            setattr(owner, attr, wrap(name, original))
+        for schema, data, node, shape, max_edits, *_ in REQUESTS:
             counts.update(dict.fromkeys(counts, 0))
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(["repair", "--schema", str(DATA / schema), "--data", str(DATA / data),
@@ -83,7 +95,7 @@ def count_repair_work() -> list[dict[str, int]]:
                              "--max-edits", str(max_edits), "--json"])
             out.append({"code": code, **counts})
     finally:
-        for (owner, attr, _), original in zip(patches, originals):
+        for (owner, attr, _, _), original in zip(patches, originals):
             setattr(owner, attr, original)
     return out
 
@@ -100,7 +112,8 @@ def test_repair_request_work_bounds(seed):
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stdout)
     assert [c["code"] for c in counts] == [0, 1, 0]
-    assert [c["checks"] for c in counts] == [checks for *_, checks in REQUESTS]
+    assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
+    assert [c["screened"] for c in counts] == [screened for *_, screened in REQUESTS]
     assert [c["graphs"] for c in counts] == [1, 1, 1]
     assert sum(c["intervals"] for c in counts) <= INTERVAL_BOUND
     assert sum(c["edge_matches"] for c in counts) <= EDGE_MATCH_BOUND

@@ -15,7 +15,14 @@ import random
 import pytest
 
 import shexd.repair
-from shexd import build_graph, enumerate_repairs, is_repair, parse_data, parse_schema
+from shexd import (
+    build_graph,
+    enumerate_repairs,
+    incremental,
+    is_repair,
+    parse_data,
+    parse_schema,
+)
 from shexd.errors import BagTooLargeError, SearchBudgetExceededError
 from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_INTEGER, Iri, Literal, Triple
@@ -254,18 +261,33 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
 
 # Relevance tests and fresh-blank canonicalisations of the sweep that walks
 # every combination: 1,009 and 189 (repairing.ttl, one edit), 10,411 and
-# 13,805 (boolean.ttl, two edits).
-@pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, checks", [
+# 13,805 (boolean.ttl, two edits). ``sets`` counts the sets that pass the
+# test and the dedupe: each is screened or checked.
+@pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, sets", [
     ("repairing.ttl", "issue", "IssueShape", 1, 300, 50, 231),
     ("boolean.ttl", "term", "Term", 2, 3_000, 700, 1_051),
 ])
 def test_enumeration_work_bounds(
-    monkeypatch, data, node, shape, max_edits, tests_bound, canon_bound, checks
+    monkeypatch, data, node, shape, max_edits, tests_bound, canon_bound, sets
 ):
     calls = _count_enumeration_work(monkeypatch, data, node, shape, max_edits)
     assert calls["admits"] <= tests_bound
     assert calls["canonical"] <= canon_bound
-    assert calls["checks"] == checks
+    assert calls["checks"] + calls["screened"] == sets
+
+
+# Of those sets, the screen rejects all but the size-0 check and 98 (of 230)
+# and 4 (of 1,050), which is_valid_after decides; every set was checked when
+# nothing screened them.
+@pytest.mark.parametrize("data, node, shape, max_edits, checks, screened", [
+    ("repairing.ttl", "issue", "IssueShape", 1, 99, 132),
+    ("boolean.ttl", "term", "Term", 2, 5, 1_046),
+])
+def test_the_screen_leaves_few_full_checks(
+    monkeypatch, data, node, shape, max_edits, checks, screened
+):
+    calls = _count_enumeration_work(monkeypatch, data, node, shape, max_edits)
+    assert (calls["checks"], calls["screened"]) == (checks, screened)
 
 
 # The search makes 231 and 2,273 relevance tests (233 and 2,791 when every
@@ -284,13 +306,21 @@ def test_covered_edits_save_relevance_tests(
 def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
     schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
     graph = load_graph(data)
-    calls = {"admits": 0, "canonical": 0, "checks": 0}
+    calls = {"admits": 0, "canonical": 0, "checks": 0, "screened": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
+
+    def screened(self, combo):
+        rejected = real_rejects(self, combo)
+        calls["screened"] += rejected
+        return rejected
+
+    real_rejects = incremental.Screen.rejects
+    monkeypatch.setattr(incremental.Screen, "rejects", screened)
 
     monkeypatch.setattr(
         shexd.repair._Relevance, "admits", counted("admits", shexd.repair._Relevance.admits)
