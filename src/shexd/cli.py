@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -307,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check-schema", help="parse a schema and check well-definedness")
     common(p_check, with_data=False)
     p_check.add_argument("--verbose", action="store_true", help="list negated shapes and lints")
-    p_check.set_defaults(func=cmd_check_schema)
 
     p_validate = sub.add_parser("validate", help="validate nodes against shapes")
     common(p_validate)
@@ -316,21 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--lookahead", action="store_true",
         help="accepted for compatibility; has no effect",
     )
-    p_validate.set_defaults(func=cmd_validate)
 
     p_repair = sub.add_parser("repair", help="search for minimal repairs")
     common(p_repair)
     p_repair.add_argument(
         "--max-edits", type=int, default=2, help="largest edit-set size to try"
     )
-    p_repair.set_defaults(func=cmd_repair)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so a replaced cmd_* function is the one run
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

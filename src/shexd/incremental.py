@@ -507,8 +507,21 @@ class Screen:
     multiset is the base node's, minus the deleted edges' lists, plus the
     inserted edges' lists; the answer is memoized per label and multiset.
     When :func:`_assignments` raises (``BagTooLargeError``), the set goes
-    to the full check, which raises it too. Consumer lists are memoized by
-    label, directed property and target, so a set costs its edits.
+    to the full check, which raises it too.
+
+    So the verdict reads an atom only through its *effect*, computed the
+    first time the atom is seen: None when it touches a node with a certain
+    entry; else, for each of its ends at a node with base pairs, the node,
+    the directed property, whether it inserts, and the id of the end's
+    consumer list for each base label there (memoized by label, directed
+    property and target, which atoms share more often than whole effects).
+    Atoms with equal effects are interchangeable for the screen (as
+    interchangeable values are for a constraint problem: Freuder, AAAI
+    1991), so each set is looked up by its *signature*, the sorted ids of
+    its atoms' effects, and each signature is decided once. A fresh blank
+    is never a node with base pairs, and every fresh blank has the same
+    value, so each renaming of a set's fresh blanks has the set's
+    signature.
     """
 
     def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint, atoms: list, keys: list):
@@ -523,6 +536,12 @@ class Screen:
         self._lists: dict[int, list] = {}  # id -> consumer list, kept in the cache's memo
         self._bags: dict[Hypothesis, dict[int, int]] = {}  # base pair -> its edges' list ids
         self._verdicts: dict[tuple, bool | None] = {}  # (label, multiset) -> has a witness?
+        self._effect_of: dict[int, int | None] = {}  # atom -> the id of its effect
+        # effect -> id; the empty effect, of an atom with no end at a node
+        # with base pairs, is 0 and left out of signatures
+        self._effect_ids: dict[tuple, int] = {(): 0}
+        self._effects: list[tuple] = [()]  # id -> effect
+        self._rejected: dict[tuple[int, ...], bool] = {}  # signature -> verdict
 
     def _list_id(self, label: str, dprop: DirectedProperty, value: Value) -> int:
         edge_options = self._edge_options.setdefault(label, {})
@@ -540,24 +559,54 @@ class Screen:
                 bag[n] = bag.get(n, 0) + 1
         return bag
 
+    def _effect(self, i: int) -> int | None:
+        """The id of atom ``i``'s effect; None when it touches a node with
+        a certain entry."""
+        s, p, o = self._keys[i]
+        certain_at, pairs_at = self.base.certain.at_node, self.base.at_node
+        if s in certain_at or o in certain_at:
+            return None
+        kind, t = self._atoms[i]
+        inserted = kind == "ins"
+        ends = []
+        for node, inverse, target_key, target in ((s, False, o, t.obj), (o, True, s, t.subject)):
+            keys = pairs_at.get(node)
+            if keys is not None:
+                dprop = self._dprops.get((p, inverse))
+                if dprop is None:
+                    dprop = self._dprops[(p, inverse)] = DirectedProperty(p, inverse)
+                lists = []
+                for _, label in keys:
+                    memo = (label, p, inverse, target_key)  # a key names one term
+                    n = self._edge_lists.get(memo)
+                    if n is None:
+                        value = term_to_value(target)
+                        n = self._edge_lists[memo] = self._list_id(label, dprop, value)
+                    lists.append(n)
+                ends.append((node, dprop, inserted, tuple(lists)))
+        effect = tuple(ends)
+        n = self._effect_ids.get(effect)
+        if n is None:
+            n = self._effect_ids[effect] = len(self._effects)
+            self._effects.append(effect)
+        return n
+
     def _has_witness(self, key: Hypothesis, ends: list) -> bool | None:
-        """Does ``key`` have a local witness once the edits ``ends`` at its
-        node are made? None when the search raised."""
+        """Does ``key`` have a local witness once the edits of ``ends``, the
+        effects' ends at its node, are made? None when the search raised."""
         label = key[1]
+        k = self.base.at_node[key[0]].index(key)  # its list ids' place in an end
         counts = dict(self._bag(key))
-        for dprop, inserted, target_key, target in ends:
-            memo = (label, dprop.prop, dprop.inverse, target_key)  # a key names one term
-            n = self._edge_lists.get(memo)
-            if n is None:
-                n = self._edge_lists[memo] = self._list_id(label, dprop, term_to_value(target))
+        for _, _, inserted, lists in ends:
+            n = lists[k]
             count = counts.get(n, 0) + (1 if inserted else -1)
             if count:
                 counts[n] = count
             else:
                 del counts[n]
-        signature = (label, frozenset(counts.items()))
-        if signature not in self._verdicts:
-            options = [self._lists[n] for n, count in signature[1] for _ in range(count)]
+        multiset = (label, frozenset(counts.items()))
+        if multiset not in self._verdicts:
+            options = [self._lists[n] for n, count in multiset[1] for _ in range(count)]
             found = False
             if all(options):
                 shape_def = self.base.schema.shapes[label]
@@ -565,33 +614,41 @@ class Screen:
                     found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
                 except ShexdError:  # BagTooLargeError: the full check raises it too
                     found = None
-            self._verdicts[signature] = found
-        return self._verdicts[signature]
+            self._verdicts[multiset] = found
+        return self._verdicts[multiset]
 
     def rejects(self, combo: tuple[int, ...]) -> bool:
         """Is the edit set of the atoms ``combo`` certainly invalid?"""
-        base = self.base
-        pairs_at = base.at_node
-        at: dict[str, list] = {}  # node with base pairs -> its edits
+        effect_of = self._effect_of
+        signature = []
         for i in combo:
-            s, p, o = self._keys[i]
-            if _decided_at(base.certain, (s, o)):
+            n = effect_of.get(i, -1)
+            if n == -1:
+                n = effect_of[i] = self._effect(i)
+            if n is None:
                 return False
-            kind, t = self._atoms[i]
-            ends = ((s, False, o, t.obj), (o, True, s, t.subject))
-            for node, inverse, target_key, target in ends:
-                if node in pairs_at:
-                    dprop = self._dprops.get((p, inverse))
-                    if dprop is None:
-                        dprop = self._dprops[(p, inverse)] = DirectedProperty(p, inverse)
-                    at.setdefault(node, []).append((dprop, kind == "ins", target_key, target))
+            if n:
+                signature.append(n)
+        signature = tuple(sorted(signature))
+        verdict = self._rejected.get(signature)
+        if verdict is None:
+            verdict = self._rejected[signature] = self._decide(signature)
+        return verdict
+
+    def _decide(self, signature: tuple[int, ...]) -> bool:
+        """:meth:`rejects` for the sets of ``signature``."""
+        at: dict[str, list] = {}  # node with base pairs -> the effect ends there
+        for n in signature:
+            for end in self._effects[n]:
+                at.setdefault(end[0], []).append(end)
+        base = self.base
         graph, support = base.graph, base.support
         for node, ends in at.items():
             if not graph.has_node(node):
                 return False  # a requested node that only an edit creates
             # the node keeps an edge unless the set deletes all of them
-            kept = len(ends) < len(graph.neighbourhood(node)) or any(end[1] for end in ends)
-            changed = _changed_at(base, node, kept, [end[0] for end in ends])
+            kept = len(ends) < len(graph.neighbourhood(node)) or any(end[2] for end in ends)
+            changed = _changed_at(base, node, kept, [end[1] for end in ends])
             for key in changed:
                 if key in support:
                     return False

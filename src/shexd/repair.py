@@ -394,17 +394,29 @@ class _Relevance:
                 })
             return found
 
+        # (node, property, inverse?) -> the end's (node, directed property)
+        # and its (node, labels it counts at, is the node in the graph?),
+        # each built once however many edits share the end
+        by_end: dict[tuple[str, str, bool], tuple] = {}
+
+        def end_of(node: str, prop: str, inverse: bool) -> tuple:
+            found = by_end.get((node, prop, inverse))
+            if found is None:
+                dprop, counting = directed_of(prop, inverse)
+                found = by_end[(node, prop, inverse)] = (
+                    (node, dprop), (node, counting, graph.has_node(node))
+                )
+            return found
+
         self.inserts = [kind == "ins" for kind, _ in atoms]
         # (node, directed property) of the edit's edge at its subject, then at its object
         self.ends = []
         # per end: its node, the labels it counts at, and whether the graph holds the node
         self._ends_counting = []
         for s, p, o in keys:
-            (fwd, fwd_counting), (inv, inv_counting) = directed_of(p, False), directed_of(p, True)
-            self.ends.append(((s, fwd), (o, inv)))
-            self._ends_counting.append((
-                (s, fwd_counting, graph.has_node(s)), (o, inv_counting, graph.has_node(o))
-            ))
+            fwd, inv = end_of(s, p, False), end_of(o, p, True)
+            self.ends.append((fwd[0], inv[0]))
+            self._ends_counting.append((fwd[1], inv[1]))
         self._steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self._closures: dict[tuple[int, ...], dict[str, set[str]]] = {}  # growers -> pairs added
         self.base: dict[str, set[str]] = {}
@@ -412,9 +424,12 @@ class _Relevance:
         for node, label, _ in typing0:
             requested.setdefault(node, set()).add(label)
         self._close(requested, {}, [(n, l) for n, ls in requested.items() for l in ls])
-        self.base = requested
+        self.base = base = requested
         self.base_counts = [self._counts(i, {}, set()) for i in range(len(atoms))]
-        self.grows = [self.inserts[i] and self._adds_pair(i) for i in range(len(atoms))]
+        self.grows = [  # an insertion with no end in P(∅) adds no pair to it
+            self.inserts[i] and (s in base or o in base) and self._adds_pair(i)
+            for i, ((s, _), (o, _)) in enumerate(self.ends)
+        ]
         inserted_at: dict[str, list[int]] = {}  # node with pairs -> insertions there
         for i, ((s, _), (o, _)) in enumerate(self.ends):
             if self.inserts[i]:
@@ -570,33 +585,45 @@ def enumerate_repairs(
     its edits that does not count is an insertion at a node of P(∅) where
     the set deletes a triple (see :class:`_Relevance`). Otherwise P(E) =
     P(∅), and an edit that does not count under P(∅) does not count under
-    E either, so the set would fail the test anyway. Of the sets that pass, those differing only
-    by a renaming of fresh blanks are checked once, the first in order.
-    Fresh blanks are never graph nodes, so the test gives every renaming
-    the same answer, and the set checked is the first of its renaming
-    class whether the test runs before the dedupe or after it; running it
-    first keeps the dedupe to the few sets that pass. (A request that names
-    a fresh blank's label breaks that symmetry; the CLI rejects requests
-    for nodes the graph does not hold.)
+    E either, so the set would fail the test anyway. Of the sets that
+    pass, those differing only by a renaming of fresh blanks are checked
+    once, the first in order.
+
+    Once the unedited graph has failed the request, each generated set of
+    size one or more meets three filters in turn before its check: the
+    screen (``shexd.incremental.Screen``), the relevance test above and
+    the fresh-blank dedupe. A set is rejected by the screen when
+    no node it touches holds a certain-typing entry, every pair its check
+    would re-read was dead in the unedited graph's fixpoint, and none of
+    those pairs has a local witness on the edited graph. Whether a pair has
+    one is read off its edges' consumer lists, which depend only on each
+    edge's directed property and its target's value: the unedited node's
+    lists, minus the deleted edges', plus the inserted edges'. Such a set
+    changes no certain sign and gives no pair a usable witness, so its
+    check would revive nothing, keep the status of every pair, read no
+    local witness and fail as the unedited graph did. Every other set goes
+    on, and so does one whose witness search raises; the screen only ever
+    rejects. It reads a set only through its atoms' effects, and decides
+    each signature (the sorted effect ids of a set's atoms) once.
+
+    Running the screen first checks the same sets, in the same order, as
+    running it last, and spares the rejected sets the other filters.
+    Every filter is pure. The screen rejects only sets whose check fails.
+    And each filter gives every fresh-blank renaming of a set the same
+    answer: fresh blanks are never graph nodes, so the relevance test
+    cannot tell them apart; nor can the screen, since a fresh blank never
+    holds base pairs and every fresh blank has the same value; and the
+    dedupe is defined on renaming classes. So within a renaming class the
+    screen passes all sets or none, and the first set that passes the
+    relevance test is the one checked either way. (A request that names a
+    fresh blank's label breaks that symmetry; the CLI rejects requests for
+    nodes the graph does not hold, and no screen runs when the unedited
+    graph lacks a requested node.)
 
     Each set is checked by :func:`is_valid_after`, and all the checks of
     one call share one :class:`LocalWitnessCache`: a pair whose
     neighbourhood a set leaves alone is not enumerated again. The graph's
     size is not bounded.
-
-    Once the unedited graph has failed the request, each set of size one or
-    more is first screened by its atoms (``shexd.incremental.Screen``),
-    without a patch. A set is rejected unchecked when no node it touches
-    holds a certain-typing entry, every pair its check would re-read was
-    dead in the unedited graph's fixpoint, and none of those pairs has a
-    local witness on the edited graph. Whether a pair has one is read off
-    its edges' consumer lists, which depend only on each edge's directed
-    property and its target's value: the unedited node's lists, minus the
-    deleted edges', plus the inserted edges'. Such a set changes no certain
-    sign and gives no pair a usable witness, so its check would revive
-    nothing, keep the status of every pair, read no local witness and fail
-    as the unedited graph did. Every other set is checked, and so is one
-    whose witness search raises; the screen only ever rejects.
     """
     keys: list[tuple[str, str, str]] = []
     atoms = _edit_atoms(graph, schema, max_edits, keys)
@@ -611,19 +638,16 @@ def enumerate_repairs(
         for combo in _admissible_combinations(
             size, relevance.base_counts, relevance.grows, relevance.covers
         ):
+            if screen is not None and screen.rejects(combo):
+                continue
             if not relevance.admits(combo):
                 continue
-            edits = None
+            edits = _edit_set(atoms[i] for i in combo)
             if any(fresh[i] for i in combo):
-                edits = _edit_set(atoms[i] for i in combo)
                 canonical = _canonical_blank_form(edits)
                 if canonical in seen:
                     continue
                 seen.add(canonical)
-            if screen is not None and screen.rejects(combo):
-                continue
-            if edits is None:
-                edits = _edit_set(atoms[i] for i in combo)
             if is_valid_after(
                 graph, edits, schema, typing0, bag_bound=bag_bound, witnesses=witnesses
             ):

@@ -570,6 +570,21 @@ def test_help_exits_0(argv, capsys):
     assert "usage: shexd" in capsys.readouterr().out
 
 
+def test_main_parses_with_one_parser_and_runs_the_current_command(monkeypatch, capsys):
+    # the parser is built once per process; the command is looked up by name
+    # on each call, so a replaced cmd_* function is the one that runs
+    import shexd.cli
+
+    parser = shexd.cli._parser()
+    monkeypatch.setattr(shexd.cli, "build_parser", lambda: pytest.fail("parser built again"))
+    monkeypatch.setattr(shexd.cli, "cmd_check_schema", lambda args: 42)
+    assert main(["check-schema", "--schema", SCHEMA]) == 42
+    monkeypatch.undo()
+    assert main(["check-schema", "--schema", SCHEMA]) == 0
+    assert "well-defined" in capsys.readouterr().out
+    assert shexd.cli._parser() is parser
+
+
 def test_negative_assertion_on_unnegated_shape_exit_3(capsys):
     code = main(
         [

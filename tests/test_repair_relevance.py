@@ -25,13 +25,15 @@ from shexd import (
 )
 from shexd.errors import BagTooLargeError, SearchBudgetExceededError
 from shexd.randgen import random_instance
-from shexd.rdf_graph import XSD_INTEGER, Iri, Literal, Triple
+from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, Graph, Iri, Literal, Triple
 from shexd.repair import (
     EditSet,
     RepairResult,
     _admissible_combinations,
     _canonical_blank_form,
+    _edit_atoms,
     _is_fresh_blank,
+    _Relevance,
     apply_edits,
     insertion_domain,
     is_valid_after,
@@ -262,7 +264,13 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
 # Relevance tests and fresh-blank canonicalisations of the sweep that walks
 # every combination: 1,009 and 189 (repairing.ttl, one edit), 10,411 and
 # 13,805 (boolean.ttl, two edits). ``sets`` counts the sets that pass the
-# test and the dedupe: each is screened or checked.
+# test and the dedupe, as they did when both ran before the screen: each is
+# still either rejected by the screen or checked, so the search checks the
+# same sets. The screen now sees every generated set first, and its
+# rejections plus the checks add up to ``SCREENED_OR_CHECKED``.
+SCREENED_OR_CHECKED = {"repairing.ttl": 231, "boolean.ttl": 2_273}  # 231 and 1,051 when last
+
+
 @pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, sets", [
     ("repairing.ttl", "issue", "IssueShape", 1, 300, 50, 231),
     ("boolean.ttl", "term", "Term", 2, 3_000, 700, 1_051),
@@ -273,12 +281,14 @@ def test_enumeration_work_bounds(
     calls = _count_enumeration_work(monkeypatch, data, node, shape, max_edits)
     assert calls["admits"] <= tests_bound
     assert calls["canonical"] <= canon_bound
-    assert calls["checks"] + calls["screened"] == sets
+    assert calls["checks"] + calls["screened_passing"] == sets
+    assert calls["checks"] + calls["screened"] == SCREENED_OR_CHECKED[data]
 
 
-# Of those sets, the screen rejects all but the size-0 check and 98 (of 230)
-# and 4 (of 1,050), which is_valid_after decides; every set was checked when
-# nothing screened them.
+# Of the sets that pass the relevance test and the dedupe, the screen
+# rejects all but the size-0 check and 98 (of 230) and 4 (of 1,050), which
+# is_valid_after decides; every such set was checked when nothing screened
+# them. (Of all the sets it sees, it rejects 132 of 230 and 2,268 of 2,272.)
 @pytest.mark.parametrize("data, node, shape, max_edits, checks, screened", [
     ("repairing.ttl", "issue", "IssueShape", 1, 99, 132),
     ("boolean.ttl", "term", "Term", 2, 5, 1_046),
@@ -287,11 +297,12 @@ def test_the_screen_leaves_few_full_checks(
     monkeypatch, data, node, shape, max_edits, checks, screened
 ):
     calls = _count_enumeration_work(monkeypatch, data, node, shape, max_edits)
-    assert (calls["checks"], calls["screened"]) == (checks, screened)
+    assert (calls["checks"], calls["screened_passing"]) == (checks, screened)
 
 
-# The search makes 231 and 2,273 relevance tests (233 and 2,791 when every
-# deletion enabled every other edit).
+# The search made 231 and 2,273 relevance tests while the screen ran after
+# the test (233 and 2,791 when every deletion enabled every other edit); it
+# now makes 99 and 5.
 @pytest.mark.parametrize("data, node, shape, max_edits, tests_bound", [
     ("repairing.ttl", "issue", "IssueShape", 1, 232),
     ("boolean.ttl", "term", "Term", 2, 2_400),
@@ -303,10 +314,34 @@ def test_covered_edits_save_relevance_tests(
     assert calls["admits"] <= tests_bound
 
 
+def test_screening_first_spares_the_rejected_sets(monkeypatch):
+    # boolean.ttl at two edits: only the size-0 set and the 4 sets the
+    # screen passes get a relevance test and an EditSet, and none of them
+    # holds a fresh blank (2,273 tests, 616 EditSets and 611
+    # canonicalisations when the screen ran last)
+    calls = _count_enumeration_work(monkeypatch, "boolean.ttl", "term", "Term", 2)
+    assert calls["admits"] <= 10
+    assert calls["canonical"] <= 5
+    assert calls["edit_sets"] <= 10
+
+
 def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
+    """Relevance tests, canonicalisations, EditSets, checks and screen
+    rejections of one search, and ``screened_passing``: the rejected sets
+    that would pass the relevance test and the dedupe, run as before the
+    screen, over every set the screen sees."""
     schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
     graph = load_graph(data)
-    calls = {"admits": 0, "canonical": 0, "checks": 0, "screened": 0}
+    calls = dict.fromkeys(
+        ("admits", "canonical", "edit_sets", "checks", "screened", "screened_passing"), 0
+    )
+    real_admits = shexd.repair._Relevance.admits
+    real_canonical = shexd.repair._canonical_blank_form
+    real_edit_set = shexd.repair._edit_set
+    real_init = shexd.repair._Relevance.__init__
+    real_rejects = incremental.Screen.rejects
+    relevances = []
+    seen: dict[int, set] = {}  # size -> canonical forms of the sets that pass the test
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -314,26 +349,67 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
             return real(*args, **kwargs)
         return wrapper
 
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        relevances.append(self)
+
+    def passes(atoms, combo) -> bool:
+        if not real_admits(relevances[-1], combo):
+            return False
+        if not any(_is_fresh_blank(atoms[i][1].subject) or _is_fresh_blank(atoms[i][1].obj)
+                   for i in combo):
+            return True
+        canonical = real_canonical(real_edit_set(atoms[i] for i in combo))
+        forms = seen.setdefault(len(combo), set())
+        if canonical in forms:
+            return False
+        forms.add(canonical)
+        return True
+
     def screened(self, combo):
         rejected = real_rejects(self, combo)
+        if passes(self._atoms, combo):
+            calls["screened_passing"] += rejected
         calls["screened"] += rejected
         return rejected
 
-    real_rejects = incremental.Screen.rejects
     monkeypatch.setattr(incremental.Screen, "rejects", screened)
-
-    monkeypatch.setattr(
-        shexd.repair._Relevance, "admits", counted("admits", shexd.repair._Relevance.admits)
-    )
-    monkeypatch.setattr(
-        shexd.repair, "_canonical_blank_form",
-        counted("canonical", shexd.repair._canonical_blank_form),
-    )
+    monkeypatch.setattr(shexd.repair._Relevance, "__init__", init)
+    monkeypatch.setattr(shexd.repair._Relevance, "admits", counted("admits", real_admits))
+    monkeypatch.setattr(shexd.repair, "_canonical_blank_form", counted("canonical", real_canonical))
+    monkeypatch.setattr(shexd.repair, "_edit_set", counted("edit_sets", real_edit_set))
     monkeypatch.setattr(
         shexd.repair, "is_valid_after", counted("checks", shexd.repair.is_valid_after)
     )
     enumerate_repairs(graph, schema, [(EX + node, shape, "+")], max_edits=max_edits)
     return calls
+
+
+def test_relevance_builds_each_edit_end_once(monkeypatch):
+    # a 200-link ex:next chain at one edit: 162,812 edit atoms share 1,210
+    # distinct ends (node, property, direction), and the graph is asked
+    # whether it holds a node once per end, not twice per atom: 1,411 calls
+    # with the closure's, against 325,825
+    schema = parse_schema(PREFIXES + "<P> { ex:name xsd:string, ex:next @<P> ? }\n")
+    nodes = [Iri(f"{EX}n{i}") for i in range(201)]
+    graph = Graph(tuple(
+        t for i in range(200) for t in (
+            Triple(nodes[i], EX + "name", Literal(f"name {i}", XSD_STRING)),
+            Triple(nodes[i], EX + "next", nodes[i + 1]),
+        )
+    ))
+    keys = []
+    atoms = _edit_atoms(graph, schema, 1, keys)
+    ends = {(s, p, False) for s, p, _ in keys} | {(o, p, True) for _, p, o in keys}
+    calls = []
+    real = Graph.has_node
+    monkeypatch.setattr(
+        Graph, "has_node", lambda self, node: calls.append(node) or real(self, node)
+    )
+    relevance = _Relevance(graph, schema, [(EX + "n0", "P", "+")], atoms, keys)
+    assert len(atoms) == 162_812
+    assert len(calls) <= 2 * len(ends) < len(atoms) // 10
+    assert sum(relevance.base_counts) + sum(relevance.grows) > 0
 
 
 def test_admissible_combinations_filter_the_combinations():
