@@ -553,14 +553,15 @@ class LocalWitnessCache:
 
     Local witnesses are kept with their propagation, keyed by (node, label),
     and only for a node whose neighbourhood in the graph read is the very
-    tuple it has in ``graph``. That key is exact: :meth:`Graph.edited` and
-    ``shexd.incremental.GraphPatch`` give a new tuple to every node an edit
+    tuple it has in ``graph``. That key is exact: a
+    ``shexd.incremental.GraphPatch`` gives a new tuple to every node an edit
     touches, so a shared tuple holds the same edges, and each of their
-    targets keeps that edge, hence its node and value; the edges and the targets' values are
-    all that :func:`local_witnesses` and :func:`propagation` read of a
-    graph. So a pair whose neighbourhood an edit leaves alone is enumerated
-    once. Pairs at touched nodes are enumerated on every read and not kept:
-    an edit set's new neighbourhoods are rarely met again. Their enumerations
+    targets keeps that edge, hence its node and value; the edges and the
+    targets' values are all that :func:`local_witnesses` and
+    :func:`propagation` read of a graph. So a pair whose neighbourhood an
+    edit leaves alone is enumerated once. Pairs at touched nodes are
+    enumerated on every read and not kept: an edit set's new neighbourhoods
+    are rarely met again. Their enumerations
     share, per label, the admitted consumers of each edge by directed
     property and target value (``edge_options`` of :func:`local_witnesses`),
     so only an edit's own edges are matched anew. Read the witnesses through

@@ -54,24 +54,24 @@ def triple_edges(t: Triple) -> tuple[Edge, Edge, Value, Value]:
 
 
 class GraphPatch:
-    """The graph that :meth:`Graph.edited` would build, read through the
-    base graph's tables instead of copies of them.
+    """An edited graph, read through the base graph's tables: it reads as
+    ``repair.apply_edits`` builds the edited graph from scratch.
 
     It holds only what the edits change: the edges removed or added at each
     node they touch (``edits_at``), the nodes left with no edge, the value
     of each node the base graph does not hold with its kind, and the added
     and removed edges. A touched node's neighbourhood tuple is built when it
     is first read; every other node keeps the base graph's tuple, the very
-    object, as :meth:`Graph.edited` keeps it. So a patch costs the edits and
-    the degrees of the nodes read, whatever the size of the graph. It
-    offers the reads of validation (``has_node``, ``val``,
-    ``neighbourhood`` and ``edge_by_id[id]``), not the triples.
+    object. So a patch costs the edits and the degrees of the nodes read,
+    whatever the size of the graph. It offers the reads of validation and
+    of the verifier (``has_node``, ``val``, ``neighbourhood`` and
+    ``edge_by_id[id]``), not the triples.
 
     ``deletions`` and ``insertions`` are lists of :func:`triple_edges`
-    tuples, the insertions in the order :meth:`Graph.edited` would add
-    them; a deletion of an absent triple, or an insertion of a present one,
-    changes nothing. As in :meth:`Graph.edited`, an insertion that gives a
-    node key a second kind of term raises ``ValueError``.
+    tuples, the insertions in triple order; a deletion of an absent
+    triple, or an insertion of a present one, changes nothing. As in
+    ``Graph``, an insertion that gives a node key a second kind of term
+    raises ``ValueError``.
     """
 
     def __init__(self, base: Graph, deletions: list[tuple], insertions: list[tuple]):
@@ -158,9 +158,9 @@ class GraphPatch:
 
 
 def patch(cache: LocalWitnessCache, deletions: Iterable[Triple], insertions: Iterable[Triple]) -> GraphPatch:
-    """The cache's graph edited as :meth:`Graph.edited` edits it, with the
-    insertions in triple order, as a :class:`GraphPatch`. Each triple's
-    edges are built once per cache."""
+    """The cache's graph with the deletions and insertions applied, as a
+    :class:`GraphPatch` that reads as ``repair.apply_edits`` builds it. Each
+    triple's edges are built once per cache."""
     memo = cache._triple_edges
 
     def edges(t: Triple) -> tuple:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable
 
 from .errors import ParseError, UnknownNodeError, UnknownPrefixError
 
@@ -166,66 +164,18 @@ class Graph:
 
     A node id names one term: triples that give one key to terms of two
     kinds (the IRI ``<_:b>`` and the blank node ``_:b``) raise ``ValueError``.
+    The tables are built once and never copied: a repair search reads each
+    edited graph as a ``shexd.incremental.GraphPatch`` over them.
     """
 
     def __init__(self, triples: tuple[Triple, ...], prefixes: dict[str, str] | None = None):
         self.prefixes = dict(prefixes or {})
-        self._build(None, set(), triples)
-
-    def edited(self, deletions: Iterable[Triple], insertions: Iterable[Triple]) -> "Graph":
-        """``Graph(triples, self.prefixes)``, where ``triples`` are this graph's
-        triples without those whose key a deletion has, followed by the
-        insertions in the order given; built from copies of this graph's
-        tables, so it costs the size of the graph. A repair check reads its
-        edited graph as a ``shexd.incremental.GraphPatch`` instead, which
-        costs the edits, and builds this one only for an accepted edit set,
-        to verify it.
-
-        A node whose edges no edit removes or adds keeps its neighbourhood
-        tuple, the very object, and so do the targets of those edges keep
-        their values; ``engine.LocalWitnessCache`` relies on both, for this
-        graph and for a ``GraphPatch`` alike."""
-        out = Graph.__new__(Graph)
-        out.prefixes = dict(self.prefixes)
-        out._build(self, {t.key() for t in deletions}, insertions)
-        return out
-
-    def _build(
-        self, base: "Graph | None", deleted: set[tuple[str, str, str]], insertions: Iterable[Triple]
-    ) -> None:
-        """Set this graph's tables to those of ``base`` (no base: the empty
-        graph) without the triples whose key is in ``deleted``, followed by
-        ``insertions``. Only the edited edges are dropped or added, only the
-        nodes they touch are re-sorted, and a node left with no edge is
-        dropped; each triple's key is kept beside it."""
-        if base is None:
-            triples, keys, values, adjacency, edge_by_id = (), (), {}, {}, {}
-        else:
-            triples, keys = base.triples, base._keys
-            values, adjacency = dict(base._values), dict(base._adjacency)
-            edge_by_id = dict(base.edge_by_id)
-        if deleted:
-            kept = [key not in deleted for key in keys]
-            triples, keys = tuple(compress(triples, kept)), tuple(compress(keys, kept))
-            removed: set[str] = set()
-            touched: set[str] = set()
-            for key in deleted:
-                for e in _edge_pair(*key):
-                    if edge_by_id.pop(e.id, None) is not None:
-                        removed.add(e.id)
-                        touched.add(e.source)
-            for node in touched:
-                edges = tuple(e for e in adjacency[node] if e.id not in removed)
-                if edges:
-                    adjacency[node] = edges
-                else:
-                    del values[node], adjacency[node]
-        insertions = tuple(insertions)
-        new_keys = []
-        added: dict[str, list[Edge]] = {}
-        for t in insertions:
+        self.triples = tuple(triples)
+        keys, values, edge_by_id = [], {}, {}
+        adjacency: dict[str, list[Edge]] = {}
+        for t in self.triples:
             s, o = term_key(t.subject), term_key(t.obj)
-            new_keys.append((s, t.prop, o))
+            keys.append((s, t.prop, o))
             for node, term in zip((s, o), (t.subject, t.obj)):
                 value = term_to_value(term)
                 if type(values.setdefault(node, value)) is not type(value):
@@ -233,11 +183,10 @@ class Graph:
             for e in _edge_pair(s, t.prop, o):
                 if e.id not in edge_by_id:
                     edge_by_id[e.id] = e
-                    added.setdefault(e.source, []).append(e)
-        for node, edges in added.items():
-            adjacency[node] = _by_id(adjacency.get(node, ()) + tuple(edges))
-        self.triples, self._keys = triples + insertions, keys + tuple(new_keys)
-        self._values, self._adjacency, self.edge_by_id = values, adjacency, edge_by_id
+                    adjacency.setdefault(e.source, []).append(e)
+        self._keys = tuple(keys)  # each triple's key, beside it
+        self._values, self.edge_by_id = values, edge_by_id
+        self._adjacency = {node: _by_id(edges) for node, edges in adjacency.items()}
 
     @property
     def nodes(self) -> tuple[str, ...]:

@@ -159,9 +159,13 @@ def insertion_domain(
 
 
 def apply_edits(graph: Graph, edits: EditSet) -> Graph:
-    """The edited graph: the surviving triples in order, then the insertions
-    in triple order, patched onto the graph's tables (see :meth:`Graph.edited`)."""
-    return graph.edited(edits.deletions, sorted(edits.insertions, key=Triple.key))
+    """The edited graph, built from scratch: the triples whose key no
+    deletion has, in order, then the insertions in triple order. The
+    reference the oracles read; a repair check reads the edited graph as a
+    ``GraphPatch`` instead (:func:`is_valid_after`)."""
+    deleted = {t.key() for t in edits.deletions}
+    kept = [t for key, t in zip(graph._keys, graph.triples) if key not in deleted]
+    return Graph((*kept, *sorted(edits.insertions, key=Triple.key)), graph.prefixes)
 
 
 def is_valid_after(
@@ -184,11 +188,10 @@ def is_valid_after(
     :class:`SearchBudgetExceededError`. The fixpoint over ``graph`` is
     computed once per request, under a budget of its own, and no check
     changes it, so the verdict does not depend on the checks made before.
-    Only an accepted set gets the full graph of :func:`apply_edits`: it
-    counts only once :func:`verify_global_typing_witness`, with a certain
-    typing of its own, accepts the decider's witness there; a rejected
-    certificate raises :class:`CertificateError`. The graph's size is not
-    bounded.
+    An accepted set counts only once :func:`verify_global_typing_witness`,
+    with a certain typing of its own, accepts the decider's witness on the
+    same patch; a rejected certificate raises :class:`CertificateError`.
+    No check builds a ``Graph``, and the graph's size is not bounded.
 
     Edit sets that delete a node mentioned by the requested typing fail:
     the request must stay addressable.
@@ -207,9 +210,8 @@ def is_valid_after(
         gtw = incremental.decide(witnesses, typing0, patched, CHECK_BUDGET)
     except ValidationError:
         return False
-    edited = apply_edits(graph, edits)
-    certain = CertainTyping(schema, edited, bag_bound=bag_bound)
-    if not verify_global_typing_witness(gtw, edited, schema, certain, bag_bound=bag_bound):
+    certain = CertainTyping(schema, patched, bag_bound=bag_bound)
+    if not verify_global_typing_witness(gtw, patched, schema, certain, bag_bound=bag_bound):
         raise CertificateError("the witness of an accepted edit set failed verification")
     return True
 

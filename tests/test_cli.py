@@ -508,15 +508,31 @@ def test_repair_of_a_long_chain_checks_few_sets(tmp_path, monkeypatch, capsys):
     # screen leaves 202 checks, the size-0 set and the 201 repairs, where
     # each set was checked before (41,007 checks)
     import shexd.repair
+    from shexd.incremental import GraphPatch
+    from shexd.rdf_graph import Graph
 
-    checks = []
+    checks, verified, built = [], [], []
     real = shexd.repair.is_valid_after
     monkeypatch.setattr(
         shexd.repair, "is_valid_after", lambda *a, **k: checks.append(a) or real(*a, **k)
     )
+    real_verify = shexd.repair.verify_global_typing_witness
+    monkeypatch.setattr(
+        shexd.repair, "verify_global_typing_witness",
+        lambda gtw, graph, *a, **k: verified.append(graph) or real_verify(gtw, graph, *a, **k),
+    )
+    real_init = Graph.__init__
+    monkeypatch.setattr(
+        Graph, "__init__", lambda self, *a, **k: built.append(self) or real_init(self, *a, **k)
+    )
     links = 100
     assert main([*_named_chain_argv(tmp_path, links), "--json"]) == 0
     assert len(checks) <= 2 * links + 10
+    # each accepted set is verified on the patch its check read, over the
+    # parsed graph, the only Graph the search builds
+    assert len(built) == 1
+    assert len(verified) == 2 * links + 1
+    assert all(type(g) is GraphPatch and g.base is built[0] for g in verified)
     out = json.loads(capsys.readouterr().out)
     ex = "http://example.org/"
     names = [f'"name {i}"' for i in range(links)] + ['""']

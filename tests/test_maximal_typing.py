@@ -192,9 +192,10 @@ def fresh_verdict(graph, edits, schema, request):
 def compare_in_either_order(schema, graph, request, sets) -> list | None:
     """Pass ``sets`` through one shared cache, in order and reversed; each
     verdict must be the decider's on the edited graph from scratch. An
-    accepted set's witness is verified by is_valid_after, and must be the
-    one the fresh decision gives. Returns the fresh witnesses, or None when
-    a fresh decision runs out of budget."""
+    accepted set's witness is verified by is_valid_after on the check's
+    patch, must be the one the fresh decision gives, and must verify on the
+    graph apply_edits rebuilds, with a certain typing of its own. Returns
+    the fresh witnesses, or None when a fresh decision runs out of budget."""
     try:
         expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
     except (SearchBudgetExceededError, BagTooLargeError):
@@ -208,6 +209,11 @@ def compare_in_either_order(schema, graph, request, sets) -> list | None:
             if got:
                 patched = incremental.patch(cache, edits.deletions, edits.insertions)
                 assert incremental.decide(cache, request, patched, float("inf")) == want
+    for edits, want in zip(sets, expected):
+        if want is not None:
+            edited = apply_edits(graph, edits)
+            certain = CertainTyping(schema, edited)
+            assert verify_global_typing_witness(want, edited, schema, certain), f"{request}, {edits}"
     return expected
 
 
