@@ -43,7 +43,7 @@ from .rdf_graph import (
     term_key,
     term_to_value,
 )
-from .schema_model import OPEN
+from .schema_model import OPEN, ByConstraint, ShapeRef
 
 
 def triple_edges(t: Triple) -> tuple[Edge, Edge, Value, Value]:
@@ -487,41 +487,61 @@ class Screen:
     """Rejects, without a patch, the edit sets whose check can only return
     the base verdict, in a search whose unedited graph fails the request.
 
-    A set is rejected when (1) no node it touches holds a certain entry, so
-    no certain sign is stale; (2) every pair its check would re-read (the
-    pairs of :func:`_changed_at`) was dead in the base; and (3) none of
-    those pairs has a local witness on the edited graph. Then
-    :meth:`_Delta.run` finds no usable witness and no new pair, revives
-    nothing and keeps the base status of every pair, and its answer fails
-    as the base's did (an update that derives nothing new leaves the
-    materialisation as it was, as in the Backward/Forward algorithm). It
-    reads no witness and re-decides no pair, so the check would be charged
-    nothing against its budget; (2) keeps it so, since dropping a pair
-    alive in the base charges the re-decisions of its requirers. Any other
-    set goes to the full check.
+    The screen reads a set node by node. The *keys* of a node are its base
+    pairs, followed by the certain entries its base decisions settled
+    there (``at_node`` of the recorded certain typing). A key is *changed*
+    at a node the set edits unless the node keeps an edge and the key's
+    shape leaves every edited edge there to the open slot
+    (:func:`open_only`); the changed base pairs are those of
+    :func:`_changed_at`. A set is rejected when, at every node it touches:
+
+    1. every changed base pair was dead in the base;
+    2. the node keeps an edge, unless it holds no certain entry; and every
+       changed certain entry was false in the base;
+    3. no changed key has a local witness on the edited graph.
+
+    Why that is sound. The certain region is acyclic, so its entries can
+    be taken in the order of their labels' dependencies. A base decision
+    at an untouched node reads the same edges and the same targets' values;
+    an unchanged entry at a touched node has the base's witnesses, with
+    the edited edges open; and a changed entry was false and still has no
+    local witness. So, by induction, every sign the base decided holds on
+    the edited graph, and each dropped consumer (below) stays unusable. The
+    readers of stale signs are then not changed, no changed pair has a
+    usable witness or a new need, and :meth:`_Delta.run` revives nothing
+    and keeps the base status of every pair; its answer fails as the
+    base's did (an update that derives nothing new leaves the
+    materialisation as it was, as in the Backward/Forward algorithm). Any
+    other set goes to the full check.
 
     (3) needs no patch. An edge's admitted consumers depend only on its
     directed property and its target's value (:func:`admitted_options`),
-    and a pair has a local witness exactly when :func:`_assignments` yields
+    and a key has a local witness exactly when :func:`_assignments` yields
     over the multiset of its edges' consumer lists, in any order. That
     multiset is the base node's, minus the deleted edges' lists, plus the
     inserted edges' lists; the answer is memoized per label and multiset.
-    When :func:`_assignments` raises (``BagTooLargeError``), the set goes
-    to the full check, which raises it too.
+    Each list also drops a constraint consumer that references a negated
+    label L, with ``@<L>`` or ``!@<L>``, against the sign the base decided
+    for (target, L): such a consumer propagates a fact the unchanged sign
+    contradicts, so no usable witness takes it. A target the base never
+    decided keeps every consumer. (A schema with no negated label filters
+    nothing.) When :func:`_assignments` raises (``BagTooLargeError``), the
+    set goes to the full check.
 
-    So the verdict reads an atom only through its *effect*, computed the
-    first time the atom is seen: None when it touches a node with a certain
-    entry; else, for each of its ends at a node with base pairs, the node,
-    the directed property, whether it inserts, and the id of the end's
-    consumer list for each base label there (memoized by label, directed
-    property and target, which atoms share more often than whole effects).
-    Atoms with equal effects are interchangeable for the screen (as
-    interchangeable values are for a constraint problem: Freuder, AAAI
-    1991), so each set is looked up by its *signature*, the sorted ids of
-    its atoms' effects, and each signature is decided once. A fresh blank
-    is never a node with base pairs, and every fresh blank has the same
-    value, so each renaming of a set's fresh blanks has the set's
-    signature.
+    So the screen reads an atom only through its *effect*, computed the
+    first time the atom is seen: for each of its ends at a node with keys,
+    the node and the end's *kind*. A kind is whether the end inserts, and,
+    for each key at the node, whether its shape leaves the end's directed
+    property to the open slot and the id of the end's consumer list; that
+    is all the rule reads of an end. A set's verdict is the conjunction of
+    its nodes' verdicts, and a node's verdict reads only the node and the
+    sorted kinds of the ends there, so each is decided once (edits that
+    look alike at a node are interchangeable there, as interchangeable
+    values are for a constraint problem: Freuder, AAAI 1991). Each set is
+    first looked up by its *signature*, the sorted ids of its atoms'
+    effects. A fresh blank is never a node with keys, and every fresh blank
+    has the same value and no decided sign, so each renaming of a set's
+    fresh blanks has the set's signature.
     """
 
     def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint, atoms: list, keys: list):
@@ -530,24 +550,70 @@ class Screen:
         self._edge_options = cache._edge_options
         self._atoms = atoms
         self._keys = keys
+        schema = base.schema
+        self._keys_at: dict[str, list[Hypothesis]] = {}  # node -> base pairs, then certain entries
+        for node, found in base.at_node.items():
+            self._keys_at[node] = list(found)
+        for node, found in base.certain.at_node.items():
+            self._keys_at.setdefault(node, []).extend(found)
+        # label -> {constraint id: the (label, negated?) of its negated references}
+        self._negated_refs: dict[str, dict[int, tuple]] = {}
+        for label, shape_def in schema.shapes.items():
+            refs = {}
+            for tc in shape_def.tcs:
+                found = tuple(
+                    (c.label, c.negated) for c in tc.value_class
+                    if isinstance(c, ShapeRef) and c.label in schema.negated_labels
+                )
+                if found:
+                    refs[tc.tc_id] = found
+            if refs:
+                self._negated_refs[label] = refs
         self._dprops: dict[tuple[str, bool], DirectedProperty] = {}
-        # (label, property, inverse?, target key) -> the id of the edge's consumer list
-        self._edge_lists: dict[tuple, int] = {}
-        self._lists: dict[int, list] = {}  # id -> consumer list, kept in the cache's memo
-        self._bags: dict[Hypothesis, dict[int, int]] = {}  # base pair -> its edges' list ids
+        # (label, property, inverse?, target key) -> (open only?, the edge's consumer list id)
+        self._cells: dict[tuple, tuple[bool, int]] = {}
+        self._lists: dict[int, list] = {}  # id -> consumer list
+        self._filtered: dict[tuple, list] = {}  # the lists a decided sign filtered, by content
+        self._bags: dict[Hypothesis, dict[int, int]] = {}  # key -> its base edges' list ids
         self._verdicts: dict[tuple, bool | None] = {}  # (label, multiset) -> has a witness?
-        self._effect_of: dict[int, int | None] = {}  # atom -> the id of its effect
+        self._kind_ids: dict[tuple, int] = {}  # kind -> id
+        self._kinds: list[tuple] = []  # id -> kind
+        self._node_verdicts: dict[tuple, bool] = {}  # (node, sorted kind ids) -> rejects?
+        self._effect_of: dict[int, int] = {}  # atom -> the id of its effect
         # effect -> id; the empty effect, of an atom with no end at a node
-        # with base pairs, is 0 and left out of signatures
+        # with keys, is 0 and left out of signatures
         self._effect_ids: dict[tuple, int] = {(): 0}
         self._effects: list[tuple] = [()]  # id -> effect
         self._rejected: dict[tuple[int, ...], bool] = {}  # signature -> verdict
 
-    def _list_id(self, label: str, dprop: DirectedProperty, value: Value) -> int:
-        edge_options = self._edge_options.setdefault(label, {})
-        opts = admitted_options(dprop, value, self.base.schema.shapes[label], edge_options)
+    def _cell(
+        self, label: str, dprop: DirectedProperty, target: str, value: Value
+    ) -> tuple[bool, int]:
+        """What a key on ``label`` reads of an edge on ``dprop`` to
+        ``target``, which has ``value``: does the shape leave the edge to
+        the open slot, and the id of its filtered consumer list."""
+        base = self.base
+        shape_def = base.schema.shapes[label]
+        opts = admitted_options(dprop, value, shape_def, self._edge_options.setdefault(label, {}))
+        refs = self._negated_refs.get(label)
+        if refs:
+            signs = base.certain._memo
+            kept = [
+                c for c in opts
+                if not isinstance(c, ByConstraint) or not any(
+                    (target, l2) in signs and signs[(target, l2)][0] == negated
+                    for l2, negated in refs.get(c.tc_id, ())
+                )
+            ]
+            if len(kept) < len(opts):
+                opts = self._filtered.setdefault(tuple(kept), kept)
         self._lists[id(opts)] = opts
-        return id(opts)
+        memo = (label, dprop.prop, dprop.inverse)
+        found = base.opens.get(memo)
+        if found is None:
+            found = base.opens[memo] = open_only(shape_def, dprop)
+        cell = self._cells[(label, dprop.prop, dprop.inverse, target)] = (found, id(opts))
+        return cell
 
     def _bag(self, key: Hypothesis) -> dict[int, int]:
         bag = self._bags.get(key)
@@ -555,35 +621,37 @@ class Screen:
             graph, label = self.base.graph, key[1]
             bag = self._bags[key] = {}
             for e in graph.neighbourhood(key[0]):
-                n = self._list_id(label, e.dprop, graph.val(e.target))
-                bag[n] = bag.get(n, 0) + 1
+                cell = self._cells.get((label, e.dprop.prop, e.dprop.inverse, e.target))
+                if cell is None:
+                    cell = self._cell(label, e.dprop, e.target, graph.val(e.target))
+                bag[cell[1]] = bag.get(cell[1], 0) + 1
         return bag
 
-    def _effect(self, i: int) -> int | None:
-        """The id of atom ``i``'s effect; None when it touches a node with
-        a certain entry."""
+    def _effect(self, i: int) -> int:
+        """The id of atom ``i``'s effect."""
         s, p, o = self._keys[i]
-        certain_at, pairs_at = self.base.certain.at_node, self.base.at_node
-        if s in certain_at or o in certain_at:
-            return None
         kind, t = self._atoms[i]
         inserted = kind == "ins"
+        cells_of, kind_ids = self._cells, self._kind_ids
         ends = []
         for node, inverse, target_key, target in ((s, False, o, t.obj), (o, True, s, t.subject)):
-            keys = pairs_at.get(node)
+            keys = self._keys_at.get(node)
             if keys is not None:
                 dprop = self._dprops.get((p, inverse))
                 if dprop is None:
                     dprop = self._dprops[(p, inverse)] = DirectedProperty(p, inverse)
-                lists = []
+                cells = []
                 for _, label in keys:
-                    memo = (label, p, inverse, target_key)  # a key names one term
-                    n = self._edge_lists.get(memo)
-                    if n is None:
-                        value = term_to_value(target)
-                        n = self._edge_lists[memo] = self._list_id(label, dprop, value)
-                    lists.append(n)
-                ends.append((node, dprop, inserted, tuple(lists)))
+                    cell = cells_of.get((label, p, inverse, target_key))  # a key names one term
+                    if cell is None:
+                        cell = self._cell(label, dprop, target_key, term_to_value(target))
+                    cells.append(cell)
+                end = (inserted, tuple(cells))
+                n = kind_ids.get(end)
+                if n is None:
+                    n = kind_ids[end] = len(self._kinds)
+                    self._kinds.append(end)
+                ends.append((node, n))
         effect = tuple(ends)
         n = self._effect_ids.get(effect)
         if n is None:
@@ -591,14 +659,13 @@ class Screen:
             self._effects.append(effect)
         return n
 
-    def _has_witness(self, key: Hypothesis, ends: list) -> bool | None:
-        """Does ``key`` have a local witness once the edits of ``ends``, the
-        effects' ends at its node, are made? None when the search raised."""
+    def _has_witness(self, key: Hypothesis, edits: list[tuple[bool, int]]) -> bool | None:
+        """Does ``key`` have a local witness once the ``edits`` at its node,
+        (inserts?, consumer list id) each, are made? None when the search
+        raised."""
         label = key[1]
-        k = self.base.at_node[key[0]].index(key)  # its list ids' place in an end
         counts = dict(self._bag(key))
-        for _, _, inserted, lists in ends:
-            n = lists[k]
+        for inserted, n in edits:
             count = counts.get(n, 0) + (1 if inserted else -1)
             if count:
                 counts[n] = count
@@ -612,7 +679,7 @@ class Screen:
                 shape_def = self.base.schema.shapes[label]
                 try:
                     found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
-                except ShexdError:  # BagTooLargeError: the full check raises it too
+                except ShexdError:  # BagTooLargeError: left to the full check
                     found = None
             self._verdicts[multiset] = found
         return self._verdicts[multiset]
@@ -622,38 +689,54 @@ class Screen:
         effect_of = self._effect_of
         signature = []
         for i in combo:
-            n = effect_of.get(i, -1)
-            if n == -1:
-                n = effect_of[i] = self._effect(i)
+            n = effect_of.get(i)
             if n is None:
-                return False
+                n = effect_of[i] = self._effect(i)
             if n:
                 signature.append(n)
         signature = tuple(sorted(signature))
         verdict = self._rejected.get(signature)
         if verdict is None:
-            verdict = self._rejected[signature] = self._decide(signature)
+            at: dict[str, list[int]] = {}  # node -> the kinds of the ends there
+            for n in signature:
+                for node, kind in self._effects[n]:
+                    at.setdefault(node, []).append(kind)
+            verdicts = self._node_verdicts
+            verdict = True
+            for node, kinds in at.items():
+                memo = (node, tuple(sorted(kinds)))
+                found = verdicts.get(memo)
+                if found is None:
+                    found = verdicts[memo] = self._node_verdict(*memo)
+                if not found:
+                    verdict = False
+                    break
+            self._rejected[signature] = verdict
         return verdict
 
-    def _decide(self, signature: tuple[int, ...]) -> bool:
-        """:meth:`rejects` for the sets of ``signature``."""
-        at: dict[str, list] = {}  # node with base pairs -> the effect ends there
-        for n in signature:
-            for end in self._effects[n]:
-                at.setdefault(end[0], []).append(end)
+    def _node_verdict(self, node: str, kinds: tuple[int, ...]) -> bool:
+        """May a set whose ends at ``node`` have ``kinds`` be rejected there?"""
         base = self.base
-        graph, support = base.graph, base.support
-        for node, ends in at.items():
-            if not graph.has_node(node):
-                return False  # a requested node that only an edit creates
-            # the node keeps an edge unless the set deletes all of them
-            kept = len(ends) < len(graph.neighbourhood(node)) or any(end[2] for end in ends)
-            changed = _changed_at(base, node, kept, [end[1] for end in ends])
-            for key in changed:
-                if key in support:
+        graph = base.graph
+        if not graph.has_node(node):
+            return False  # a requested node that only an edit creates
+        ends = [self._kinds[n] for n in kinds]
+        # the node keeps an edge unless the set deletes all of them
+        kept = len(ends) < len(graph.neighbourhood(node)) or any(end[0] for end in ends)
+        pairs = len(base.at_node.get(node, ()))
+        changed = []
+        for k, key in enumerate(self._keys_at[node]):
+            if kept and all(cells[k][0] for _, cells in ends):
+                continue  # its witnesses are the base's, with the edited edges open
+            if k < pairs:
+                if key in base.support:
                     return False
-            if kept:  # a stripped node's pairs have no witness
-                for key in changed:
-                    if self._has_witness(key, ends) is not False:
-                        return False
+            elif not kept or base.certain._memo[key][0]:
+                return False
+            changed.append((k, key))
+        if kept:  # a stripped node's pairs have no witness
+            for k, key in changed:
+                edits = [(inserted, cells[k][1]) for inserted, cells in ends]
+                if self._has_witness(key, edits) is not False:
+                    return False
         return True

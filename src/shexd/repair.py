@@ -594,19 +594,33 @@ def enumerate_repairs(
     Once the unedited graph has failed the request, each generated set of
     size one or more meets three filters in turn before its check: the
     screen (``shexd.incremental.Screen``), the relevance test above and
-    the fresh-blank dedupe. A set is rejected by the screen when
-    no node it touches holds a certain-typing entry, every pair its check
-    would re-read was dead in the unedited graph's fixpoint, and none of
-    those pairs has a local witness on the edited graph. Whether a pair has
-    one is read off its edges' consumer lists, which depend only on each
-    edge's directed property and its target's value: the unedited node's
-    lists, minus the deleted edges', plus the inserted edges'. Such a set
-    changes no certain sign and gives no pair a usable witness, so its
-    check would revive nothing, keep the status of every pair, read no
-    local witness and fail as the unedited graph did. Every other set goes
-    on, and so does one whose witness search raises; the screen only ever
-    rejects. It reads a set only through its atoms' effects, and decides
-    each signature (the sorted effect ids of a set's atoms) once.
+    the fresh-blank dedupe. The screen reads a set node by node, over the
+    node's *keys*: its pairs in the unedited graph's fixpoint, then the
+    certain-typing entries decided there. A key is changed unless the node
+    keeps an edge and the key's shape leaves every edited edge to the open
+    slot. A set is rejected when, at each node it touches, every changed
+    pair was dead in the unedited graph's fixpoint, every changed certain
+    entry was false there (and the node keeps an edge, if it holds one),
+    and no changed key has a local witness on the edited graph. Whether a
+    key has one is read off its edges' consumer lists, which depend only
+    on each edge's directed property and its target: the unedited node's
+    lists, minus the deleted edges', plus the inserted edges'. A list
+    drops each constraint consumer that references a negated label
+    against the sign the unedited graph decided for its target. Such a
+    set changes no decided sign (by induction over the acyclic certain
+    region: the entries it touches keep no witness or keep their
+    witnesses, and the others read what they read before), so a dropped
+    consumer stays unusable, no pair gets a usable witness, and the check
+    would revive nothing, keep the status of every pair and fail as the
+    unedited graph did. Every other set goes on, and so does one whose
+    witness search raises; the screen only ever rejects. A rejected set is
+    never charged against ``CHECK_BUDGET``, so a set whose check would
+    have run out of budget (exit 4) is skipped instead. The screen reads
+    an edit only through the *kind* of each of its ends at a node with
+    keys (whether it inserts, and per key whether the shape leaves the
+    edit open and the end's consumer list), decides each node's verdict
+    once per node and sorted kinds, and each set's verdict, their
+    conjunction, once per signature (the sorted effect ids of its atoms).
 
     Running the screen first checks the same sets, in the same order, as
     running it last, and spares the rejected sets the other filters.
@@ -614,13 +628,13 @@ def enumerate_repairs(
     And each filter gives every fresh-blank renaming of a set the same
     answer: fresh blanks are never graph nodes, so the relevance test
     cannot tell them apart; nor can the screen, since a fresh blank never
-    holds base pairs and every fresh blank has the same value; and the
-    dedupe is defined on renaming classes. So within a renaming class the
-    screen passes all sets or none, and the first set that passes the
-    relevance test is the one checked either way. (A request that names a
-    fresh blank's label breaks that symmetry; the CLI rejects requests for
-    nodes the graph does not hold, and no screen runs when the unedited
-    graph lacks a requested node.)
+    holds keys or a decided sign and every fresh blank has the same value;
+    and the dedupe is defined on renaming classes. So within a renaming
+    class the screen passes all sets or none, and the first set that
+    passes the relevance test is the one checked either way. (A request
+    that names a fresh blank's label breaks that symmetry; the CLI rejects
+    requests for nodes the graph does not hold, and no screen runs when
+    the unedited graph lacks a requested node.)
 
     Each set is checked by :func:`is_valid_after`, and all the checks of
     one call share one :class:`LocalWitnessCache`: a pair whose

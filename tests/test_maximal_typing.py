@@ -23,7 +23,7 @@ from shexd.engine import (
     verify_global_typing_witness,
 )
 from shexd.errors import BagTooLargeError, SearchBudgetExceededError, ShexdError, ValidationError
-from shexd.matching import _assignments, admitted_options
+from shexd.matching import _assignments, admitted_options, open_only
 from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_STRING, DirectedProperty, Graph, Iri, Literal, Triple, term_to_value
 from shexd.repair import (
@@ -34,6 +34,7 @@ from shexd.repair import (
     enumerate_repairs,
     is_valid_after,
 )
+from shexd.schema_model import ByConstraint, ShapeRef
 
 from conftest import load_graph, load_schema
 
@@ -297,20 +298,44 @@ def count_witness_tests(monkeypatch) -> list:
     answers = []
     real = incremental.Screen._has_witness
 
-    def recorded(self, key, ends):
-        answers.append(real(self, key, ends))
+    def recorded(self, key, edits):
+        answers.append(real(self, key, edits))
         return answers[-1]
 
     monkeypatch.setattr(incremental.Screen, "_has_witness", recorded)
     return answers
 
 
+def count_node_verdicts(monkeypatch, answers: list) -> list:
+    """Patch the screen to record, for each node verdict it decides, how
+    many witness tests (``answers``, of :func:`count_witness_tests`) it
+    ran."""
+    tests = []
+    real = incremental.Screen._node_verdict
+
+    def recorded(self, node, kinds):
+        before = len(answers)
+        verdict = real(self, node, kinds)
+        tests.append(len(answers) - before)
+        return verdict
+
+    monkeypatch.setattr(incremental.Screen, "_node_verdict", recorded)
+    return tests
+
+
+def touches(atom, nodes) -> bool:
+    s, _, o = atom[1].key()
+    return s in nodes or o in nodes
+
+
 def test_screened_sets_fail_the_full_check(monkeypatch):
-    # the sets of one or two edits of the differential test above: each set
-    # the screen rejects must fail is_valid_after, and the reference check
+    # the sets of one or two edits of the differential test above, and sets
+    # drawn from the atoms at nodes with certain entries: each set the
+    # screen rejects must fail is_valid_after, and the reference check
     # within its bounds
     answers = count_witness_tests(monkeypatch)
-    rejected = confirmed = 0
+    verdicts = count_node_verdicts(monkeypatch, answers)
+    rejected = confirmed = at_certain = 0
     for seed in range(3_000):
         rng = random.Random(seed)
         schema, graph, typing0 = random_instance(rng)
@@ -324,13 +349,16 @@ def test_screened_sets_fail_the_full_check(monkeypatch):
                 continue
             cache, atoms, screen = state
             requested = {node for node, _, _ in request}
-            near = [i for i, (_, t) in enumerate(atoms)
-                    if requested & {t.key()[0], t.key()[2]}]
-            for pool in [range(len(atoms))] * 5 + [near or range(len(atoms))] * 5:
+            near = [i for i, atom in enumerate(atoms) if touches(atom, requested)]
+            certain_at = screen.base.certain.at_node
+            certain = [i for i, atom in enumerate(atoms) if touches(atom, certain_at)]
+            pools = [range(len(atoms))] * 5 + [near or range(len(atoms))] * 5
+            for pool in pools + [certain] * 5 * bool(certain):
                 combo = tuple(sorted(rng.sample(pool, min(len(pool), rng.randint(1, 2)))))
                 if not screen.rejects(combo):
                     continue
                 rejected += 1
+                at_certain += any(touches(atoms[i], certain_at) for i in combo)
                 edits = _edit_set(atoms[i] for i in combo)
                 assert not is_valid_after(graph, edits, schema, request, witnesses=cache), (
                     f"seed {seed}, {request}, {edits}"
@@ -342,19 +370,25 @@ def test_screened_sets_fail_the_full_check(monkeypatch):
                 except (SearchBudgetExceededError, BagTooLargeError):
                     continue
                 confirmed += 1
-    tested = sum(answer is False for answer in answers)
-    # 22,936 rejected sets, all of them within the reference bounds; 7,209
-    # witness tests that rejected (7,913 when each set was decided alone,
-    # not once per signature)
-    assert confirmed >= 20_000 and tested >= 7_000, (rejected, confirmed, tested)
+    tested = sum(count > 0 for count in verdicts)
+    # 27,899 rejected sets, all of them within the reference bounds; 25,788
+    # of them from the first ten pools (22,936 when no set that touched a
+    # node with a certain entry was screened). 4,963 touch such a node.
+    # 8,090 node verdicts ran a witness test (7,209 witness tests that
+    # rejected when each signature was decided whole)
+    assert confirmed >= 27_500 and at_certain >= 4_900 and tested >= 8_000, (
+        rejected, confirmed, at_certain, tested
+    )
 
 
 def test_screened_chain_sets_fail_the_full_check(monkeypatch):
     # every one-edit set of an invalid 100-link chain: past the reference
     # validator's node bound, so is_valid_after alone decides them
     answers = count_witness_tests(monkeypatch)
+    verdicts = count_node_verdicts(monkeypatch, answers)
+    links = 100
     schema = parse_schema(CHAIN_SCHEMA)
-    graph = chain_graph(101, False)
+    graph = chain_graph(links + 1, False)
     request = [(EX + "n0", "P", "+")]
     cache, atoms, screen = searched(schema, graph, request, max_edits=1)
     checked = []
@@ -365,11 +399,13 @@ def test_screened_chain_sets_fail_the_full_check(monkeypatch):
         else:
             checked.append(i)
     # 201 of the 41,006 sets are left to the full check. The 40,805 others
-    # are rejected by 20,704 witness tests, one per signature: the ex:name
-    # insertions of a literal at one node share one effect, whatever the
-    # literal (40,805 tests when each set was decided alone)
-    assert len(checked) <= 2 * 100 + 10, len(checked)
-    assert sum(answer is False for answer in answers) == 20_704
+    # are rejected by 604 witness tests, one per node and kinds of the
+    # ends there: an insertion at a link reads the same there whichever
+    # node it points to (20,704 tests when each signature was decided
+    # whole, 40,805 when each set was decided alone)
+    assert len(checked) <= 2 * links + 10, len(checked)
+    assert sum(answer is False for answer in answers) == 604
+    assert len(verdicts) <= 10 * links, len(verdicts)
 
 
 def test_a_screen_whose_search_raises_leaves_the_set_to_the_check(monkeypatch):
@@ -387,44 +423,69 @@ def test_a_screen_whose_search_raises_leaves_the_set_to_the_check(monkeypatch):
 
 def rejects_alone(screen, atoms, combo) -> bool:
     """The screen's rule applied to one edit set from its atoms, with no
-    effect, signature or verdict memo: the oracle of the memoized screen."""
+    effect, kind, signature or verdict memo: the oracle of the memoized
+    screen."""
     base = screen.base
-    certain_at, graph = base.certain.at_node, base.graph
-    at = {}  # node with base pairs -> (directed property, inserts?, target value)
+    certain, graph, shapes = base.certain, base.graph, base.schema.shapes
+    at = {}  # node with keys -> (directed property, inserts?, target key, target value)
     for i in combo:
         kind, t = atoms[i]
         s, p, o = t.key()
-        if s in certain_at or o in certain_at:
-            return False
-        for node, inverse, target in ((s, False, t.obj), (o, True, t.subject)):
-            if node in base.at_node:
-                end = (DirectedProperty(p, inverse), kind == "ins", term_to_value(target))
+        for node, inverse, target_key, target in ((s, False, o, t.obj), (o, True, s, t.subject)):
+            if node in base.at_node or node in certain.at_node:
+                end = (DirectedProperty(p, inverse), kind == "ins", target_key, term_to_value(target))
                 at.setdefault(node, []).append(end)
     for node, ends in at.items():
         if not graph.has_node(node):
             return False
         kept = len(ends) < len(graph.neighbourhood(node)) or any(end[1] for end in ends)
-        changed = incremental._changed_at(base, node, kept, [end[0] for end in ends])
-        if any(key in base.support for key in changed):
+        pairs = incremental._changed_at(base, node, kept, [end[0] for end in ends])
+        entries = [
+            key for key in certain.at_node.get(node, ())
+            if not kept or not all(open_only(shapes[key[1]], end[0]) for end in ends)
+        ]
+        if any(key in base.support for key in pairs):
+            return False
+        if entries and (not kept or any(certain._memo[key][0] for key in entries)):
             return False
         if kept and any(
-            witness_after(base, key, ends, screen.bag_bound) is not False for key in changed
+            witness_after(base, key, ends, screen.bag_bound) is not False
+            for key in pairs + entries
         ):
             return False
     return True
 
 
+def usable_options(base, label, dprop, target, value) -> list:
+    """The admitted consumers of an edge on ``dprop`` to ``target`` less
+    those that propagate a fact on a negated label against the sign the
+    base decided for it."""
+    schema, signs = base.schema, base.certain._memo
+    shape_def = schema.shapes[label]
+    out = []
+    for consumer in admitted_options(dprop, value, shape_def, {}):
+        if isinstance(consumer, ByConstraint) and any(
+            isinstance(conj, ShapeRef) and conj.label in schema.negated_labels
+            and signs.get((target, conj.label), (None,))[0] == conj.negated
+            for conj in shape_def.tc_by_id[consumer.tc_id].value_class
+        ):
+            continue
+        out.append(consumer)
+    return out
+
+
 def witness_after(base, key, ends, bag_bound) -> bool | None:
     """Has ``key`` a local witness once ``ends`` are edited at its node?
-    Read off its edges' consumer lists; None when the search raises."""
+    Read off its edges' usable consumer lists; None when the search
+    raises."""
     node, label = key
-    shape_def, graph, memo = base.schema.shapes[label], base.graph, {}
+    shape_def, graph = base.schema.shapes[label], base.graph
     options = [
-        admitted_options(e.dprop, graph.val(e.target), shape_def, memo)
+        usable_options(base, label, e.dprop, e.target, graph.val(e.target))
         for e in graph.neighbourhood(node)
     ]
-    for dprop, inserted, value in ends:
-        edited = admitted_options(dprop, value, shape_def, memo)
+    for dprop, inserted, target, value in ends:
+        edited = usable_options(base, label, dprop, target, value)
         if inserted:
             options.append(edited)
         else:
@@ -471,7 +532,9 @@ def test_memoized_screen_matches_a_per_set_screen_on_random_instances():
             combos = [(i,) for i in range(len(atoms))] + list(itertools.combinations(near, 2))
             counted = assert_memo_agrees(screen, atoms, combos)
             sets, rejected = sets + counted[0], rejected + counted[1]
-    assert (sets, rejected) == (115_125, 89_164)
+    # 89,164 rejected when no set that touched a node with a certain entry
+    # was screened
+    assert (sets, rejected) == (115_125, 103_338)
 
 
 @pytest.mark.parametrize("schema_name, data, node, shape, max_edits", [
@@ -489,3 +552,21 @@ def test_memoized_screen_matches_a_per_set_screen_on_the_benchmark_requests(
         itertools.combinations(range(len(atoms)), size) for size in range(1, max_edits + 1)
     )
     assert assert_memo_agrees(screen, atoms, combos)[1] > 0
+
+
+def test_a_schema_without_negation_filters_no_consumer_list():
+    # boolean.shex has no negated label, so no consumer list is filtered by
+    # a decided sign, and the screen of its two-edit search builds none;
+    # the issue schema's one-edit search filters some
+    built = {}
+    for schema_name, data, node, shape, max_edits in [
+        ("boolean.shex", "boolean.ttl", "term", "Term", 2),
+        ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1),
+    ]:
+        schema, graph = load_schema(schema_name), load_graph(data)
+        _, atoms, screen = searched(schema, graph, [(EX + node, shape, "+")], max_edits)
+        for size in range(1, max_edits + 1):
+            for combo in itertools.combinations(range(len(atoms)), size):
+                screen.rejects(combo)
+        built[schema_name] = len(screen._filtered)
+    assert built["boolean.shex"] == 0 and built["issues.shex"] > 0, built

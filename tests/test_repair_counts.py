@@ -1,4 +1,5 @@
-"""Work counters of the three benchmark repair requests, run through the CLI.
+"""Work counters of the three benchmark repair requests and of a two-edit
+request on the issue example, run through the CLI.
 
 A repair check reads the edited graph as a patch of the request's graph and
 verifies an accepted set's certificate on that patch; bag verdicts are
@@ -20,43 +21,72 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
+NAMELESS = "repairing.ttl without ex:emma's foaf:name"
 
 # (schema, data, node, shape, --max-edits, checks, screened sets); before
 # the screen every set that passed the relevance test and the fresh-blank
 # dedupe was checked (231 / 41 / 1,051 checks). The screen now runs before
 # both, so it rejects sets that would have failed the test or been
 # deduped too: 2,268 on the two-edit request, where it rejected 1,046 when
-# it ran last.
+# it ran last. On repairing.ttl the screen now also rejects sets that edit
+# at a node with certain entries (99 checks and 132 screened sets when it
+# left every such set to the check). The last request is repairing.ttl
+# without ex:emma's foaf:name (``NAMELESS``) at two edits, which made
+# 17,221 checks while the screen passed those sets.
 REQUESTS = [
-    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 99, 132),
+    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 3, 228),
     ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 40),
     ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 2_268),
+    ("issues.shex", NAMELESS, "issue", "IssueShape", 2, 417, 80_228),
 ]
-# The three requests made 90 to 100 interval computations over hash seeds
-# 0-15 and 123 (3,513 to 3,706 when each check rebuilt the graph and
-# re-derived every bag).
-INTERVAL_BOUND = 120
+# The screen's node verdicts and witness tests per request: a set's verdict
+# is the conjunction of its nodes' verdicts, each decided once per node and
+# kinds of the ends there (on boolean at two edits the screen decided 408
+# signatures whole, with as many witness tests at most)
+SCREEN_WORK = [(16, 12), (15, 12), (97, 89), (82, 73)]
+# The first three requests made 68 interval computations under each hash
+# seed of 0-15 and 123 (90 to 100 when the screen left every set that edits
+# at a node with certain entries to the check, 3,513 to 3,706 when each
+# check rebuilt the graph and re-derived every bag).
+INTERVAL_BOUND = 80
 # Repair checks decide by the maximal typing and read local witnesses through
 # one cache per request, so a pair is enumerated again only when an edit set
 # changes its neighbourhood, and an edge is matched once per shape, directed
 # property and target value, and only while the edges before it in its
 # neighbourhood have a consumer left; an admitted constraint consumer is
-# matched once, not again for the per-edge check: the three requests make 188
-# edge matches under every hash seed (304 when each consumer was matched twice
-# and every edge of a neighbourhood was matched; 23,994 to 24,873 over seeds
-# 0, 7 and 123 when each check ran the reference validator on the whole
-# candidate product).
+# matched once, not again for the per-edge check: the first three requests
+# make 188 edge matches under every hash seed (304 when each consumer was
+# matched twice and every edge of a neighbourhood was matched; 23,994 to
+# 24,873 over seeds 0, 7 and 123 when each check ran the reference validator
+# on the whole candidate product).
 EDGE_MATCH_BOUND = 250
 
 
+def data_file(name: str, workdir: Path) -> Path:
+    """A file of ``tests/data``, or for ``NAMELESS`` repairing.ttl with
+    ex:emma's foaf:name taken out, written to ``workdir``."""
+    from conftest import DATA
+
+    if name != NAMELESS:
+        return DATA / name
+    text = (DATA / "repairing.ttl").read_text(encoding="utf-8")
+    named = 'ex:emma foaf:name "Emma" ; '
+    assert named in text
+    path = workdir / "repairing-nameless.ttl"
+    path.write_text(text.replace(named, "ex:emma "), encoding="utf-8")
+    return path
+
+
 def count_repair_work() -> list[dict[str, int]]:
-    """Graph builds, interval computations, edge matches, repair checks and
-    screened sets per request."""
+    """Graph builds, interval computations, edge matches, repair checks,
+    screened sets, and the screen's node verdicts and witness tests per
+    request."""
     import shexd.incremental
     import shexd.matching
     import shexd.rdf_graph
@@ -65,7 +95,8 @@ def count_repair_work() -> list[dict[str, int]]:
 
     from conftest import DATA, EX
 
-    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0}
+    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0,
+              "verdicts": 0, "witness_tests": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -86,19 +117,23 @@ def count_repair_work() -> list[dict[str, int]]:
         (shexd.matching, "edge_matches", "edge_matches", counted),
         (shexd.repair, "is_valid_after", "checks", counted),
         (shexd.incremental.Screen, "rejects", "screened", screened),
+        (shexd.incremental.Screen, "_node_verdict", "verdicts", counted),
+        (shexd.incremental.Screen, "_has_witness", "witness_tests", counted),
     ]
     originals = [getattr(owner, attr) for owner, attr, _, _ in patches]
     out = []
     try:
         for (owner, attr, name, wrap), original in zip(patches, originals):
             setattr(owner, attr, wrap(name, original))
-        for schema, data, node, shape, max_edits, *_ in REQUESTS:
-            counts.update(dict.fromkeys(counts, 0))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["repair", "--schema", str(DATA / schema), "--data", str(DATA / data),
-                             "--node", EX + node, "--shape", shape,
-                             "--max-edits", str(max_edits), "--json"])
-            out.append({"code": code, **counts})
+        with tempfile.TemporaryDirectory() as workdir:
+            for schema, data, node, shape, max_edits, *_ in REQUESTS:
+                path = data_file(data, Path(workdir))
+                counts.update(dict.fromkeys(counts, 0))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["repair", "--schema", str(DATA / schema), "--data", str(path),
+                                 "--node", EX + node, "--shape", shape,
+                                 "--max-edits", str(max_edits), "--json"])
+                out.append({"code": code, **counts})
     finally:
         for (owner, attr, _, _), original in zip(patches, originals):
             setattr(owner, attr, original)
@@ -116,13 +151,14 @@ def test_repair_request_work_bounds(seed):
     )
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stdout)
-    assert [c["code"] for c in counts] == [0, 1, 0]
+    assert [c["code"] for c in counts] == [0, 1, 0, 0]
     assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
     assert [c["screened"] for c in counts] == [screened for *_, screened in REQUESTS]
+    assert [(c["verdicts"], c["witness_tests"]) for c in counts] == SCREEN_WORK
     # the counter wraps Graph.__init__, the only routine that builds a Graph,
     # so it sees every Graph a search makes: the parsed one. When accepted
     # sets were verified on a copied graph, that copy bypassed __init__, and
     # the first and third requests made 2 and 4 graphs more than counted
-    assert [c["graphs"] for c in counts] == [1, 1, 1]
-    assert sum(c["intervals"] for c in counts) <= INTERVAL_BOUND
-    assert sum(c["edge_matches"] for c in counts) <= EDGE_MATCH_BOUND
+    assert [c["graphs"] for c in counts] == [1, 1, 1, 1]
+    assert sum(c["intervals"] for c in counts[:3]) <= INTERVAL_BOUND
+    assert sum(c["edge_matches"] for c in counts[:3]) <= EDGE_MATCH_BOUND
