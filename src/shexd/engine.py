@@ -1,18 +1,21 @@
 """Validation engine: certain typing, flooding with backtracking, a decider
-by the maximal typing with a local-witness cache, a witness verifier, and an
-exhaustive reference validator used as the oracle.
+by one stratified fixpoint with a local-witness cache, a witness verifier,
+and an exhaustive reference validator used as the oracle.
 
 A run answers "can the requested typing be extended to a global typing
 witness?", i.e. a consistent set of signed (node, shape) facts plus one local
 witness per positive fact, closed under propagation, with negative facts
 certified and EXTRA consumption genuinely violating the bypassed constraints.
+The decider settles the certain region as the lower strata of its own
+fixpoint; :class:`CertainTyping` is the independent certain typing that the
+flooding, the verifier and the reference validator read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     IncompatibleInitialTypingError,
@@ -99,30 +102,18 @@ class CertainTyping:
     decisions on labels that actually occur negated are exposed as the
     certain typing; the rest of the region backs them internally. The
     negated labels and the region are read off the schema, which derives
-    them once.
-
-    ``witnesses`` maps (node, label) to that pair's local witnesses, each
-    with its propagation, in :func:`local_witnesses` order; by default they
-    are enumerated lazily, one at a time, until a decision is reached.
+    them once. Local witnesses are enumerated lazily, one at a time, until
+    a decision is reached. The decider settles the same region itself
+    (:class:`_Fixpoint`), and this class is the oracle it is tested against.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        graph: Graph,
-        *,
-        bag_bound: int = DEFAULT_BAG_BOUND,
-        witnesses: Callable[[str, str], Iterable[tuple[dict, Iterable[TypingEntry]]]] | None = None,
-    ):
+    def __init__(self, schema: Schema, graph: Graph, *, bag_bound: int = DEFAULT_BAG_BOUND):
         ensure_well_defined(schema)
         self.schema = schema
         self.graph = graph
         self.bag_bound = bag_bound
         self.negated = schema.negated_labels
         self.region = schema.certain_region
-        # None reads _local_witnesses; that bound method, kept here, would
-        # make a reference cycle that holds the graph until a collection
-        self._witnesses = witnesses
         self._memo: dict[Hypothesis, tuple[bool, dict | None]] = {}
 
     def _local_witnesses(self, node: str, label: str):
@@ -150,7 +141,7 @@ class CertainTyping:
         return self._memo[(node, label)][1]
 
     def _decide(self, node: str, label: str) -> tuple[bool, dict | None]:
-        for cand, prop in (self._witnesses or self._local_witnesses)(node, label):
+        for cand, prop in self._local_witnesses(node, label):
             if all(self.sign(n2, l2) == (s2 == "+") for n2, l2, s2 in prop) and check_gtw_extra(
                 self.schema, label, cand, self, self.graph
             ):
@@ -541,8 +532,8 @@ def _certain_entries_for(
 # --- the maximal typing ---------------------------------------------------------
 
 # One local witness, kept compactly: its consumers in neighbourhood order, its
-# propagation (sorted), the positive needs on labels that are not negated, and
-# the positions of its EXTRA-consumed edges.
+# propagation (sorted), the positive needs on labels outside the certain
+# region, and the positions of its EXTRA-consumed edges.
 CompactWitness = tuple[tuple, tuple[TypingEntry, ...], tuple[Hypothesis, ...], tuple[int, ...]]
 
 
@@ -593,9 +584,9 @@ class WitnessReader:
 
     Every read is charged the pair's full list, whether it was cached or
     not, so an answer never depends on what is cached; a read past the
-    budget raises :class:`SearchBudgetExceededError`. A reader is also a
-    witness source for :class:`CertainTyping`. It holds the cache's tables,
-    not the cache, so a cache that keeps a reader makes no reference cycle.
+    budget raises :class:`SearchBudgetExceededError`. It holds the cache's
+    tables, not the cache, so a cache that keeps a reader makes no reference
+    cycle.
     """
 
     def __init__(self, cache: LocalWitnessCache, graph: Graph, budget: float):
@@ -641,7 +632,7 @@ class WitnessReader:
                 prop,
                 tuple(
                     (n, l) for n, l, sign in prop
-                    if sign == "+" and l not in schema.negated_labels
+                    if sign == "+" and l not in schema.certain_region
                 ),
                 tuple(i for i, c in enumerate(consumers) if isinstance(c, ExtraSlot)),
             ))
@@ -651,15 +642,11 @@ class WitnessReader:
         """The witness dict of ``consumers`` at ``node``."""
         return dict(zip((e.id for e in self.graph.neighbourhood(node)), consumers))
 
-    def __call__(self, node: str, label: str):
-        found = self.compact(node, label)
-        return ((self.witness(node, w[0]), w[1]) for w in found)
 
-
-def _requested(entries: Iterable[TypingEntry], certain: CertainTyping) -> list[Hypothesis]:
-    """The requested pairs the fixpoint decides: positive, on labels that
-    are not negated, sorted."""
-    return sorted({(n, s) for n, s, sign in entries if sign == "+" and s not in certain.negated})
+def _requested(entries: Iterable[TypingEntry], region: frozenset[str]) -> list[Hypothesis]:
+    """The requested pairs of the upper stratum: positive, on labels
+    outside the certain ``region``, sorted."""
+    return sorted({(n, s) for n, s, sign in entries if sign == "+" and s not in region})
 
 
 def _support(witnesses: list[CompactWitness], start: int, alive) -> int | None:
@@ -675,27 +662,95 @@ def _support(witnesses: list[CompactWitness], start: int, alive) -> int | None:
 
 
 class _Fixpoint:
-    """The maximal typing of a graph over the pairs reachable from a request.
+    """The maximal typing of a graph over the pairs reachable from a
+    request, with the certain typing of the graph as its lower strata
+    (stratified negation: Apt, Blair and Walker, 1988).
 
-    ``usable`` maps each pair read to its usable local witnesses: those that
-    pass :func:`_compatible_with_certain` and :func:`check_gtw_extra`, in
-    :func:`local_witnesses` order. ``requirers`` maps a pair to the pairs
-    with a usable witness that needs it, and ``support`` maps each alive
-    pair to its support: the index of its first usable witness whose needs
-    are all alive. A pair without a support is dead.
+    The lower strata are the entries on labels of the schema's certain
+    region, which is acyclic. Each is decided when first asked for
+    (:meth:`sign`), as :class:`CertainTyping` decides it, and ``signs`` maps
+    it to the consumers of its first usable local witness, or to None when
+    it has none. ``decided_at`` lists the entries decided at each node, and
+    ``readers`` maps an entry to the entries and pairs whose read asked for
+    its sign. The fixpoint answers ``is_negated_label``, ``sign`` and
+    ``witness`` as :class:`CertainTyping` does, so :func:`check_gtw_extra`,
+    the request's signs and :func:`copy_proof` read it in its place.
+
+    The upper stratum holds the pairs on the other labels. ``usable`` maps
+    each pair read to its usable local witnesses, in :func:`local_witnesses`
+    order. ``requirers`` maps a pair to the pairs with a usable witness that
+    needs it, and ``support`` maps each alive pair to its support: the index
+    of its first usable witness whose needs are all alive. A pair without a
+    support is dead.
+
+    One rule serves both strata: a witness is usable when its facts on
+    region labels agree with their signs and its EXTRA edges pass
+    :func:`check_gtw_extra`.
     """
 
-    def __init__(self, schema, graph, certain, witnesses):
+    def __init__(self, schema: Schema, witnesses: WitnessReader):
+        ensure_well_defined(schema)
         self.schema = schema
-        self.graph = graph
-        self.certain = certain
+        self.graph = witnesses.graph
         self.witnesses = witnesses
+        self.region = schema.certain_region
+        self.signs: dict[Hypothesis, tuple | None] = {}
+        self.decided_at: dict[str, list[Hypothesis]] = {}
+        self.readers: dict[Hypothesis, set[Hypothesis]] = {}
+        self.asking: Hypothesis | None = None  # the entry or pair being read
         self.requested: list[Hypothesis] = []
         self.usable: dict[Hypothesis, list[CompactWitness]] = {}
         self.requirers: dict[Hypothesis, list[Hypothesis]] = {}
         self.support: dict[Hypothesis, int] = {}
         self.sizes: dict[Hypothesis, int] = {}  # local witnesses read per pair
         self.at_node: dict[str, list[Hypothesis]] = {}  # the pairs read, by node
+
+    # The lower strata.
+
+    def is_negated_label(self, label: str) -> bool:
+        return label in self.schema.negated_labels
+
+    def sign(self, node: str, label: str) -> bool:
+        """True when (node, label) certainly holds; label must be in the region."""
+        key = (node, label)
+        if self.asking is not None:
+            self.readers.setdefault(key, set()).add(self.asking)
+        if key in self.signs:
+            return self.signs[key] is not None
+        return self.decide(key) is not None
+
+    def witness(self, node: str, label: str) -> dict:
+        if not self.sign(node, label):
+            raise KeyError(f"({node}, {label}) is certainly unsatisfied")
+        return self.witnesses.witness(node, self.signs[(node, label)])
+
+    def decide(self, key: Hypothesis) -> tuple | None:
+        """Decide the entry ``key``: the consumers of its first usable
+        local witness, or None."""
+        node, label = key
+        asking, self.asking = self.asking, key
+        found = None
+        for cand in self.witnesses.compact(node, label):
+            if self.passes(node, label, cand):
+                found = cand[0]
+                break
+        self.asking = asking
+        self.signs[key] = found
+        self.decided_at.setdefault(node, []).append(key)
+        return found
+
+    def passes(self, node: str, label: str, cand: CompactWitness) -> bool:
+        """Is ``cand``, a local witness of (node, label), usable?"""
+        consumers, prop, _, extras = cand
+        region = self.region
+        for n, l, sign in prop:
+            if l in region and self.sign(n, l) != (sign == "+"):
+                return False
+        if not extras:
+            return True
+        edges = self.graph.neighbourhood(node)
+        extra = {edges[i].id: consumers[i] for i in extras}
+        return check_gtw_extra(self.schema, label, extra, self, self.graph)
 
     # The tables as a check sees them; a _Delta reads through to its base.
 
@@ -735,23 +790,13 @@ class _Fixpoint:
     def read(self, key: Hypothesis) -> list[CompactWitness]:
         """The usable local witnesses of ``key``."""
         node, label = key
-        graph = self.graph
-        if not graph.has_node(node):
+        if not self.graph.has_node(node):
             return []  # a requested node that only an edit creates
-        certain = self.certain
         found = self.witnesses.compact(node, label)
         self.sizes[key] = len(found)
-        out = []
-        for cand in found:
-            consumers, prop, needs, extras = cand
-            if not _compatible_with_certain(prop, certain):
-                continue
-            if extras:
-                edges = graph.neighbourhood(node)
-                extra = {edges[i].id: consumers[i] for i in extras}
-                if not check_gtw_extra(self.schema, label, extra, certain, graph):
-                    continue
-            out.append(cand)
+        self.asking = key
+        out = [cand for cand in found if self.passes(node, label, cand)]
+        self.asking = None
         return out
 
     def explore(self, keys: Iterable[Hypothesis]) -> list[Hypothesis]:
@@ -800,9 +845,16 @@ class _Fixpoint:
 
     def answer(self, entries: list[TypingEntry], requested: list[Hypothesis]) -> GlobalTypingWitness:
         """The witness of the request, from the request outwards, each pair
-        on its first surviving witness, with the certain proofs copied as
-        :func:`flooding_validation` copies them; or fail."""
-        missing = [(n, s, "+") for n, s in requested if self.support_of((n, s)) is None]
+        on its first surviving witness, with the proof of every positive
+        fact on a region label copied as :func:`flooding_validation` copies
+        the certain proofs; or fail. A requested positive on a region label
+        is settled by its sign."""
+        region = self.region
+        missing = sorted(
+            (n, s, "+") for n, s, sign in entries if sign == "+" and not (
+                self.sign(n, s) if s in region else self.support_of((n, s)) is not None
+            )
+        )
         if missing:
             raise ValidationError(
                 "no global typing witness extends the requested typing", failed=missing
@@ -816,10 +868,9 @@ class _Fixpoint:
             tuc.lw_hyp[key] = self.witness_of(key, consumers)
             tuc.typing_hyp.update(dict.fromkeys(prop))
             order.extend(needs)
-        certain = self.certain
         for n, s, sign in sorted(tuc.typing_hyp):
-            if sign == "+" and certain.is_negated_label(s) and certain.sign(n, s):
-                copy_proof(n, s, certain, tuc, self.graph, self.schema)
+            if sign == "+" and s in region:
+                copy_proof(n, s, self, tuc, self.graph, self.schema)
         return GlobalTypingWitness(frozenset(tuc.typing_hyp), dict(tuc.lw_hyp))
 
 
@@ -828,38 +879,38 @@ def maximal_typing_validation(
     graph: Graph,
     typing0: Iterable[TypingEntry],
     *,
-    certain: CertainTyping | None = None,
     witnesses: WitnessReader | None = None,
     bag_bound: int = DEFAULT_BAG_BOUND,
 ) -> GlobalTypingWitness:
-    """Decide the request by the maximal typing; return its witness or fail.
+    """Decide the request by one stratified fixpoint; return its witness or
+    fail.
 
-    The schema is stratified: the certain typing settles every label that
-    occurs negated, and the EXTRA check and negative facts read only those.
-    So the valid positive facts on the other labels are closed under union,
-    and they form one greatest fixpoint over the (node, label) pairs
-    reachable from the request. Each such pair starts alive. A pair is
-    dropped when none of its local witnesses (in :func:`local_witnesses`
-    order) passes :func:`_compatible_with_certain` and
-    :func:`check_gtw_extra` and has every positive need on a label that is
-    not negated still alive. Requested entries on negated labels are
-    settled by the certain typing. The verdict and the witness do not
-    depend on the order of the drops.
+    The schema is stratified: the labels of the certain region, every label
+    reachable from one that occurs negated, form an acyclic region, and the
+    EXTRA check and negative facts read only those. So the region's entries
+    each have a unique answer, decided on demand as the lower strata of
+    :class:`_Fixpoint`, and the valid positive facts on the other labels
+    are closed under union: they form one greatest fixpoint over the
+    (node, label) pairs reachable from the request. Each such pair starts
+    alive. A pair is dropped when none of its local witnesses (in
+    :func:`local_witnesses` order) has its facts on region labels agree
+    with their signs, passes :func:`check_gtw_extra` and has every positive
+    need outside the region still alive. Requested entries on region labels
+    are settled by their signs. The verdict and the witness do not depend on
+    the order of the drops.
 
     On acceptance the witness takes, from the request outwards, the first
-    surviving local witness of each pair, and copies the certain proofs as
-    :func:`flooding_validation` does. This is the from-scratch entry into
-    the fixpoint code that repair checks run as a delta
-    (:func:`shexd.incremental.decide`).
+    surviving local witness of each pair, and copies the proofs of the
+    positive region facts as :func:`flooding_validation` copies the certain
+    proofs. This is the from-scratch entry into the fixpoint code that
+    repair checks run as a delta (:func:`shexd.incremental.decide`).
     """
     if witnesses is None:
         witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound).reader(graph)
-    if certain is None:
-        certain = CertainTyping(schema, graph, bag_bound=bag_bound, witnesses=witnesses)
+    fixpoint = _Fixpoint(schema, witnesses)
     entries = check_request(typing0, graph, schema)
-    _check_request_signs(entries, certain)
-    fixpoint = _Fixpoint(schema, graph, certain, witnesses)
-    requested = _requested(entries, certain)
+    _check_request_signs(entries, fixpoint)
+    requested = _requested(entries, schema.certain_region)
     fixpoint.run(requested)
     return fixpoint.answer(entries, requested)
 

@@ -4,10 +4,11 @@ A repair search asks, for thousands of small edit sets, whether one request
 holds on the edited graph. The request's fixpoint over the unedited graph is
 computed once (:func:`decide` keeps it in the search's
 :class:`LocalWitnessCache`), and each edit set is decided by re-deciding
-only the (node, label) pairs and certain signs its edits can change, in the
-manner of DRed (Gupta, Mumick and Subrahmanian, "Maintaining Views
-Incrementally", SIGMOD 1993) and of the Backward/Forward algorithm (Motik,
-Nenov, Piro and Horrocks, AAAI 2015). The edited graph is read as a
+only the (node, label) pairs, and the certain signs of the fixpoint's lower
+strata, that its edits can change, in the manner of DRed (Gupta, Mumick
+and Subrahmanian, "Maintaining Views Incrementally", SIGMOD 1993) and of
+the Backward/Forward algorithm (Motik, Nenov, Piro and Horrocks, AAAI
+2015). The edited graph is read as a
 :class:`GraphPatch` of the base graph's tables. ``repair.is_valid_after``
 loads this module on its first check, so ``import shexd`` does not compile
 it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .engine import (
-    CertainTyping,
     CompactWitness,
     GlobalTypingWitness,
     Hypothesis,
@@ -197,12 +197,8 @@ def decide(
         for node, _, _ in base.entries:
             if not graph.has_node(node):
                 raise UnknownNodeError(f"requested node {node!r} is not in the graph")
-    witnesses = cache.reader(graph, budget)
-    certain = base.certain
-    if certain.region:  # else no sign is ever decided
-        certain = _PatchedCertainTyping(certain, graph, witnesses)
-    _check_request_signs(base.entries, certain)
-    delta = _Delta(base, graph, certain, witnesses)
+    delta = _Delta(base, cache.reader(graph, budget))
+    _check_request_signs(base.entries, delta)
     delta.run()
     return delta.answer(base.entries, base.requested)
 
@@ -210,61 +206,13 @@ def decide(
 def _base_fixpoint(
     cache: LocalWitnessCache, entries: list[TypingEntry], budget: float
 ) -> _BaseFixpoint:
-    witnesses = cache.reader(cache.graph, budget)
-    certain = _RecordedCertainTyping(
-        cache.schema, cache.graph, bag_bound=cache.bag_bound, witnesses=witnesses
-    )
-    for node, label, _ in entries:  # the requested signs, for the checks to reuse
-        if certain.is_negated_label(label) and cache.graph.has_node(node):
-            certain.sign(node, label)
-    base = _BaseFixpoint(cache.schema, cache.graph, certain, witnesses)
+    base = _BaseFixpoint(cache.schema, cache.reader(cache.graph, budget))
     base.entries = entries
-    base.run(_requested(entries, certain))
+    for node, label, _ in entries:  # the requested signs, for the checks to reuse
+        if label in base.region and cache.graph.has_node(node):
+            base.sign(node, label)
+    base.run(_requested(entries, base.region))
     return base
-
-
-class _RecordedCertainTyping(CertainTyping):
-    """A certain typing that records what its decisions read: the entries
-    decided at each node (``at_node``), and for each entry the entries whose
-    decision asked for its sign (``readers``) and the pairs whose usable
-    witnesses were read, as ``reading``, when it was asked
-    (``pair_readers``). A decision reads its node's neighbourhood, the
-    values of that neighbourhood's targets (which only an edit at the node
-    changes) and the signs it asks for, nothing else."""
-
-    stale: frozenset[Hypothesis] = frozenset()  # no decision is stale on its own graph
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.at_node: dict[str, list[Hypothesis]] = {}
-        self.readers: dict[Hypothesis, set[Hypothesis]] = {}
-        self.pair_readers: dict[Hypothesis, set[Hypothesis]] = {}
-        self.reading: Hypothesis | None = None
-        self._deciding: list[Hypothesis] = []
-
-    def sign(self, node: str, label: str) -> bool:
-        key = (node, label)
-        if self._deciding:
-            self.readers.setdefault(key, set()).add(self._deciding[-1])
-        elif self.reading is not None:
-            self.pair_readers.setdefault(key, set()).add(self.reading)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        self._deciding.append(key)
-        try:
-            return super().sign(node, label)
-        finally:
-            self._deciding.pop()
-            if key in self._memo:
-                self.at_node.setdefault(node, []).append(key)
-
-
-def _decided_at(certain: _RecordedCertainTyping, nodes: Iterable[str]) -> list[Hypothesis]:
-    """The entries whose base decision read the neighbourhood of one of
-    ``nodes``: when those are the nodes a patch touches, the entries from
-    which its stale ones are found."""
-    return [key for node in nodes for key in certain.at_node.get(node, ())]
 
 
 def _changed_at(base: _Fixpoint, node: str, kept: bool, dprops: list) -> list[Hypothesis]:
@@ -292,39 +240,8 @@ def _changed_at(base: _Fixpoint, node: str, kept: bool, dprops: list) -> list[Hy
     return out
 
 
-class _PatchedCertainTyping(CertainTyping):
-    """The certain typing of a :class:`GraphPatch`, read off the recorded
-    certain typing of its base graph.
-
-    An entry is *stale* when its base decision read a node the patch
-    touches, directly or through the signs it asked for. A base decision
-    that is not stale holds on the patch: it reads the same witnesses in
-    the same order and gets the same signs. So only stale entries, and
-    entries the base never decided, are decided again, on the patch."""
-
-    def __init__(self, base: _RecordedCertainTyping, graph: GraphPatch, witnesses: WitnessReader):
-        super().__init__(base.schema, graph, bag_bound=base.bag_bound, witnesses=witnesses)
-        self.base_memo = base._memo
-        self.stale: set[Hypothesis] = set()
-        work = _decided_at(base, graph.touched)
-        while work:
-            key = work.pop()
-            if key not in self.stale:
-                self.stale.add(key)
-                work.extend(base.readers.get(key, ()))
-
-    def sign(self, node: str, label: str) -> bool:
-        key = (node, label)
-        if key not in self._memo and key not in self.stale:
-            hit = self.base_memo.get(key)
-            if hit is not None:
-                self._memo[key] = hit
-        return super().sign(node, label)
-
-
 class _BaseFixpoint(_Fixpoint):
-    """The fixpoint over the base graph, read through a recorded certain
-    typing that notes which pairs' usable lists read each sign."""
+    """The fixpoint over the base graph of a search's checks."""
 
     entries: list[TypingEntry]  # the request, checked
 
@@ -332,23 +249,23 @@ class _BaseFixpoint(_Fixpoint):
         super().__init__(*args)
         self.opens: dict[tuple[str, str, bool], bool] = {}  # open_only by label and edge
 
-    def read(self, key: Hypothesis) -> list[CompactWitness]:
-        self.certain.reading = key
-        try:
-            return super().read(key)
-        finally:
-            self.certain.reading = None
-
 
 class _Delta(_Fixpoint):
     """One repair check: the maximal typing of a :class:`GraphPatch`,
     decided as a delta on its base graph's fixpoint, which it never
     changes. Its own tables hold only the pairs it reads or re-decides.
 
+    - *Stale* entries of the lower strata: those the base decided at a
+      touched node, and those whose decision read the sign of a stale
+      entry. A base decision that is not stale holds on the patch: it
+      reads the same witnesses in the same order and gets the same signs.
+      So stale entries, and entries the base never decided, are decided
+      again on the patch when first asked for; every other entry reads the
+      base's table.
     - *Changed* pairs: the base's pairs at touched nodes, which are
-      enumerated again, and those whose usable list read a certain sign
-      that the patch changes, which are filtered again. A pair whose shape
-      leaves every edited edge at its node to the open slot
+      enumerated again, and those whose usable list read the sign of a
+      stale entry that the patch flips, which are filtered again. A pair
+      whose shape leaves every edited edge at its node to the open slot
       (:func:`open_only`), at a node both graphs hold, is not changed: its
       local witnesses are the base's, with those edges open, so they have
       the same bags, needs and EXTRA edges. Pairs first reached through
@@ -373,12 +290,25 @@ class _Delta(_Fixpoint):
     reaches keep a status they do not use.
     """
 
-    def __init__(self, base: _Fixpoint, graph, certain, witnesses):
-        super().__init__(base.schema, graph, certain, witnesses)
+    def __init__(self, base: _BaseFixpoint, witnesses: WitnessReader):
+        super().__init__(base.schema, witnesses)
         self.base = base
         self.rescan = False  # was a pair dead in the base revived?
         self.scanned: set[Hypothesis] = set()  # pairs decided from their first witness
         self.charged: set[Hypothesis] = set()
+        self.stale: set[Hypothesis] = set()
+        work = [key for node in self.graph.touched for key in base.decided_at.get(node, ())]
+        while work:
+            key = work.pop()
+            if key not in self.stale:
+                self.stale.add(key)
+                work.extend(q for q in base.readers.get(key, ()) if q[1] in self.region)
+
+    def decide(self, key: Hypothesis) -> tuple | None:
+        if key in self.stale or key not in self.base.signs:
+            return super().decide(key)
+        found = self.signs[key] = self.base.signs[key]
+        return found
 
     def holds(self, key: Hypothesis) -> bool:
         return key in self.usable or key in self.base.usable
@@ -427,19 +357,19 @@ class _Delta(_Fixpoint):
         return {e.id: kept.get(e.id, OPEN) for e in self.graph.neighbourhood(node)}
 
     def run(self) -> None:
-        base, certain, graph = self.base, self.certain, self.graph
+        base, graph, region = self.base, self.graph, self.region
         changed = {}
         for node, edits in graph.edits_at.items():
             if node in base.at_node:
                 kept = graph.has_node(node) and base.graph.has_node(node)
                 dprops = [e.dprop for e in edits]
                 changed.update(dict.fromkeys(_changed_at(base, node, kept, dprops)))
-        for entry in certain.stale:
+        for entry in self.stale:
             # at a node the patch strips, the pairs that read the sign lose
             # the edge they read it through, so they are changed already
-            readers = base.certain.pair_readers.get(entry)
+            readers = [q for q in base.readers.get(entry, ()) if q[1] not in region]
             if readers and graph.has_node(entry[0]) and (
-                certain.sign(*entry) != base.certain._memo[entry][0]
+                self.sign(*entry) != (base.signs[entry] is not None)
             ):
                 changed.update(dict.fromkeys(readers))
         if not changed:
@@ -488,12 +418,12 @@ class Screen:
     the base verdict, in a search whose unedited graph fails the request.
 
     The screen reads a set node by node. The *keys* of a node are its base
-    pairs, followed by the certain entries its base decisions settled
-    there (``at_node`` of the recorded certain typing). A key is *changed*
-    at a node the set edits unless the node keeps an edge and the key's
-    shape leaves every edited edge there to the open slot
-    (:func:`open_only`); the changed base pairs are those of
-    :func:`_changed_at`. A set is rejected when, at every node it touches:
+    pairs, followed by the certain entries the base fixpoint decided there
+    (its ``decided_at``). A key is *changed* at a node the set edits
+    unless the node keeps an edge and the key's shape leaves every edited
+    edge there to the open slot (:func:`open_only`); the changed base
+    pairs are those of :func:`_changed_at`. A set is rejected when, at
+    every node it touches:
 
     1. every changed base pair was dead in the base;
     2. the node keeps an edge, unless it holds no certain entry; and every
@@ -554,7 +484,7 @@ class Screen:
         self._keys_at: dict[str, list[Hypothesis]] = {}  # node -> base pairs, then certain entries
         for node, found in base.at_node.items():
             self._keys_at[node] = list(found)
-        for node, found in base.certain.at_node.items():
+        for node, found in base.decided_at.items():
             self._keys_at.setdefault(node, []).extend(found)
         # label -> {constraint id: the (label, negated?) of its negated references}
         self._negated_refs: dict[str, dict[int, tuple]] = {}
@@ -597,11 +527,11 @@ class Screen:
         opts = admitted_options(dprop, value, shape_def, self._edge_options.setdefault(label, {}))
         refs = self._negated_refs.get(label)
         if refs:
-            signs = base.certain._memo
+            signs = base.signs
             kept = [
                 c for c in opts
                 if not isinstance(c, ByConstraint) or not any(
-                    (target, l2) in signs and signs[(target, l2)][0] == negated
+                    (target, l2) in signs and (signs[(target, l2)] is not None) == negated
                     for l2, negated in refs.get(c.tc_id, ())
                 )
             ]
@@ -731,7 +661,7 @@ class Screen:
             if k < pairs:
                 if key in base.support:
                     return False
-            elif not kept or base.certain._memo[key][0]:
+            elif not kept or base.signs[key] is not None:
                 return False
             changed.append((k, key))
         if kept:  # a stripped node's pairs have no witness

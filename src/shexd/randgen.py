@@ -2,7 +2,8 @@
 
 Two families: single-occurrence expressions with bags, for checking the
 interval computation against exhaustive matching; and small schema/graph
-instances, for checking the flooding engine against the reference validator.
+instances, for checking the flooding, the maximal-typing decider and the
+repair checks against the reference validator and the certain typing.
 """
 
 from __future__ import annotations

@@ -617,6 +617,19 @@ def test_negative_assertion_on_unnegated_shape_exit_3(capsys):
 
 
 
+@pytest.mark.parametrize("command", ["validate", "repair"])
+def test_ill_defined_schema_exit_2(command, tmp_path, capsys):
+    # <B> is negated and reaches the cycle <B> -> <B>
+    schema = tmp_path / "cyclic.shex"
+    schema.write_text("PREFIX ex: <http://example.org/>\n<A> { ex:p !@<B> }  <B> { ex:q @<B> }")
+    data = tmp_path / "cyclic.nt"
+    data.write_text("<http://example.org/a> <http://example.org/p> <http://example.org/b> .\n")
+    argv = [command, "--schema", str(schema), "--data", str(data), "--format", "nt",
+            "--node", "<http://example.org/a>", "--shape", "A"]
+    assert main(argv) == 2
+    assert "<B>" in capsys.readouterr().err
+
+
 def test_validate_resource_bound_exit_4(tmp_path):
     schema = tmp_path / "wide.shex"
     schema.write_text("PREFIX e: <http://e/>\n<S> { (e:p IRI, e:p IRI) [1;2] }")

@@ -23,6 +23,7 @@ from shexd.engine import (
     backtrack,
     check_request,
     copy_proof,
+    maximal_typing_validation,
 )
 from shexd.errors import (
     IncompatibleInitialTypingError,
@@ -32,6 +33,7 @@ from shexd.errors import (
     WellDefinednessError,
 )
 from shexd.randgen import random_instance
+from shexd.repair import enumerate_repairs
 from shexd.rdf_graph import DirectedProperty, Graph, Iri, Triple
 from shexd.schema_model import ByConstraint, ExtraSlot, OpenSlot
 
@@ -249,10 +251,17 @@ def test_flooding_rejects_unknown_node(issues_schema, issues_graph):
         flooding_validation(issues_schema, issues_graph, [("http://nope/", "IssueShape", "+")])
 
 
-def test_flooding_rejects_ill_defined_schema(issues_graph):
+@pytest.mark.parametrize("run", [
+    lambda schema, graph: flooding_validation(schema, graph, []),
+    lambda schema, graph: maximal_typing_validation(schema, graph, []),
+    lambda schema, graph: enumerate_repairs(graph, schema, [], max_edits=1),
+], ids=["flooding", "decider", "repair"])
+def test_rejects_ill_defined_schema(issues_graph, run):
+    # the decider and the repair checks settle the certain region in their
+    # own fixpoint, so they check well-definedness themselves
     schema = parse_schema("PREFIX is: <http://issuetracker.example/ns#>\n<S> { is:p !@<S> }")
     with pytest.raises(WellDefinednessError):
-        flooding_validation(schema, issues_graph, [])
+        run(schema, issues_graph)
 
 
 def test_flooding_never_searches_certain_entries(issues_schema, issues_graph, issues_certain):

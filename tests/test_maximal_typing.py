@@ -4,8 +4,10 @@
 ``reference_validate``'s verdict on random instances, negated requests
 included, and agree with the flooding on chains and fan-outs past the
 reference validator's node bound, where the answer is known by
-construction. Every witness it accepts must verify. Every edit set the
-repair search's screen rejects must fail the full check too.
+construction. Every witness it accepts must verify, and every certain
+sign a repair check answers must be the independent certain typing's.
+Every edit set the repair search's screen rejects must fail the full check
+too.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
 
 
 def decide(schema, graph, typing0, certain):
-    """The decider's verdict; an accepted witness must verify."""
+    """The decider's verdict; an accepted witness must verify against the
+    independent certain typing ``certain``."""
     try:
-        gtw = maximal_typing_validation(schema, graph, typing0, certain=certain)
+        gtw = maximal_typing_validation(schema, graph, typing0)
     except ValidationError:
         return False
     assert verify_global_typing_witness(gtw, graph, schema, certain)
@@ -148,7 +151,8 @@ def test_decider_matches_flooding_on_chains(length, valid):
         # the flooding backtracks exponentially on longer invalid chains
         assert flooding(schema, graph, typing0, certain) == valid
     if valid:
-        gtw = maximal_typing_validation(schema, graph, typing0, certain=certain)
+        gtw = maximal_typing_validation(schema, graph, typing0)
+        assert verify_global_typing_witness(gtw, graph, schema, certain)
         assert len(gtw.positives()) == length
 
 
@@ -190,13 +194,50 @@ def fresh_verdict(graph, edits, schema, request):
         return None
 
 
-def compare_in_either_order(schema, graph, request, sets) -> list | None:
+def record_deltas(monkeypatch) -> list:
+    """Patch the checks to record each ``_Delta`` they build."""
+    deltas = []
+    real = incremental._Delta.__init__
+
+    def recorded(self, *args):
+        real(self, *args)
+        deltas.append(self)
+
+    monkeypatch.setattr(incremental._Delta, "__init__", recorded)
+    return deltas
+
+
+def compare_signs(delta, schema, edited, tally) -> None:
+    """Every sign ``delta`` answers must be the independent certain
+    typing's on ``edited``: its own table, and the base's entries that are
+    not stale, at the nodes ``edited`` holds. ``tally`` counts the checks,
+    those with a stale entry, the signs compared and the checks that flip
+    a base sign."""
+    oracle = CertainTyping(schema, edited)
+    base = delta.base
+    answered = {key: found for key, found in base.signs.items() if key not in delta.stale}
+    answered.update(delta.signs)
+    for (node, label), found in answered.items():
+        if edited.has_node(node):
+            assert (found is not None) == oracle.sign(node, label), (node, label)
+            tally["signs"] += 1
+    tally["checks"] += 1
+    tally["stale"] += bool(delta.stale)
+    tally["flipped"] += any(
+        (delta.signs[key] is None) != (base.signs[key] is None)
+        for key in delta.stale if key in delta.signs
+    )
+
+
+def compare_in_either_order(schema, graph, request, sets, deltas=None, tally=None) -> list | None:
     """Pass ``sets`` through one shared cache, in order and reversed; each
     verdict must be the decider's on the edited graph from scratch. An
     accepted set's witness is verified by is_valid_after on the check's
     patch, must be the one the fresh decision gives, and must verify on the
-    graph apply_edits rebuilds, with a certain typing of its own. Returns
-    the fresh witnesses, or None when a fresh decision runs out of budget."""
+    graph apply_edits rebuilds, with a certain typing of its own. With
+    ``deltas`` (of :func:`record_deltas`), the signs of each check's delta
+    are compared too (:func:`compare_signs`). Returns the fresh witnesses,
+    or None when a fresh decision runs out of budget."""
     try:
         expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
     except (SearchBudgetExceededError, BagTooLargeError):
@@ -210,6 +251,11 @@ def compare_in_either_order(schema, graph, request, sets) -> list | None:
             if got:
                 patched = incremental.patch(cache, edits.deletions, edits.insertions)
                 assert incremental.decide(cache, request, patched, float("inf")) == want
+            if deltas:
+                edited = apply_edits(graph, edits)
+                for delta in deltas:
+                    compare_signs(delta, schema, edited, tally)
+                deltas.clear()
     for edits, want in zip(sets, expected):
         if want is not None:
             edited = apply_edits(graph, edits)
@@ -221,15 +267,10 @@ def compare_in_either_order(schema, graph, request, sets) -> list | None:
 def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
     # the checks of a repair search decide each edit set as a delta on the
     # base graph's fixpoint; per instance, seeded edit sets of one or two
-    # edits go through one shared cache, in order and reversed
-    stale = []
-    real = incremental._PatchedCertainTyping.__init__
-
-    def recorded(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        stale.append(bool(self.stale))
-
-    monkeypatch.setattr(incremental._PatchedCertainTyping, "__init__", recorded)
+    # edits go through one shared cache, in order and reversed, and every
+    # sign a check answers is compared with the certain typing
+    deltas = record_deltas(monkeypatch)
+    tally = dict.fromkeys(["checks", "stale", "signs", "flipped"], 0)
     compared = valid = negated = 0
     for seed in range(3_000):
         rng = random.Random(seed)
@@ -248,15 +289,18 @@ def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
             for pool in [atoms] * 5 + [near or atoms] * 5
         ]
         for request in requests:
-            expected = compare_in_either_order(schema, graph, request, sets)
+            expected = compare_in_either_order(schema, graph, request, sets, deltas, tally)
             if expected is None:
                 continue
             compared += 1
             valid += sum(want is not None for want in expected)
             negated += any(label in schema.negated_labels for _, label, _ in request)
     assert compared >= 3_300 and valid >= 6_000 and negated >= 600, (compared, valid, negated)
-    # checks that re-decide a certain sign of the base graph (11,100 of 25,250)
-    assert sum(stale) >= 5_000, sum(stale)
+    # of 83,068 checks (each check's delta is recorded, an accepted set's
+    # twice), 11,286 have a stale entry, which they decide again if asked
+    # (11,100 of 25,250 when a certain typing beside the fixpoint re-decided
+    # them), 464 flip a sign of the base, and 23,336 signs are compared
+    assert tally["stale"] >= 5_000 and tally["flipped"] >= 400 and tally["signs"] >= 20_000, tally
     # an edit that revives a pair dead in the base and kills another: an
     # untouched requirer whose base support needed the killed pair must
     # find its earlier witness, which needs the revived one, whichever of
@@ -350,7 +394,7 @@ def test_screened_sets_fail_the_full_check(monkeypatch):
             cache, atoms, screen = state
             requested = {node for node, _, _ in request}
             near = [i for i, atom in enumerate(atoms) if touches(atom, requested)]
-            certain_at = screen.base.certain.at_node
+            certain_at = screen.base.decided_at
             certain = [i for i, atom in enumerate(atoms) if touches(atom, certain_at)]
             pools = [range(len(atoms))] * 5 + [near or range(len(atoms))] * 5
             for pool in pools + [certain] * 5 * bool(certain):
@@ -426,13 +470,13 @@ def rejects_alone(screen, atoms, combo) -> bool:
     effect, kind, signature or verdict memo: the oracle of the memoized
     screen."""
     base = screen.base
-    certain, graph, shapes = base.certain, base.graph, base.schema.shapes
+    decided_at, graph, shapes = base.decided_at, base.graph, base.schema.shapes
     at = {}  # node with keys -> (directed property, inserts?, target key, target value)
     for i in combo:
         kind, t = atoms[i]
         s, p, o = t.key()
         for node, inverse, target_key, target in ((s, False, o, t.obj), (o, True, s, t.subject)):
-            if node in base.at_node or node in certain.at_node:
+            if node in base.at_node or node in decided_at:
                 end = (DirectedProperty(p, inverse), kind == "ins", target_key, term_to_value(target))
                 at.setdefault(node, []).append(end)
     for node, ends in at.items():
@@ -441,12 +485,12 @@ def rejects_alone(screen, atoms, combo) -> bool:
         kept = len(ends) < len(graph.neighbourhood(node)) or any(end[1] for end in ends)
         pairs = incremental._changed_at(base, node, kept, [end[0] for end in ends])
         entries = [
-            key for key in certain.at_node.get(node, ())
+            key for key in decided_at.get(node, ())
             if not kept or not all(open_only(shapes[key[1]], end[0]) for end in ends)
         ]
         if any(key in base.support for key in pairs):
             return False
-        if entries and (not kept or any(certain._memo[key][0] for key in entries)):
+        if entries and (not kept or any(base.signs[key] is not None for key in entries)):
             return False
         if kept and any(
             witness_after(base, key, ends, screen.bag_bound) is not False
@@ -459,14 +503,16 @@ def rejects_alone(screen, atoms, combo) -> bool:
 def usable_options(base, label, dprop, target, value) -> list:
     """The admitted consumers of an edge on ``dprop`` to ``target`` less
     those that propagate a fact on a negated label against the sign the
-    base decided for it."""
-    schema, signs = base.schema, base.certain._memo
+    base decided for it; an entry the base never decided keeps every
+    consumer."""
+    schema, signs = base.schema, base.signs
     shape_def = schema.shapes[label]
     out = []
     for consumer in admitted_options(dprop, value, shape_def, {}):
         if isinstance(consumer, ByConstraint) and any(
             isinstance(conj, ShapeRef) and conj.label in schema.negated_labels
-            and signs.get((target, conj.label), (None,))[0] == conj.negated
+            and (target, conj.label) in signs
+            and (signs[(target, conj.label)] is not None) == conj.negated
             for conj in shape_def.tc_by_id[consumer.tc_id].value_class
         ):
             continue

@@ -50,6 +50,11 @@ REQUESTS = [
 # kinds of the ends there (on boolean at two edits the screen decided 408
 # signatures whole, with as many witness tests at most)
 SCREEN_WORK = [(16, 12), (15, 12), (97, 89), (82, 73)]
+# Local witnesses charged to the budgets of each request's checks, the base
+# fixpoint's included (``WitnessReader.charge``): where a check may exit 4
+# moves with them. The same when the certain signs were decided by a
+# certain typing of their own beside the fixpoint.
+CHARGED = [16, 1, 9, 2_165]
 # The first three requests made 68 interval computations under each hash
 # seed of 0-15 and 123 (90 to 100 when the screen left every set that edits
 # at a node with certain entries to the check, 3,513 to 3,706 when each
@@ -85,8 +90,9 @@ def data_file(name: str, workdir: Path) -> Path:
 
 def count_repair_work() -> list[dict[str, int]]:
     """Graph builds, interval computations, edge matches, repair checks,
-    screened sets, and the screen's node verdicts and witness tests per
-    request."""
+    screened sets, the screen's node verdicts and witness tests, and the
+    local witnesses charged to the checks' budgets, per request."""
+    import shexd.engine
     import shexd.incremental
     import shexd.matching
     import shexd.rdf_graph
@@ -96,12 +102,18 @@ def count_repair_work() -> list[dict[str, int]]:
     from conftest import DATA, EX
 
     counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0,
-              "verdicts": 0, "witness_tests": 0}
+              "verdicts": 0, "witness_tests": 0, "charged": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return func(*args, **kwargs)
+        return wrapper
+
+    def charged(name, func):
+        def wrapper(self, count):
+            counts[name] += count
+            return func(self, count)
         return wrapper
 
     def screened(name, func):
@@ -119,6 +131,7 @@ def count_repair_work() -> list[dict[str, int]]:
         (shexd.incremental.Screen, "rejects", "screened", screened),
         (shexd.incremental.Screen, "_node_verdict", "verdicts", counted),
         (shexd.incremental.Screen, "_has_witness", "witness_tests", counted),
+        (shexd.engine.WitnessReader, "charge", "charged", charged),
     ]
     originals = [getattr(owner, attr) for owner, attr, _, _ in patches]
     out = []
@@ -155,6 +168,7 @@ def test_repair_request_work_bounds(seed):
     assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
     assert [c["screened"] for c in counts] == [screened for *_, screened in REQUESTS]
     assert [(c["verdicts"], c["witness_tests"]) for c in counts] == SCREEN_WORK
+    assert [c["charged"] for c in counts] == CHARGED
     # the counter wraps Graph.__init__, the only routine that builds a Graph,
     # so it sees every Graph a search makes: the parsed one. When accepted
     # sets were verified on a copied graph, that copy bypassed __init__, and
