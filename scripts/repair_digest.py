@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint the answers of the repair search on four requests.
+"""Fingerprint the answers of the repair search on five requests.
 
 Runs ``shexd.cli.main`` in this process on ``repair --json`` for:
 
@@ -7,7 +7,10 @@ Runs ``shexd.cli.main`` in this process on ``repair --json`` for:
 * ``ex:issue`` against ``<IssueShape>`` on ``repairing.ttl`` without
   ``ex:emma``'s ``foaf:name``, at ``--max-edits 2``;
 * ``ex:n0`` against ``<P>`` on invalid ``ex:next`` chains of 20 and 50
-  links (the last node has no ``ex:name``), at ``--max-edits 1``.
+  links (the last node has no ``ex:name``), at ``--max-edits 1``;
+* ``ex:term`` against ``<Term>`` on ``boolean.ttl`` at ``--max-edits 12``,
+  a budget past ten, where the fresh blank ``repair10`` sorts before
+  ``repair2``.
 
 Prints the number of requests and a sha256 over the exit code and stdout of
 each, in order. The generated data files live in a temporary directory, and
@@ -67,6 +70,8 @@ def requests(workdir: Path):
         data.write_text(chain_data(links), encoding="utf-8")
         yield ["--schema", str(schema), "--data", str(data),
                "--node", EX + "n0", "--shape", "P", "--max-edits", "1"]
+    yield ["--schema", str(DATA / "boolean.shex"), "--data", str(DATA / "boolean.ttl"),
+           "--node", EX + "term", "--shape", "Term", "--max-edits", "12"]
 
 
 def main() -> int:

@@ -36,6 +36,7 @@ from .rdf_graph import (
     DirectedProperty,
     Edge,
     Graph,
+    Term,
     Triple,
     Value,
     _by_id,
@@ -215,7 +216,7 @@ def _base_fixpoint(
     return base
 
 
-def _changed_at(base: _Fixpoint, node: str, kept: bool, dprops: list) -> list[Hypothesis]:
+def _changed_at(base: _BaseFixpoint, node: str, kept: bool, dprops: list) -> list[Hypothesis]:
     """The base pairs at ``node`` that edits there, on the directed
     properties ``dprops``, change: all of them at a node the edits create or
     strip (``kept`` false), which has no base witnesses to keep; else those
@@ -226,18 +227,7 @@ def _changed_at(base: _Fixpoint, node: str, kept: bool, dprops: list) -> list[Hy
     keys = base.at_node.get(node, [])
     if not kept:
         return keys
-    shapes, opens = base.schema.shapes, base.opens
-    out = []
-    for key in keys:
-        for d in dprops:
-            memo = (key[1], d.prop, d.inverse)
-            found = opens.get(memo)
-            if found is None:
-                found = opens[memo] = open_only(shapes[key[1]], d)
-            if not found:
-                out.append(key)
-                break
-    return out
+    return [key for key in keys if not all(base.open_only(key[1], d) for d in dprops)]
 
 
 class _BaseFixpoint(_Fixpoint):
@@ -247,7 +237,14 @@ class _BaseFixpoint(_Fixpoint):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.opens: dict[tuple[str, str, bool], bool] = {}  # open_only by label and edge
+        self._opens: dict[tuple[str, DirectedProperty], bool] = {}
+
+    def open_only(self, label: str, dprop: DirectedProperty) -> bool:
+        """:func:`open_only` of ``label``'s shape and ``dprop``, memoized."""
+        found = self._opens.get((label, dprop))
+        if found is None:
+            found = self._opens[(label, dprop)] = open_only(self.schema.shapes[label], dprop)
+        return found
 
 
 class _Delta(_Fixpoint):
@@ -403,12 +400,13 @@ class _Delta(_Fixpoint):
 
 
 def screen_for(
-    cache: LocalWitnessCache, typing0: Iterable[TypingEntry], atoms: list, keys: list
+    cache: LocalWitnessCache, typing0: Iterable[TypingEntry], atoms: list = (), keys: list = ()
 ) -> Screen | None:
-    """The :class:`Screen` of a repair search over the edit ``atoms``
-    (``("del" | "ins", triple)``, with the triples' keys in ``keys``). Call
-    it only once the unedited graph has failed the request; None when that
-    check built no base fixpoint (a requested node the graph lacks)."""
+    """The :class:`Screen` of a repair search, over the edit ``atoms``
+    (``("del" | "ins", triple)``, with the triples' keys in ``keys``) until
+    :meth:`Screen.over` names others. Call it only once the unedited graph
+    has failed the request; None when that check built no base fixpoint (a
+    requested node the graph lacks)."""
     base = cache._bases.get(tuple(typing0))
     return None if base is None else Screen(cache, base, atoms, keys)
 
@@ -458,34 +456,51 @@ class Screen:
     nothing.) When :func:`_assignments` raises (``BagTooLargeError``), the
     set goes to the full check.
 
-    So the screen reads an atom only through its *effect*, computed the
-    first time the atom is seen: for each of its ends at a node with keys,
-    the node and the end's *kind*. A kind is whether the end inserts, and,
-    for each key at the node, whether its shape leaves the end's directed
-    property to the open slot and the id of the end's consumer list; that
-    is all the rule reads of an end. A set's verdict is the conjunction of
-    its nodes' verdicts, and a node's verdict reads only the node and the
-    sorted kinds of the ends there, so each is decided once (edits that
-    look alike at a node are interchangeable there, as interchangeable
-    values are for a constraint problem: Freuder, AAAI 1991). Each set is
-    first looked up by its *signature*, the sorted ids of its atoms'
-    effects. A fresh blank is never a node with keys, and every fresh blank
-    has the same value and no decided sign, so each renaming of a set's
-    fresh blanks has the set's signature.
+    So the screen reads an atom only through its *effect*: for each of its
+    ends at a node with keys, the node and the end's *kind*. A kind is
+    whether the end inserts, and, for each key at the node, whether its
+    shape leaves the end's directed property to the open slot and the id
+    of the end's consumer list; that is all the rule reads of an end. A
+    set's verdict is the conjunction of its nodes' verdicts, and a node's
+    verdict reads only the node and the sorted kinds of the ends there, so
+    each is decided once (edits that look alike at a node are
+    interchangeable there, as interchangeable values are for a constraint
+    problem: Freuder, AAAI 1991). :meth:`rejects` looks a set up by its
+    *signature*, the sorted ids of its atoms' effects. A fresh blank is
+    never a node with keys, and every fresh blank has the same value and
+    no decided sign, so each renaming of a set's fresh blanks has the set's
+    signature.
+
+    One-edit insertions are screened by *class*, without their atoms
+    (:meth:`insertion_classes`). For (s, p, o), s and o apart, the set's
+    verdict is the conjunction of a node verdict at each end with keys: at
+    s, of the end's kind on ``p``, which reads o only through its cells
+    under the keys at s; at o, likewise on ``^p``. An end at a node with
+    no keys is left out of the conjunction. An *inert* end, at a node
+    each of whose keys leaves the end's directed property to the open
+    slot, rejects whatever the far node: the end inserts, so the node
+    keeps an edge, and no other edit of the set is at the node, so no key
+    there is changed and 1-3 hold there vacuously. Every other end belongs
+    to the class of its node, directed property and far node's cells,
+    decided once. So a one-edit insertion passes exactly when a class it
+    belongs to does not reject, unless it is a self-loop (s, p, s), whose
+    two ends share a node and which :meth:`rejects` decides as a set; a
+    search that builds only those insertions and the self-loops
+    (:meth:`one_edit_insertions`) checks the same sets in the same order
+    (see ``repair.enumerate_repairs``).
     """
 
     def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint, atoms: list, keys: list):
         self.base = base
         self.bag_bound = cache.bag_bound
         self._edge_options = cache._edge_options
-        self._atoms = atoms
-        self._keys = keys
         schema = base.schema
         self._keys_at: dict[str, list[Hypothesis]] = {}  # node -> base pairs, then certain entries
         for node, found in base.at_node.items():
             self._keys_at[node] = list(found)
         for node, found in base.decided_at.items():
             self._keys_at.setdefault(node, []).extend(found)
+        self._labels_at = {node: tuple(k[1] for k in keys) for node, keys in self._keys_at.items()}
         # label -> {constraint id: the (label, negated?) of its negated references}
         self._negated_refs: dict[str, dict[int, tuple]] = {}
         for label, shape_def in schema.shapes.items():
@@ -509,12 +524,19 @@ class Screen:
         self._kind_ids: dict[tuple, int] = {}  # kind -> id
         self._kinds: list[tuple] = []  # id -> kind
         self._node_verdicts: dict[tuple, bool] = {}  # (node, sorted kind ids) -> rejects?
-        self._effect_of: dict[int, int] = {}  # atom -> the id of its effect
         # effect -> id; the empty effect, of an atom with no end at a node
         # with keys, is 0 and left out of signatures
         self._effect_ids: dict[tuple, int] = {(): 0}
         self._effects: list[tuple] = [()]  # id -> effect
         self._rejected: dict[tuple[int, ...], bool] = {}  # signature -> verdict
+        self.over(atoms, keys)
+
+    def over(self, atoms: list, keys: list) -> None:
+        """Read the indices :meth:`rejects` is asked about as the ``atoms``,
+        whose triples' keys are ``keys``, from now on."""
+        self._atoms = atoms
+        self._keys = keys
+        self._effect_of: dict[int, int] = {}  # atom -> the id of its effect
 
     def _cell(
         self, label: str, dprop: DirectedProperty, target: str, value: Value
@@ -538,12 +560,18 @@ class Screen:
             if len(kept) < len(opts):
                 opts = self._filtered.setdefault(tuple(kept), kept)
         self._lists[id(opts)] = opts
-        memo = (label, dprop.prop, dprop.inverse)
-        found = base.opens.get(memo)
-        if found is None:
-            found = base.opens[memo] = open_only(shape_def, dprop)
-        cell = self._cells[(label, dprop.prop, dprop.inverse, target)] = (found, id(opts))
+        cell = (base.open_only(label, dprop), id(opts))
+        self._cells[(label, dprop.prop, dprop.inverse, target)] = cell
         return cell
+
+    def _cells_toward(self, labels: tuple, dprop: DirectedProperty, far: str, term: Term) -> tuple:
+        """The cells under each of ``labels`` of an edge on ``dprop`` to
+        ``far``, the term ``term``."""
+        cells = []
+        for label in labels:
+            cell = self._cells.get((label, dprop.prop, dprop.inverse, far))  # a key names one term
+            cells.append(cell or self._cell(label, dprop, far, term_to_value(term)))
+        return tuple(cells)
 
     def _bag(self, key: Hypothesis) -> dict[int, int]:
         bag = self._bags.get(key)
@@ -557,37 +585,24 @@ class Screen:
                 bag[cell[1]] = bag.get(cell[1], 0) + 1
         return bag
 
-    def _effect(self, i: int) -> int:
-        """The id of atom ``i``'s effect."""
-        s, p, o = self._keys[i]
-        kind, t = self._atoms[i]
-        inserted = kind == "ins"
-        cells_of, kind_ids = self._cells, self._kind_ids
-        ends = []
-        for node, inverse, target_key, target in ((s, False, o, t.obj), (o, True, s, t.subject)):
-            keys = self._keys_at.get(node)
-            if keys is not None:
-                dprop = self._dprops.get((p, inverse))
-                if dprop is None:
-                    dprop = self._dprops[(p, inverse)] = DirectedProperty(p, inverse)
-                cells = []
-                for _, label in keys:
-                    cell = cells_of.get((label, p, inverse, target_key))  # a key names one term
-                    if cell is None:
-                        cell = self._cell(label, dprop, target_key, term_to_value(target))
-                    cells.append(cell)
-                end = (inserted, tuple(cells))
-                n = kind_ids.get(end)
-                if n is None:
-                    n = kind_ids[end] = len(self._kinds)
-                    self._kinds.append(end)
-                ends.append((node, n))
-        effect = tuple(ends)
-        n = self._effect_ids.get(effect)
-        if n is None:
-            n = self._effect_ids[effect] = len(self._effects)
-            self._effects.append(effect)
-        return n
+    def _dprop(self, prop: str, inverse: bool) -> DirectedProperty:
+        dprop = self._dprops.get((prop, inverse))
+        if dprop is None:
+            dprop = self._dprops[(prop, inverse)] = DirectedProperty(prop, inverse)
+        return dprop
+
+    def _effect(self, inserted: bool, key: tuple[str, str, str], subject: Term, obj: Term) -> int:
+        """The id of the effect of the edit of the triple ``key``, from the
+        term ``subject`` to ``obj``."""
+        s, p, o = key
+        effect = tuple(
+            (node, _intern(self._kind_ids, self._kinds, (inserted, self._cells_toward(
+                self._labels_at[node], self._dprop(p, inverse), far, term
+            ))))
+            for node, inverse, far, term in ((s, False, o, obj), (o, True, s, subject))
+            if node in self._labels_at
+        )
+        return _intern(self._effect_ids, self._effects, effect)
 
     def _has_witness(self, key: Hypothesis, edits: list[tuple[bool, int]]) -> bool | None:
         """Does ``key`` have a local witness once the ``edits`` at its node,
@@ -621,7 +636,8 @@ class Screen:
         for i in combo:
             n = effect_of.get(i)
             if n is None:
-                n = effect_of[i] = self._effect(i)
+                kind, t = self._atoms[i]
+                n = effect_of[i] = self._effect(kind == "ins", self._keys[i], t.subject, t.obj)
             if n:
                 signature.append(n)
         signature = tuple(sorted(signature))
@@ -631,18 +647,62 @@ class Screen:
             for n in signature:
                 for node, kind in self._effects[n]:
                     at.setdefault(node, []).append(kind)
-            verdicts = self._node_verdicts
-            verdict = True
-            for node, kinds in at.items():
-                memo = (node, tuple(sorted(kinds)))
-                found = verdicts.get(memo)
-                if found is None:
-                    found = verdicts[memo] = self._node_verdict(*memo)
-                if not found:
-                    verdict = False
-                    break
-            self._rejected[signature] = verdict
+            verdict = self._rejected[signature] = all(
+                self._verdict_at(node, tuple(sorted(kinds))) for node, kinds in at.items()
+            )
         return verdict
+
+    def _verdict_at(self, node: str, kinds: tuple[int, ...]) -> bool:
+        found = self._node_verdicts.get((node, kinds))
+        if found is None:
+            found = self._node_verdicts[(node, kinds)] = self._node_verdict(node, kinds)
+        return found
+
+    def insertion_classes(self, subjects: list[tuple[str, Term]], props: list[str],
+                          objects: list[tuple[str, Term]]):
+        """The classes of the single insertions (s, p, o) of the
+        ``subjects`` and ``objects`` ((key, term) pairs) on ``props``: for
+        each end at a node with keys, (node, property, inverse?, far keys,
+        rejects?), the far keys being the other ends of the class's
+        insertions, or None for an inert end, whose class holds every
+        insertion on the end and rejects. Each other class is decided
+        once."""
+        sides = ((False, dict(subjects), objects), (True, dict(objects), subjects))
+        groups: dict[tuple, dict[tuple, list[str]]] = {}  # (labels, dprop) -> cells -> far keys
+        for node, labels in self._labels_at.items():
+            for prop in props:
+                for inverse, ends, fars in sides:
+                    if node not in ends:
+                        continue
+                    dprop = self._dprop(prop, inverse)
+                    if self.base.graph.has_node(node) and all(
+                        self.base.open_only(label, dprop) for label in labels
+                    ):
+                        yield node, prop, inverse, None, True
+                        continue
+                    by_cells = groups.get((labels, dprop))
+                    if by_cells is None:
+                        by_cells = groups[(labels, dprop)] = {}
+                        for far, term in fars:
+                            cells = self._cells_toward(labels, dprop, far, term)
+                            by_cells.setdefault(cells, []).append(far)
+                    for cells, members in by_cells.items():
+                        kind = _intern(self._kind_ids, self._kinds, (True, cells))
+                        yield node, prop, inverse, members, self._verdict_at(node, (kind,))
+
+    def one_edit_insertions(self, subjects: list[tuple[str, Term]], props: list[str],
+                            objects: list[tuple[str, Term]]) -> set[tuple[str, str, str]]:
+        """The keys (s, p, o) of the single insertions of
+        :meth:`insertion_classes`' domain that the base graph lacks and
+        whose one-edit set the screen may pass: the insertions of the
+        classes that do not reject, and the self-loops at nodes with keys,
+        which :meth:`rejects` decides (their two ends share the node)."""
+        out = {(node, prop, node) for node, _ in subjects if node in self._labels_at
+               for prop in props}
+        for node, prop, inverse, fars, rejects in self.insertion_classes(subjects, props, objects):
+            if not rejects:
+                out.update((far, prop, node) if inverse else (node, prop, far) for far in fars)
+        return out.difference(self.base.graph._keys)
 
     def _node_verdict(self, node: str, kinds: tuple[int, ...]) -> bool:
         """May a set whose ends at ``node`` have ``kinds`` be rejected there?"""
@@ -670,3 +730,12 @@ class Screen:
                 if self._has_witness(key, edits) is not False:
                     return False
         return True
+
+
+def _intern(ids: dict, items: list, item: tuple) -> int:
+    """The id of ``item`` in ``items``, appended if new, with ``ids`` its index."""
+    n = ids.get(item)
+    if n is None:
+        n = ids[item] = len(items)
+        items.append(item)
+    return n

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
@@ -51,6 +52,7 @@ from .schema_model import (
 CHECK_MAX_NODES = 64
 CHECK_BUDGET = 200_000
 
+_FRESH_KEY = re.compile(r"_:repair(0|[1-9][0-9]*)")  # a node key a fresh blank may have
 _FRESH_LITERALS = {
     XSD_INTEGER: "0",
     XSD_STRING: "",
@@ -101,11 +103,41 @@ class FreshBlank(BlankRef):
 
 
 def insertion_domain(
-    graph: Graph, schema: Schema, max_edits: int, *, keys: list | None = None
+    graph: Graph, schema: Schema, max_edits: int, *, keys: list | None = None,
+    labels: list[str] | None = None, screen=None,
 ) -> list[Triple]:
     """Candidate triples for insertion, in a deterministic order (by key).
-    When ``keys`` is given, each triple's key is appended to it, in order."""
-    # (key, term) pairs; a graph node's key is its id
+    Their fresh blanks have the first ``max_edits`` labels the graph does
+    not use, or the ``labels`` when given. With a
+    ``shexd.incremental.Screen``, only those whose one-edit set it may pass
+    (:meth:`~shexd.incremental.Screen.one_edit_insertions`). When ``keys``
+    is given, each triple's key is appended to it, in order."""
+    if labels is None:
+        labels = _fresh_labels(graph, max_edits, max_edits, set())
+    subjects, properties, objects = _domain(graph, schema, labels)
+    if screen is None:
+        present = set(graph._keys)
+        out = [
+            ((s_key, p, o_key), Triple(s, p, o))
+            for (s_key, s), p, (o_key, o) in itertools.product(subjects, properties, objects)
+            if (s_key, p, o_key) not in present
+        ]
+    else:
+        terms = dict(objects)  # every subject is an object too
+        out = [
+            (key, Triple(terms[key[0]], key[1], terms[key[2]]))
+            for key in screen.one_edit_insertions(subjects, properties, objects)
+        ]
+    out.sort(key=itemgetter(0))  # keys are unique: a key names one term
+    if keys is not None:
+        keys.extend(key for key, _ in out)
+    return [t for _, t in out]
+
+
+def _domain(graph: Graph, schema: Schema, labels: list[str]) -> tuple[list, list[str], list]:
+    """The subjects, the sorted properties and the objects of the insertion
+    domain whose fresh blanks have ``labels``; subjects and objects are
+    (key, term) pairs, a graph node's key being its id."""
     subjects: list[tuple[str, Iri | BlankRef]] = []
     objects: list[tuple[str, Term]] = []
     for node in graph.nodes:
@@ -119,9 +151,7 @@ def insertion_domain(
             blank = BlankRef(node[2:])
             subjects.append((node, blank))
             objects.append((node, blank))
-    labels = (f"repair{i}" for i in itertools.count())
-    free = (label for label in labels if not graph.has_node("_:" + label))
-    fresh = [("_:" + label, FreshBlank(label)) for label in itertools.islice(free, max_edits)]
+    fresh = [("_:" + label, FreshBlank(label)) for label in labels]
     subjects.extend(fresh)
     objects.extend(fresh)
 
@@ -145,17 +175,35 @@ def insertion_domain(
             pool.setdefault(term_key(lit), lit)
     existing_objects = {key for key, _ in objects}
     objects.extend(item for item in sorted(pool.items()) if item[0] not in existing_objects)
+    return subjects, sorted(properties), objects
 
-    present = set(graph._keys)
-    out = []
-    for (s_key, s), p, (o_key, o) in itertools.product(subjects, sorted(properties), objects):
-        key = (s_key, p, o_key)
-        if key not in present:
-            out.append((key, Triple(s, p, o)))
-    out.sort(key=itemgetter(0))  # keys are unique: a key names one term
-    if keys is not None:
-        keys.extend(key for key, _ in out)
-    return [t for _, t in out]
+
+def _fresh_labels(graph: Graph, max_edits: int, size: int, requested: set[str]) -> list[str]:
+    """The fresh-blank labels a search's edit sets of ``size`` edits take:
+    of the labels of :func:`insertion_domain` at ``max_edits``, those the
+    request names (``requested`` node keys) and the ``size`` smallest
+    others in string order (``repair10`` before ``repair2``); see
+    :func:`enumerate_repairs`. Costs ``size`` and the graph's nodes, not
+    ``max_edits``."""
+    used = sorted(int(m[1]) for m in map(_FRESH_KEY.fullmatch, graph._values) if m)
+    limit = max_edits  # the labels are repair<i> for the unused i below it
+    for i in used:
+        limit += i < limit
+    named = {int(m[1]) for m in map(_FRESH_KEY.fullmatch, requested) if m}.difference(used)
+    named = sorted(i for i in named if i < limit)
+    others = (i for i in _in_string_order(limit) if i not in named and i not in used)
+    return [f"repair{i}" for i in (*named, *itertools.islice(others, size))]
+
+
+def _in_string_order(limit: int, first: int = 0, stop: int = 10):
+    """The integers below ``limit`` from ``first`` to ``stop`` - 1, each
+    followed by its decimal extensions, lazily: from the defaults, every
+    integer below ``limit`` in the string order of its decimals (0, 1, 10,
+    100, ..., 11, ..., 2, ...)."""
+    for i in range(first, min(stop, limit)):
+        yield i
+        if i:
+            yield from _in_string_order(limit, 10 * i, 10 * i + 10)
 
 
 def apply_edits(graph: Graph, edits: EditSet) -> Graph:
@@ -270,15 +318,18 @@ Atom = tuple[str, Triple]  # ("del" | "ins", triple)
 
 
 def _edit_atoms(
-    graph: Graph, schema: Schema, max_edits: int, keys: list | None = None
+    graph: Graph, schema: Schema, max_edits: int, keys: list | None = None,
+    labels: list[str] | None = None, screen=None,
 ) -> list[Atom]:
     """Every single edit: the deletions in triple order, then the
-    insertions. When ``keys`` is given, each edit's triple key is appended
-    to it, in order."""
+    insertions of :func:`insertion_domain`. When ``keys`` is given, each
+    edit's triple key is appended to it, in order."""
     deletions = sorted(zip(graph._keys, graph.triples), key=itemgetter(0))
     if keys is not None:
         keys.extend(key for key, _ in deletions)
-    insertions = insertion_domain(graph, schema, max_edits, keys=keys)
+    insertions = insertion_domain(
+        graph, schema, max_edits, keys=keys, labels=labels, screen=screen
+    )
     return [("del", t) for _, t in deletions] + [("ins", t) for t in insertions]
 
 
@@ -344,15 +395,16 @@ def _admissible_combinations(
 class _Relevance:
     """Which edit sets can be minimal repairs; see :func:`enumerate_repairs`.
 
-    Pairs are held as node -> labels. The base closure P(∅), the endpoints
-    of every atom, and whether an atom counts already under P(∅) are
-    computed once; an edit set extends the closure only when one of its
-    insertions adds a pair to it (the atom *grows* it). An atom that does
-    not count under P(∅) can count only in a set that also holds a growing
-    insertion, or, for an insertion, a deletion that *covers* it: one with
-    an endpoint in common where P(∅) holds a pair (the insertion may then
-    keep that node in the graph). ``covers[i]`` holds, for a deletion, the
-    sorted lists of the insertions at each such endpoint.
+    Pairs are held as node -> labels. The base closure P(∅) is computed
+    once; the endpoints of every atom, and whether an atom counts already
+    under P(∅), once per atom list (:meth:`over`). An edit set extends the
+    closure only when one of its insertions adds a pair to it (the atom
+    *grows* it). An atom that does not count under P(∅) can count only in
+    a set that also holds a growing insertion, or, for an insertion, a
+    deletion that *covers* it: one with an endpoint in common where P(∅)
+    holds a pair (the insertion may then keep that node in the graph).
+    ``covers[i]`` holds, for a deletion, the sorted lists of the
+    insertions at each such endpoint.
     """
 
     def __init__(
@@ -410,23 +462,30 @@ class _Relevance:
                 )
             return found
 
+        self._end_of = end_of
+        self._steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self.base: dict[str, set[str]] = {}
+        requested: dict[str, set[str]] = {}
+        for node, label, _ in typing0:
+            requested.setdefault(node, set()).add(label)
+        self._close(requested, {}, [(n, l) for n, ls in requested.items() for l in ls])
+        self.base = requested
+        self.over(atoms, keys)
+
+    def over(self, atoms: list[Atom], keys: list[tuple[str, str, str]]) -> None:
+        """Build the per-atom tables for ``atoms``, whose triples' keys are
+        ``keys``, in place of the last ones."""
         self.inserts = [kind == "ins" for kind, _ in atoms]
         # (node, directed property) of the edit's edge at its subject, then at its object
         self.ends = []
         # per end: its node, the labels it counts at, and whether the graph holds the node
         self._ends_counting = []
         for s, p, o in keys:
-            fwd, inv = end_of(s, p, False), end_of(o, p, True)
+            fwd, inv = self._end_of(s, p, False), self._end_of(o, p, True)
             self.ends.append((fwd[0], inv[0]))
             self._ends_counting.append((fwd[1], inv[1]))
-        self._steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self._closures: dict[tuple[int, ...], dict[str, set[str]]] = {}  # growers -> pairs added
-        self.base: dict[str, set[str]] = {}
-        requested: dict[str, set[str]] = {}
-        for node, label, _ in typing0:
-            requested.setdefault(node, set()).add(label)
-        self._close(requested, {}, [(n, l) for n, ls in requested.items() for l in ls])
-        self.base = base = requested
+        base = self.base
         self.base_counts = [self._counts(i, {}, set()) for i in range(len(atoms))]
         self.grows = [  # an insertion with no end in P(∅) adds no pair to it
             self.inserts[i] and (s in base or o in base) and self._adds_pair(i)
@@ -560,7 +619,7 @@ def enumerate_repairs(
     ``p``) or at o (with ``^p``) when some (x, l) in P(E) there has shape l
     mention that directed property, as a constraint or as EXTRA; or shape
     l CLOSED in that direction; or the edit is an insertion and x is not a
-    node of the graph, or E deletes a triple at x. E is checked only if
+    node of the graph or E deletes a triple at x. E is checked only if
     every edit counts at one of its endpoints.
 
     Why this loses no minimal repair: let E be valid, W a global typing
@@ -593,62 +652,68 @@ def enumerate_repairs(
 
     Once the unedited graph has failed the request, each generated set of
     size one or more meets three filters in turn before its check: the
-    screen (``shexd.incremental.Screen``), the relevance test above and
-    the fresh-blank dedupe. The screen reads a set node by node, over the
-    node's *keys*: its pairs in the unedited graph's fixpoint, then the
-    certain-typing entries decided there. A key is changed unless the node
-    keeps an edge and the key's shape leaves every edited edge to the open
-    slot. A set is rejected when, at each node it touches, every changed
-    pair was dead in the unedited graph's fixpoint, every changed certain
-    entry was false there (and the node keeps an edge, if it holds one),
-    and no changed key has a local witness on the edited graph. Whether a
-    key has one is read off its edges' consumer lists, which depend only
-    on each edge's directed property and its target: the unedited node's
-    lists, minus the deleted edges', plus the inserted edges'. A list
-    drops each constraint consumer that references a negated label
-    against the sign the unedited graph decided for its target. Such a
-    set changes no decided sign (by induction over the acyclic certain
-    region: the entries it touches keep no witness or keep their
-    witnesses, and the others read what they read before), so a dropped
-    consumer stays unusable, no pair gets a usable witness, and the check
-    would revive nothing, keep the status of every pair and fail as the
-    unedited graph did. Every other set goes on, and so does one whose
-    witness search raises; the screen only ever rejects. A rejected set is
-    never charged against ``CHECK_BUDGET``, so a set whose check would
-    have run out of budget (exit 4) is skipped instead. The screen reads
-    an edit only through the *kind* of each of its ends at a node with
-    keys (whether it inserts, and per key whether the shape leaves the
-    edit open and the end's consumer list), decides each node's verdict
-    once per node and sorted kinds, and each set's verdict, their
-    conjunction, once per signature (the sorted effect ids of its atoms).
+    screen (``shexd.incremental.Screen``, which rejects only sets whose
+    check would fail as the unedited graph's did; its docstring says
+    why), the relevance test above and the fresh-blank dedupe. A rejected
+    set is never charged against ``CHECK_BUDGET``, so a set whose check
+    would have run out of budget (exit 4) is skipped instead.
 
     Running the screen first checks the same sets, in the same order, as
-    running it last, and spares the rejected sets the other filters.
-    Every filter is pure. The screen rejects only sets whose check fails.
-    And each filter gives every fresh-blank renaming of a set the same
-    answer: fresh blanks are never graph nodes, so the relevance test
+    running it last, and spares the rejected sets the other filters:
+    every filter is pure, the screen rejects only sets whose check fails,
+    and each filter gives every fresh-blank renaming of a set the same
+    answer. Fresh blanks are never graph nodes, so the relevance test
     cannot tell them apart; nor can the screen, since a fresh blank never
     holds keys or a decided sign and every fresh blank has the same value;
-    and the dedupe is defined on renaming classes. So within a renaming
-    class the screen passes all sets or none, and the first set that
-    passes the relevance test is the one checked either way. (A request
-    that names a fresh blank's label breaks that symmetry; the CLI rejects
-    requests for nodes the graph does not hold, and no screen runs when
-    the unedited graph lacks a requested node.)
+    and the dedupe is defined on renaming classes. So a renaming class
+    keeps its first member either way. (A request that names a fresh
+    blank's label breaks that symmetry; the CLI rejects requests for nodes
+    the graph does not hold, and no screen runs when the unedited graph
+    lacks a requested node.)
+
+    Two shortcuts build fewer atoms and check the same sets in the same
+    order, so the dedupe's representatives and the exit-4 point stay:
+
+    - At one edit, once a screen runs, the insertions are those of
+      ``Screen.one_edit_insertions``, which screens them by class; every
+      other insertion is rejected as a one-edit set. The shorter atom
+      list keeps the full one's order.
+    - At k edits, fresh blanks take only the k smallest labels in string
+      order (``repair10`` sorts before ``repair2``), and any the request
+      names (:func:`_fresh_labels`). A set that passes the relevance test
+      uses at most k fresh blanks the request does not name: such a blank
+      holds a pair only through an inserted edge and each edit counts at
+      a node with a pair, so each component of those blanks in the graph
+      of the set's insertions is joined to another node, and there are
+      at least as many insertions as blanks. If a checked set used a label
+      b outside the k smallest, it would leave one of those, a, unused;
+      renaming b to a gives each atom that held b a smaller key, hence a
+      set earlier in combination order that every filter treats alike,
+      which the dedupe would have checked instead. So the atoms built
+      grow with the size reached, not with ``max_edits``.
 
     Each set is checked by :func:`is_valid_after`, and all the checks of
     one call share one :class:`LocalWitnessCache`: a pair whose
     neighbourhood a set leaves alone is not enumerated again. The graph's
     size is not bounded.
     """
-    keys: list[tuple[str, str, str]] = []
-    atoms = _edit_atoms(graph, schema, max_edits, keys)
-    relevance = _Relevance(graph, schema, typing0, atoms, keys)
     witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
-    fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
+    requested = {node for node, _, _ in typing0}
+    atoms: list[Atom] = []  # size 0 takes none
+    relevance = _Relevance(graph, schema, typing0, atoms, [])
     screen = None
 
     for size in range(max_edits + 1):
+        if size:
+            labels = _fresh_labels(graph, max_edits, size, requested)
+            keys: list[tuple[str, str, str]] = []
+            atoms = _edit_atoms(
+                graph, schema, max_edits, keys, labels, screen if size == 1 else None
+            )
+            relevance.over(atoms, keys)
+            if screen is not None:
+                screen.over(atoms, keys)
+        fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
         valid: list[EditSet] = []
         seen: set[tuple] = set()
         for combo in _admissible_combinations(
@@ -674,7 +739,7 @@ def enumerate_repairs(
         if size == 0:
             from . import incremental  # loaded by the check just made
 
-            screen = incremental.screen_for(witnesses, typing0, atoms, keys)
+            screen = incremental.screen_for(witnesses, typing0)
     return RepairResult(None, (), max_edits)
 
 

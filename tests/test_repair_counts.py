@@ -1,5 +1,5 @@
-"""Work counters of the three benchmark repair requests and of a two-edit
-request on the issue example, run through the CLI.
+"""Work counters of the three benchmark repair requests, of a two-edit
+request on the issue example and of a one-edit chain, run through the CLI.
 
 A repair check reads the edited graph as a patch of the request's graph and
 verifies an accepted set's certificate on that patch; bag verdicts are
@@ -16,6 +16,7 @@ set order may steer the search.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -26,30 +27,47 @@ from pathlib import Path
 
 import pytest
 
+from conftest import EX
+from test_maximal_typing import CHAIN_SCHEMA
+from test_repair_classes import count_search_work, repair_json
+
 TESTS = Path(__file__).resolve().parent
 NAMELESS = "repairing.ttl without ex:emma's foaf:name"
 
 # (schema, data, node, shape, --max-edits, checks, screened sets); before
 # the screen every set that passed the relevance test and the fresh-blank
-# dedupe was checked (231 / 41 / 1,051 checks). The screen now runs before
-# both, so it rejects sets that would have failed the test or been
-# deduped too: 2,268 on the two-edit request, where it rejected 1,046 when
-# it ran last. On repairing.ttl the screen now also rejects sets that edit
-# at a node with certain entries (99 checks and 132 screened sets when it
-# left every such set to the check). The last request is repairing.ttl
-# without ex:emma's foaf:name (``NAMELESS``) at two edits, which made
-# 17,221 checks while the screen passed those sets.
+# dedupe was checked (231 / 41 / 1,051 checks). The screened sets are those
+# ``Screen.rejects`` rejects: at one edit it is asked about the deletions
+# and the insertions the classes leave (below), at two about every
+# generated set, before the relevance test and the dedupe. While it was
+# asked about every generated set at one edit too, it rejected 228 / 40 /
+# 2,268 / 80,228 sets; on repairing.ttl 132, with 99 checks, while it left
+# every set that edits at a node with certain entries to the check. The
+# last request is repairing.ttl without ex:emma's foaf:name (``NAMELESS``)
+# at two edits, which made 17,221 checks while the screen passed those
+# sets.
 REQUESTS = [
-    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 3, 228),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 40),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 2_268),
-    ("issues.shex", NAMELESS, "issue", "IssueShape", 2, 417, 80_228),
+    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 3, 17),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 10),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 2_233),
+    ("issues.shex", NAMELESS, "issue", "IssueShape", 2, 417, 80_015),
 ]
 # The screen's node verdicts and witness tests per request: a set's verdict
 # is the conjunction of its nodes' verdicts, each decided once per node and
 # kinds of the ends there (on boolean at two edits the screen decided 408
-# signatures whole, with as many witness tests at most)
-SCREEN_WORK = [(16, 12), (15, 12), (97, 89), (82, 73)]
+# signatures whole, with as many witness tests at most). Deciding the
+# one-edit insertions by class decides some classes none of whose
+# insertions counts, and no longer the kinds that only self-loops, decided
+# as sets, had (16 / 15 / 97 / 82 verdicts and 12 / 12 / 89 / 73 witness
+# tests while the screen was asked about each one-edit set).
+SCREEN_WORK = [(15, 13), (15, 13), (98, 90), (83, 74)]
+# The classes of one-edit insertions the screen decides (an inert end is
+# not decided), and the edit atoms the search builds (``_edit_atoms``): at
+# one edit the deletions, the insertions of the classes that pass and the
+# self-loops at nodes with keys, at two every edit, with fresh blanks for
+# two labels. When every atom was built up front, once per request, they
+# were 1,008 / 120 / 180 / 1,134.
+CLASS_WORK = [(6, 31), (10, 15), (10, 195), (6, 1_164)]
 # Local witnesses charged to the budgets of each request's checks, the base
 # fixpoint's included (``WitnessReader.charge``): where a check may exit 4
 # moves with them. The same when the certain signs were decided by a
@@ -102,7 +120,7 @@ def count_repair_work() -> list[dict[str, int]]:
     from conftest import DATA, EX
 
     counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0,
-              "verdicts": 0, "witness_tests": 0, "charged": 0}
+              "verdicts": 0, "witness_tests": 0, "charged": 0, "classes": 0, "atoms": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -123,6 +141,20 @@ def count_repair_work() -> list[dict[str, int]]:
             return rejected
         return wrapper
 
+    def classes(name, func):
+        def wrapper(*args, **kwargs):
+            for found in func(*args, **kwargs):
+                counts[name] += found[3] is not None  # an inert end is not decided
+                yield found
+        return wrapper
+
+    def built(name, func):
+        def wrapper(*args, **kwargs):
+            atoms = func(*args, **kwargs)
+            counts[name] += len(atoms)
+            return atoms
+        return wrapper
+
     patches = [
         (shexd.rdf_graph.Graph, "__init__", "graphs", counted),
         (shexd.matching, "interval", "intervals", counted),
@@ -132,6 +164,8 @@ def count_repair_work() -> list[dict[str, int]]:
         (shexd.incremental.Screen, "_node_verdict", "verdicts", counted),
         (shexd.incremental.Screen, "_has_witness", "witness_tests", counted),
         (shexd.engine.WitnessReader, "charge", "charged", charged),
+        (shexd.incremental.Screen, "insertion_classes", "classes", classes),
+        (shexd.repair, "_edit_atoms", "atoms", built),
     ]
     originals = [getattr(owner, attr) for owner, attr, _, _ in patches]
     out = []
@@ -168,6 +202,7 @@ def test_repair_request_work_bounds(seed):
     assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
     assert [c["screened"] for c in counts] == [screened for *_, screened in REQUESTS]
     assert [(c["verdicts"], c["witness_tests"]) for c in counts] == SCREEN_WORK
+    assert [(c["classes"], c["atoms"]) for c in counts] == CLASS_WORK
     assert [c["charged"] for c in counts] == CHARGED
     # the counter wraps Graph.__init__, the only routine that builds a Graph,
     # so it sees every Graph a search makes: the parsed one. When accepted
@@ -176,3 +211,30 @@ def test_repair_request_work_bounds(seed):
     assert [c["graphs"] for c in counts] == [1, 1, 1, 1]
     assert sum(c["intervals"] for c in counts[:3]) <= INTERVAL_BOUND
     assert sum(c["edge_matches"] for c in counts[:3]) <= EDGE_MATCH_BOUND
+
+
+# sha256 of the repair JSON of the one-edit 200-link chain, recorded when
+# every atom was built and screened one by one
+CHAIN_200 = "134e4de25283a2b3d9f3188a98dd6c6ca2f280c440d6fbac22d100ae29a5f1c6"
+
+
+def test_a_chain_is_screened_by_classes_linear_in_its_links(monkeypatch, tmp_path):
+    links = 200
+    (tmp_path / "chain.shex").write_text(CHAIN_SCHEMA, encoding="utf-8")
+    (tmp_path / "chain.ttl").write_text(
+        "@prefix ex: <http://example.org/> .\n" + "".join(
+            f'ex:n{i} ex:name "name {i}" ; ex:next ex:n{i + 1} .\n' for i in range(links)
+        ), encoding="utf-8")
+    counts = count_search_work(monkeypatch)
+    code, out = repair_json(["--schema", str(tmp_path / "chain.shex"),
+                             "--data", str(tmp_path / "chain.ttl"), "--node", EX + "n0",
+                             "--shape", "P", "--max-edits", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_200
+    # three classes per node: ex:name out of it toward strings or other
+    # terms, ex:next toward any (ex:name and ex:next in are inert); the
+    # atoms built are the 400 deletions, the 201 insertions of ex:n200's
+    # passing ex:name class and the 402 self-loops (162,812 atoms when each
+    # was built)
+    assert counts == {"classes": 603, "atoms": 1_003}
+    assert counts["classes"] <= 10 * links

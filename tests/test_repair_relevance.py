@@ -23,6 +23,7 @@ from shexd import (
     parse_data,
     parse_schema,
 )
+from shexd.engine import LocalWitnessCache
 from shexd.errors import BagTooLargeError, SearchBudgetExceededError
 from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, Graph, Iri, Literal, Triple
@@ -32,6 +33,7 @@ from shexd.repair import (
     _admissible_combinations,
     _canonical_blank_form,
     _edit_atoms,
+    _edit_set,
     _is_fresh_blank,
     _Relevance,
     apply_edits,
@@ -263,12 +265,16 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
 
 # Relevance tests and fresh-blank canonicalisations of the sweep that walks
 # every combination: 1,009 and 189 (repairing.ttl, one edit), 10,411 and
-# 13,805 (boolean.ttl, two edits). ``sets`` counts the sets that pass the
-# test and the dedupe, as they did when both ran before the screen: each is
-# still either rejected by the screen or checked, so the search checks the
-# same sets. The screen now sees every generated set first, and its
-# rejections plus the checks add up to ``SCREENED_OR_CHECKED``.
-SCREENED_OR_CHECKED = {"repairing.ttl": 231, "boolean.ttl": 2_273}  # 231 and 1,051 when last
+# 13,805 (boolean.ttl, two edits). ``sets`` counts the sets of a sweep over
+# every edit atom that pass the test and the dedupe, as they did when both
+# ran before the screen: each must still be either rejected by the screen
+# or checked, so the search checks the same sets. The search's own screen
+# rejects ``SCREENED_OR_CHECKED`` less the checks: the sets it asks
+# ``Screen.rejects`` about are the deletions, the insertions of the classes
+# that pass and the self-loops at nodes with keys at one edit, and every
+# generated set at two (231 and 2,273 with the
+# checks while it saw every one-edit set; 231 and 1,051 when it ran last).
+SCREENED_OR_CHECKED = {"repairing.ttl": 20, "boolean.ttl": 2_238}
 
 
 @pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, sets", [
@@ -281,6 +287,7 @@ def test_enumeration_work_bounds(
     calls = _count_enumeration_work(monkeypatch, data, node, shape, max_edits)
     assert calls["admits"] <= tests_bound
     assert calls["canonical"] <= canon_bound
+    assert calls["sets"] == sets
     assert calls["checks"] + calls["screened_passing"] == sets
     assert calls["checks"] + calls["screened"] == SCREENED_OR_CHECKED[data]
 
@@ -288,9 +295,9 @@ def test_enumeration_work_bounds(
 # Of the sets that pass the relevance test and the dedupe, the screen
 # rejects all but the size-0 check and 2 (of 230) and 4 (of 1,050), which
 # is_valid_after decides; every such set was checked when nothing screened
-# them. (Of all the sets it sees, it rejects 228 of 230 and 2,268 of 2,272.
-# It rejected 132 of 230 on repairing.ttl, with 98 left to the check, when
-# it left every set that edits at a node with certain entries to the check.)
+# them. (It rejected 132 of 230 on repairing.ttl, with 98 left to the
+# check, when it left every set that edits at a node with certain entries
+# to the check.)
 @pytest.mark.parametrize("data, node, shape, max_edits, checks, screened", [
     ("repairing.ttl", "issue", "IssueShape", 1, 3, 228),
     ("boolean.ttl", "term", "Term", 2, 5, 1_046),
@@ -330,21 +337,39 @@ def test_screening_first_spares_the_rejected_sets(monkeypatch):
 
 def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
     """Relevance tests, canonicalisations, EditSets, checks and screen
-    rejections of one search, and ``screened_passing``: the rejected sets
-    that would pass the relevance test and the dedupe, run as before the
-    screen, over every set the screen sees."""
+    rejections of one search; and, over a sweep of every edit atom's sets
+    up to the search's last size, ``sets``: those that pass the relevance
+    test and the dedupe, as before the screen, and ``screened_passing``:
+    those of them the screen rejects."""
     schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
     graph = load_graph(data)
+    request = [(EX + node, shape, "+")]
     calls = dict.fromkeys(
-        ("admits", "canonical", "edit_sets", "checks", "screened", "screened_passing"), 0
+        ("admits", "canonical", "edit_sets", "checks", "screened", "sets", "screened_passing"), 0
     )
-    real_admits = shexd.repair._Relevance.admits
-    real_canonical = shexd.repair._canonical_blank_form
-    real_edit_set = shexd.repair._edit_set
-    real_init = shexd.repair._Relevance.__init__
-    real_rejects = incremental.Screen.rejects
-    relevances = []
-    seen: dict[int, set] = {}  # size -> canonical forms of the sets that pass the test
+    keys = []
+    atoms = _edit_atoms(graph, schema, max_edits, keys)
+    relevance = _Relevance(graph, schema, request, atoms, keys)
+    cache = LocalWitnessCache(schema, graph)
+    assert not is_valid_after(graph, EditSet(frozenset(), frozenset()), schema, request,
+                              witnesses=cache)
+    screen = incremental.screen_for(cache, request, atoms, keys)
+    result = enumerate_repairs(graph, schema, request, max_edits=max_edits)
+    for size in range(result.min_size + 1 if result.found else max_edits + 1):
+        seen = set()
+        for combo in _admissible_combinations(
+            size, relevance.base_counts, relevance.grows, relevance.covers
+        ):
+            if not relevance.admits(combo):
+                continue
+            if any(_is_fresh_blank(atoms[i][1].subject) or _is_fresh_blank(atoms[i][1].obj)
+                   for i in combo):
+                canonical = _canonical_blank_form(_edit_set(atoms[i] for i in combo))
+                if canonical in seen:
+                    continue
+                seen.add(canonical)
+            calls["sets"] += 1
+            calls["screened_passing"] += bool(combo) and screen.rejects(combo)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -352,39 +377,23 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
             return real(*args, **kwargs)
         return wrapper
 
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        relevances.append(self)
-
-    def passes(atoms, combo) -> bool:
-        if not real_admits(relevances[-1], combo):
-            return False
-        if not any(_is_fresh_blank(atoms[i][1].subject) or _is_fresh_blank(atoms[i][1].obj)
-                   for i in combo):
-            return True
-        canonical = real_canonical(real_edit_set(atoms[i] for i in combo))
-        forms = seen.setdefault(len(combo), set())
-        if canonical in forms:
-            return False
-        forms.add(canonical)
-        return True
+    real_rejects = incremental.Screen.rejects
 
     def screened(self, combo):
         rejected = real_rejects(self, combo)
-        if passes(self._atoms, combo):
-            calls["screened_passing"] += rejected
         calls["screened"] += rejected
         return rejected
 
     monkeypatch.setattr(incremental.Screen, "rejects", screened)
-    monkeypatch.setattr(shexd.repair._Relevance, "__init__", init)
-    monkeypatch.setattr(shexd.repair._Relevance, "admits", counted("admits", real_admits))
-    monkeypatch.setattr(shexd.repair, "_canonical_blank_form", counted("canonical", real_canonical))
-    monkeypatch.setattr(shexd.repair, "_edit_set", counted("edit_sets", real_edit_set))
+    monkeypatch.setattr(shexd.repair._Relevance, "admits",
+                        counted("admits", shexd.repair._Relevance.admits))
+    monkeypatch.setattr(shexd.repair, "_canonical_blank_form",
+                        counted("canonical", _canonical_blank_form))
+    monkeypatch.setattr(shexd.repair, "_edit_set", counted("edit_sets", _edit_set))
     monkeypatch.setattr(
         shexd.repair, "is_valid_after", counted("checks", shexd.repair.is_valid_after)
     )
-    enumerate_repairs(graph, schema, [(EX + node, shape, "+")], max_edits=max_edits)
+    assert enumerate_repairs(graph, schema, request, max_edits=max_edits) == result
     return calls
 
 

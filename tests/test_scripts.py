@@ -66,10 +66,12 @@ def test_flooding_digest_is_pinned():
     assert done.stdout == FLOODING_DIGEST
 
 
-# Recorded on the tree whose screen ran after the relevance test and the
-# fresh-blank dedupe; equal under PYTHONHASHSEED 0, 7 and 123.
+# Recorded on the tree whose screen and relevance test read each edit atom
+# of a one-edit search; equal under PYTHONHASHSEED 0, 7 and 123. (Its first
+# four requests alone read "4 requests, sha256 686a7fe4..." since the tree
+# whose screen ran after the relevance test and the fresh-blank dedupe.)
 REPAIR_DIGEST = (
-    "4 requests, sha256 686a7fe43deea98fa6cb1a59c1342733cc3d6fe92f2c06c4f25fa121e733f1ef\n"
+    "5 requests, sha256 ac60ae6daae892f7494406baed44d70d42035884bd724494471afcbc176b16be\n"
 )
 
 
