@@ -16,6 +16,9 @@ it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import Counter
 from typing import Iterable
 
 from .engine import (
@@ -399,21 +402,18 @@ class _Delta(_Fixpoint):
         self.settle(dropped)
 
 
-def screen_for(
-    cache: LocalWitnessCache, typing0: Iterable[TypingEntry], atoms: list = (), keys: list = ()
-) -> Screen | None:
-    """The :class:`Screen` of a repair search, over the edit ``atoms``
-    (``("del" | "ins", triple)``, with the triples' keys in ``keys``) until
-    :meth:`Screen.over` names others. Call it only once the unedited graph
-    has failed the request; None when that check built no base fixpoint (a
-    requested node the graph lacks)."""
+def screen_for(cache: LocalWitnessCache, typing0: Iterable[TypingEntry]) -> Screen | None:
+    """The :class:`Screen` of a repair search. Call it only once the
+    unedited graph has failed the request; None when that check built no
+    base fixpoint (a requested node the graph lacks)."""
     base = cache._bases.get(tuple(typing0))
-    return None if base is None else Screen(cache, base, atoms, keys)
+    return None if base is None else Screen(cache, base)
 
 
 class Screen:
-    """Rejects, without a patch, the edit sets whose check can only return
-    the base verdict, in a search whose unedited graph fails the request.
+    """Tells apart, without a patch, the edit sets whose check can only
+    return the base verdict, in a search whose unedited graph fails the
+    request: those it *rejects*; the others *pass*.
 
     The screen reads a set node by node. The *keys* of a node are its base
     pairs, followed by the certain entries the base fixpoint decided there
@@ -456,41 +456,55 @@ class Screen:
     nothing.) When :func:`_assignments` raises (``BagTooLargeError``), the
     set goes to the full check.
 
-    So the screen reads an atom only through its *effect*: for each of its
-    ends at a node with keys, the node and the end's *kind*. A kind is
-    whether the end inserts, and, for each key at the node, whether its
-    shape leaves the end's directed property to the open slot and the id
-    of the end's consumer list; that is all the rule reads of an end. A
-    set's verdict is the conjunction of its nodes' verdicts, and a node's
-    verdict reads only the node and the sorted kinds of the ends there, so
-    each is decided once (edits that look alike at a node are
-    interchangeable there, as interchangeable values are for a constraint
-    problem: Freuder, AAAI 1991). :meth:`rejects` looks a set up by its
-    *signature*, the sorted ids of its atoms' effects. A fresh blank is
-    never a node with keys, and every fresh blank has the same value and
-    no decided sign, so each renaming of a set's fresh blanks has the set's
-    signature.
+    So the screen reads an atom only through its *effect*: for each node
+    with keys that it has an end at, the node and the sorted *kinds* of its
+    ends there (two for a self-loop). A kind is whether the end inserts,
+    and, for each key at the node, whether its shape leaves the end's
+    directed property to the open slot and the id of the end's consumer
+    list; that is all the rule reads of an end. A set's verdict is the
+    conjunction of its nodes' verdicts, and a node's verdict reads only the
+    node and the sorted kinds of the ends there, so each is decided once
+    (edits that look alike at a node are interchangeable there, as
+    interchangeable values are for a constraint problem: Freuder, AAAI
+    1991). Effects are computed once per triple key. A fresh blank is never
+    a node with keys, and every fresh blank has the same value and no
+    decided sign, so each renaming of a set's fresh blanks has the set's
+    effects.
+
+    :meth:`passing` generates the sets that pass. A set's *group* at a node
+    x is its atoms with an end at x; a set passes exactly when one of its
+    groups gets a passing node verdict, so the passing sets of k atoms are
+    the unions of a passing group G at some x with k - |G| atoms that have
+    no end at x. An *inert* end inserts at a graph node each of whose keys
+    leaves its directed property to the open slot, so its consumer lists
+    hold the open slot alone, which adds nothing to a bag: added to ends
+    that keep the node an edge it leaves their node verdict as it is, and
+    inert ends alone reject (no key changes). So at each node the
+    generator decides once each multiset of 1 to k kinds of atoms not inert
+    there, and extends each passing group by atoms with no end at x or
+    inert there; a group that strips the node, by atoms with no end at x,
+    or, if its verdict with an inert end added passes, by sets of those and
+    the inert atoms that hold one of the latter. Merging a fixed group into
+    the combinations of disjoint atoms keeps their order, so the union over
+    the nodes is merged, without repeats, in combination order.
 
     One-edit insertions are screened by *class*, without their atoms
     (:meth:`insertion_classes`). For (s, p, o), s and o apart, the set's
     verdict is the conjunction of a node verdict at each end with keys: at
     s, of the end's kind on ``p``, which reads o only through its cells
     under the keys at s; at o, likewise on ``^p``. An end at a node with
-    no keys is left out of the conjunction. An *inert* end, at a node
-    each of whose keys leaves the end's directed property to the open
-    slot, rejects whatever the far node: the end inserts, so the node
-    keeps an edge, and no other edit of the set is at the node, so no key
-    there is changed and 1-3 hold there vacuously. Every other end belongs
-    to the class of its node, directed property and far node's cells,
-    decided once. So a one-edit insertion passes exactly when a class it
-    belongs to does not reject, unless it is a self-loop (s, p, s), whose
-    two ends share a node and which :meth:`rejects` decides as a set; a
-    search that builds only those insertions and the self-loops
+    no keys is left out of the conjunction. An inert end rejects whatever
+    the far node: no other edit of the set is at the node. Every other end
+    belongs to the class of its node, directed property and far node's
+    cells, decided once. So a one-edit insertion passes exactly when a
+    class it belongs to does not reject, unless it is a self-loop (s, p,
+    s), whose two ends share a node and which :meth:`passing` decides as a
+    set; a search that builds only those insertions and the self-loops
     (:meth:`one_edit_insertions`) checks the same sets in the same order
     (see ``repair.enumerate_repairs``).
     """
 
-    def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint, atoms: list, keys: list):
+    def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint):
         self.base = base
         self.bag_bound = cache.bag_bound
         self._edge_options = cache._edge_options
@@ -524,19 +538,7 @@ class Screen:
         self._kind_ids: dict[tuple, int] = {}  # kind -> id
         self._kinds: list[tuple] = []  # id -> kind
         self._node_verdicts: dict[tuple, bool] = {}  # (node, sorted kind ids) -> rejects?
-        # effect -> id; the empty effect, of an atom with no end at a node
-        # with keys, is 0 and left out of signatures
-        self._effect_ids: dict[tuple, int] = {(): 0}
-        self._effects: list[tuple] = [()]  # id -> effect
-        self._rejected: dict[tuple[int, ...], bool] = {}  # signature -> verdict
-        self.over(atoms, keys)
-
-    def over(self, atoms: list, keys: list) -> None:
-        """Read the indices :meth:`rejects` is asked about as the ``atoms``,
-        whose triples' keys are ``keys``, from now on."""
-        self._atoms = atoms
-        self._keys = keys
-        self._effect_of: dict[int, int] = {}  # atom -> the id of its effect
+        self._effects: dict[tuple[str, str, str], tuple] = {}  # triple key -> its edit's effect
 
     def _cell(
         self, label: str, dprop: DirectedProperty, target: str, value: Value
@@ -591,18 +593,19 @@ class Screen:
             dprop = self._dprops[(prop, inverse)] = DirectedProperty(prop, inverse)
         return dprop
 
-    def _effect(self, inserted: bool, key: tuple[str, str, str], subject: Term, obj: Term) -> int:
-        """The id of the effect of the edit of the triple ``key``, from the
-        term ``subject`` to ``obj``."""
+    def _effect(self, inserted: bool, key: tuple[str, str, str], subject: Term, obj: Term) -> tuple:
+        """The effect of the edit of the triple ``key``, from the term
+        ``subject`` to ``obj``: (node, the sorted kind ids of its ends
+        there) per node with keys it has an end at."""
         s, p, o = key
-        effect = tuple(
-            (node, _intern(self._kind_ids, self._kinds, (inserted, self._cells_toward(
-                self._labels_at[node], self._dprop(p, inverse), far, term
-            ))))
-            for node, inverse, far, term in ((s, False, o, obj), (o, True, s, subject))
-            if node in self._labels_at
-        )
-        return _intern(self._effect_ids, self._effects, effect)
+        at: dict[str, list[int]] = {}
+        for node, inverse, far, term in ((s, False, o, obj), (o, True, s, subject)):
+            labels = self._labels_at.get(node)
+            if labels is not None:
+                cells = self._cells_toward(labels, self._dprop(p, inverse), far, term)
+                kind = _intern(self._kind_ids, self._kinds, (inserted, cells))
+                at.setdefault(node, []).append(kind)
+        return tuple((node, tuple(sorted(kinds))) for node, kinds in at.items())
 
     def _has_witness(self, key: Hypothesis, edits: list[tuple[bool, int]]) -> bool | None:
         """Does ``key`` have a local witness once the ``edits`` at its node,
@@ -629,28 +632,60 @@ class Screen:
             self._verdicts[multiset] = found
         return self._verdicts[multiset]
 
-    def rejects(self, combo: tuple[int, ...]) -> bool:
-        """Is the edit set of the atoms ``combo`` certainly invalid?"""
-        effect_of = self._effect_of
-        signature = []
-        for i in combo:
-            n = effect_of.get(i)
-            if n is None:
-                kind, t = self._atoms[i]
-                n = effect_of[i] = self._effect(kind == "ins", self._keys[i], t.subject, t.obj)
-            if n:
-                signature.append(n)
-        signature = tuple(sorted(signature))
-        verdict = self._rejected.get(signature)
-        if verdict is None:
-            at: dict[str, list[int]] = {}  # node -> the kinds of the ends there
-            for n in signature:
-                for node, kind in self._effects[n]:
-                    at.setdefault(node, []).append(kind)
-            verdict = self._rejected[signature] = all(
-                self._verdict_at(node, tuple(sorted(kinds))) for node, kinds in at.items()
-            )
-        return verdict
+    def passing(self, atoms: list, keys: list, size: int):
+        """The index sets of ``itertools.combinations(range(len(atoms)),
+        size)``, in that order, whose edit sets the screen passes, each
+        once; the ``atoms`` are ``("del" | "ins", triple)`` edits whose
+        triples' keys are ``keys``. See the class docstring for how."""
+        effects, graph = self._effects, self.base.graph
+        classes: dict[str, dict[tuple, list[int]]] = {}  # node -> kinds of an atom there -> atoms
+        for i, ((kind, t), key) in enumerate(zip(atoms, keys)):
+            effect = effects.get(key)
+            if effect is None:
+                effect = effects[key] = self._effect(kind == "ins", key, t.subject, t.obj)
+            for node, kinds in effect:
+                classes.setdefault(node, {}).setdefault(kinds, []).append(i)
+        streams = []  # per passing group, its extensions in combination order
+        for node, by_kinds in classes.items():
+            degree = len(graph.neighbourhood(node)) if graph.has_node(node) else 0
+            inert, pools = [], []
+            for kinds, members in by_kinds.items():
+                if degree and all(self._kinds[k][0] and all(c[0] for c in self._kinds[k][1])
+                                  for k in kinds):
+                    inert.extend(members)
+                    inert_end = kinds[0]
+                else:
+                    pools.append((kinds, members))
+            at = {i for members in by_kinds.values() for i in members}
+            others = [i for i in range(len(atoms)) if i not in at]
+            free = sorted(others + inert)
+            for n in range(1, size + 1):
+                for picks in itertools.combinations_with_replacement(range(len(pools)), n):
+                    counts = Counter(picks)
+                    if any(len(pools[c][1]) < m for c, m in counts.items()):
+                        continue
+                    ends = tuple(sorted(k for c in picks for k in pools[c][0]))
+                    if not degree or len(ends) < degree or any(self._kinds[k][0] for k in ends):
+                        ways = [(free, None, ends)]  # inert ends leave the verdict as it is
+                    else:  # the group strips the node, unless an inert end keeps it
+                        ways = [(others, None, ends)]
+                        if inert and n < size:
+                            ways.append((free, set(inert), tuple(sorted(ends + (inert_end,)))))
+                    ways = [
+                        (pool, needs) for pool, needs, kinds in ways
+                        if len(pool) >= size - n and not self._verdict_at(node, kinds)
+                    ]
+                    for parts in itertools.product(
+                        *(itertools.combinations(pools[c][1], m) for c, m in counts.items())
+                    ) if ways else ():
+                        group = tuple(sorted(itertools.chain(*parts)))
+                        streams.extend(_extended(group, pool, size - n, needs)
+                                       for pool, needs in ways)
+        last = None
+        for combo in heapq.merge(*streams):
+            if combo != last:
+                yield combo
+                last = combo
 
     def _verdict_at(self, node: str, kinds: tuple[int, ...]) -> bool:
         found = self._node_verdicts.get((node, kinds))
@@ -696,7 +731,7 @@ class Screen:
         :meth:`insertion_classes`' domain that the base graph lacks and
         whose one-edit set the screen may pass: the insertions of the
         classes that do not reject, and the self-loops at nodes with keys,
-        which :meth:`rejects` decides (their two ends share the node)."""
+        which :meth:`passing` decides (their two ends share the node)."""
         out = {(node, prop, node) for node, _ in subjects if node in self._labels_at
                for prop in props}
         for node, prop, inverse, fars, rejects in self.insertion_classes(subjects, props, objects):
@@ -730,6 +765,15 @@ class Screen:
                 if self._has_witness(key, edits) is not False:
                     return False
         return True
+
+
+def _extended(group: tuple[int, ...], pool: list[int], more: int, needs: set[int] | None):
+    """``group`` with each ``more`` of ``pool`` (atoms not in it) that hold
+    one of ``needs``, when given, sorted, in combination order: merging a
+    fixed disjoint group keeps that order."""
+    for rest in itertools.combinations(pool, more):
+        if needs is None or not needs.isdisjoint(rest):
+            yield tuple(sorted(group + rest))
 
 
 def _intern(ids: dict, items: list, item: tuple) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .engine import (
     CertainTyping,
@@ -333,6 +333,24 @@ def _edit_atoms(
     return [("del", t) for _, t in deletions] + [("ins", t) for t in insertions]
 
 
+def _add_insertions(
+    graph: Graph, schema: Schema, atoms: list[Atom], keys: list, labels: list, built: list
+) -> None:
+    """Merge into ``atoms``, the edits of :func:`_edit_atoms` whose fresh
+    blanks have the labels ``built``, and into their triples' ``keys``, in
+    place, the insertions that name a label of ``labels`` outside ``built``."""
+    subjects, properties, objects = _domain(graph, schema, labels)
+    new = {"_:" + label for label in labels}.difference("_:" + label for label in built)
+    added = [
+        ((s_key, p, o_key), ("ins", Triple(s, p, o)))
+        for (s_key, s), p, (o_key, o) in itertools.product(subjects, properties, objects)
+        if s_key in new or o_key in new
+    ]
+    start = len(graph.triples)  # the deletions come first
+    merged = sorted([*zip(keys[start:], atoms[start:]), *added], key=itemgetter(0))
+    keys[start:], atoms[start:] = [key for key, _ in merged], [atom for _, atom in merged]
+
+
 def _edit_set(atoms) -> EditSet:
     atoms = tuple(atoms)
     return EditSet(
@@ -341,80 +359,27 @@ def _edit_set(atoms) -> EditSet:
     )
 
 
-def _admissible_combinations(
-    size: int, counts: list[bool], grows: list[bool], covers: list[tuple[list[int], ...]]
-):
-    """The index sets of ``itertools.combinations(range(len(counts)), size)``,
-    in that order, that hold an atom whose ``grows`` is true, or whose every
-    atom counts or is covered by another atom of the set; the others are
-    never built. ``covers[i]`` holds sorted lists of the atoms that atom i
-    covers, all of them past i."""
-    n = len(counts)
-    growers = [i for i in range(n) if grows[i]]
-    live = [i for i in range(n) if counts[i] or grows[i]]
+class _Edit(NamedTuple):
+    """What the relevance test reads of one edit."""
 
-    def within(pool: list[int], start: int, stop: int) -> list[int]:
-        return pool[bisect_left(pool, start):bisect_left(pool, stop)]
-
-    def covered(i: int, covering: tuple[list[int], ...]) -> bool:
-        return any(within(pool, i, i + 1) for pool in covering)
-
-    def extend(prefix: tuple[int, ...], start: int, enabled: bool, pending: bool, covering):
-        slots = size - len(prefix)
-        if not slots:
-            yield prefix
-            return
-        stop = n - slots + 1
-        if enabled:
-            pool = range(start, stop)
-        else:
-            # any atom before the last grower can still be followed by it;
-            # past it, a set with an atom that needs a grower can take only
-            # that one, and any other set only atoms that count or are covered
-            last = growers[-1] if growers and slots > 1 else -1
-            reach = max(start, min(last, stop))
-            if pending:
-                tail = within(growers, reach, stop)
-            else:
-                tail = within(live, reach, stop)
-                if covering:
-                    tail = sorted(set(tail).union(*(within(c, reach, stop) for c in covering)))
-            pool = itertools.chain(range(start, reach), tail)
-        for i in pool:
-            if enabled or grows[i]:
-                yield from extend(prefix + (i,), i + 1, True, False, ())
-            else:
-                ok = counts[i] or covered(i, covering)
-                yield from extend(
-                    prefix + (i,), i + 1, False, pending or not ok, covering + covers[i]
-                )
-
-    return extend((), 0, False, False, ())
+    key: tuple[str, str, str]  # its triple's
+    inserts: bool
+    ends: tuple  # its (node, directed property) at the subject, then at the object
+    counting: tuple  # per end: its node, the labels it counts at, is the node in the graph?
+    counts: bool  # under P(∅)
+    grows: bool  # does it add a pair to P(∅)?
 
 
 class _Relevance:
     """Which edit sets can be minimal repairs; see :func:`enumerate_repairs`.
 
     Pairs are held as node -> labels. The base closure P(∅) is computed
-    once; the endpoints of every atom, and whether an atom counts already
-    under P(∅), once per atom list (:meth:`over`). An edit set extends the
-    closure only when one of its insertions adds a pair to it (the atom
-    *grows* it). An atom that does not count under P(∅) can count only in
-    a set that also holds a growing insertion, or, for an insertion, a
-    deletion that *covers* it: one with an endpoint in common where P(∅)
-    holds a pair (the insertion may then keep that node in the graph).
-    ``covers[i]`` holds, for a deletion, the sorted lists of the
-    insertions at each such endpoint.
+    once. An edit's endpoints, whether it counts already under P(∅), and
+    whether it *grows* the closure (an insertion that adds a pair to it)
+    are computed once per triple key, when a set first holds the edit.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        schema: Schema,
-        typing0: list[TypingEntry],
-        atoms: list[Atom],
-        keys: list[tuple[str, str, str]],
-    ):
+    def __init__(self, graph: Graph, schema: Schema, typing0: list[TypingEntry]):
         self.graph = graph
         # label -> directed property -> labels its constraints on it reference
         self.refs = {
@@ -470,43 +435,26 @@ class _Relevance:
             requested.setdefault(node, set()).add(label)
         self._close(requested, {}, [(n, l) for n, ls in requested.items() for l in ls])
         self.base = requested
-        self.over(atoms, keys)
+        self._edits: dict[tuple[str, str, str], _Edit] = {}  # triple key -> its edit
+        self._closures: dict[tuple, dict[str, set[str]]] = {}  # growers' keys -> pairs added
 
-    def over(self, atoms: list[Atom], keys: list[tuple[str, str, str]]) -> None:
-        """Build the per-atom tables for ``atoms``, whose triples' keys are
-        ``keys``, in place of the last ones."""
-        self.inserts = [kind == "ins" for kind, _ in atoms]
-        # (node, directed property) of the edit's edge at its subject, then at its object
-        self.ends = []
-        # per end: its node, the labels it counts at, and whether the graph holds the node
-        self._ends_counting = []
-        for s, p, o in keys:
+    def edit(self, inserts: bool, key: tuple[str, str, str]) -> _Edit:
+        """What :meth:`admits` reads of the edit of the triple ``key``."""
+        found = self._edits.get(key)
+        if found is None:
+            s, p, o = key
             fwd, inv = self._end_of(s, p, False), self._end_of(o, p, True)
-            self.ends.append((fwd[0], inv[0]))
-            self._ends_counting.append((fwd[1], inv[1]))
-        self._closures: dict[tuple[int, ...], dict[str, set[str]]] = {}  # growers -> pairs added
-        base = self.base
-        self.base_counts = [self._counts(i, {}, set()) for i in range(len(atoms))]
-        self.grows = [  # an insertion with no end in P(∅) adds no pair to it
-            self.inserts[i] and (s in base or o in base) and self._adds_pair(i)
-            for i, ((s, _), (o, _)) in enumerate(self.ends)
-        ]
-        inserted_at: dict[str, list[int]] = {}  # node with pairs -> insertions there
-        for i, ((s, _), (o, _)) in enumerate(self.ends):
-            if self.inserts[i]:
-                for node in dict.fromkeys((s, o)):
-                    if node in self.base:
-                        inserted_at.setdefault(node, []).append(i)
-        self.covers = [
-            () if self.inserts[i] else tuple(
-                inserted_at[node] for node in dict.fromkeys((s, o)) if node in inserted_at
+            ends, counting = (fwd[0], inv[0]), (fwd[1], inv[1])
+            found = self._edits[key] = _Edit(
+                key, inserts, ends, counting, self._counts(inserts, counting, {}, set()),
+                # an insertion with no end in P(∅) adds no pair to it
+                inserts and (s in self.base or o in self.base) and self._adds_pair(ends),
             )
-            for i, ((s, _), (o, _)) in enumerate(self.ends)
-        ]
+        return found
 
-    def _adds_pair(self, i: int) -> bool:
-        """Does the edge of edit ``i``, read from either end, add a pair to P(∅)?"""
-        subject_end, object_end = self.ends[i]
+    def _adds_pair(self, ends: tuple) -> bool:
+        """Does the edge with ``ends``, read from either end, add a pair to P(∅)?"""
+        subject_end, object_end = ends
         for (node, dprop), (far, _) in ((subject_end, object_end), (object_end, subject_end)):
             for label in self.base.get(node, ()):
                 for l2 in self.refs.get(label, {}).get(dprop, ()):
@@ -546,27 +494,28 @@ class _Relevance:
                     held.add(l2)
                     work.append((target, l2))
 
-    def _counts(self, i: int, added: dict[str, set[str]], deleted_at: set[str]) -> bool:
-        """Does edit ``i`` count at one of its ends, given the pairs ``added``
-        to P(∅) and the nodes the edit set deletes a triple at?"""
-        for node, counting, in_graph in self._ends_counting[i]:
+    def _counts(self, inserts: bool, counting: tuple, added: dict[str, set[str]],
+                deleted_at: set[str]) -> bool:
+        """Does an edit whose ends count as ``counting`` count at one of
+        them, given the pairs ``added`` to P(∅) and the nodes the edit set
+        deletes a triple at?"""
+        for node, labels, in_graph in counting:
             held, more = self.base.get(node), added.get(node)
             if not held and not more:
                 continue
-            if self.inserts[i] and (node in deleted_at or not in_graph):
+            if inserts and (node in deleted_at or not in_graph):
                 return True
-            if (held and not held.isdisjoint(counting)) or (more and not more.isdisjoint(counting)):
+            if (held and not held.isdisjoint(labels)) or (more and not more.isdisjoint(labels)):
                 return True
         return False
 
-    def _closure(self, insertions) -> dict[str, set[str]]:
+    def _closure(self, insertions: list[_Edit]) -> dict[str, set[str]]:
         """The pairs outside P(∅) in the closure over the graph plus the
         edges of ``insertions``."""
         added: dict[str, set[str]] = {}
         inserted: dict[str, list] = {}
         work = []
-        for i in insertions:
-            (s, dprop), (o, inverse) = self.ends[i]
+        for (s, dprop), (o, inverse) in (edit.ends for edit in insertions):
             inserted.setdefault(s, []).append((dprop, o))
             inserted.setdefault(o, []).append((inverse, s))
             work.extend((s, label) for label in self.base.get(s, ()))
@@ -574,28 +523,28 @@ class _Relevance:
         self._close(added, inserted, work)
         return added
 
-    def admits(self, combo: tuple[int, ...]) -> bool:
+    def admits(self, edits: list[_Edit]) -> bool:
         """Does every edit of the set count at one of its endpoints?"""
-        if all(map(self.base_counts.__getitem__, combo)):
+        uncounted = [edit for edit in edits if not edit.counts]
+        if not uncounted:
             return True  # counting only grows with the pairs and the deletions
         added: dict[str, set[str]] = {}
-        growers = tuple(i for i in combo if self.grows[i])
+        growers = tuple(edit.key for edit in edits if edit.grows)
         if growers:
             added = self._closures.get(growers)
             if added is None:
-                added = self._closures[growers] = self._closure(growers)
+                added = self._closures[growers] = self._closure([e for e in edits if e.grows])
             # the closure over the growing insertions alone is the set's
             # unless another insertion has an end where it added pairs: from
             # the pairs of P(∅) at its ends, an insertion that does not grow
             # P(∅) reaches only P(∅)
-            for i in combo:
-                if self.inserts[i] and not self.grows[i]:
-                    (s, _), (o, _) = self.ends[i]
-                    if s in added or o in added:
-                        added = self._closure([i for i in combo if self.inserts[i]])
-                        break
-        deleted_at = {node for i in combo if not self.inserts[i] for node, _ in self.ends[i]}
-        return all(self._counts(i, added, deleted_at) for i in combo)
+            for edit in edits:
+                (s, _), (o, _) = edit.ends
+                if edit.inserts and not edit.grows and (s in added or o in added):
+                    added = self._closure([e for e in edits if e.inserts])
+                    break
+        deleted_at = {node for e in edits if not e.inserts for node, _ in e.ends}
+        return all(self._counts(e.inserts, e.counting, added, deleted_at) for e in uncounted)
 
 
 def enumerate_repairs(
@@ -640,23 +589,18 @@ def enumerate_repairs(
     step budgets) are outside this argument: a skipped edit set can no
     longer raise them.
 
-    The sets are generated in ``itertools.combinations`` order over the
-    edit atoms, but a set whose edits do not all count under P(∅) is never
-    built unless it holds an insertion that grows the closure, or each of
-    its edits that does not count is an insertion at a node of P(∅) where
-    the set deletes a triple (see :class:`_Relevance`). Otherwise P(E) =
-    P(∅), and an edit that does not count under P(∅) does not count under
-    E either, so the set would fail the test anyway. Of the sets that
-    pass, those differing only by a renaming of fresh blanks are checked
-    once, the first in order.
+    The sets of each size are taken in ``itertools.combinations`` order
+    over the edit atoms; of those that pass the test, those differing only
+    by a renaming of fresh blanks are checked once, the first in order.
 
-    Once the unedited graph has failed the request, each generated set of
-    size one or more meets three filters in turn before its check: the
-    screen (``shexd.incremental.Screen``, which rejects only sets whose
-    check would fail as the unedited graph's did; its docstring says
-    why), the relevance test above and the fresh-blank dedupe. A rejected
-    set is never charged against ``CHECK_BUDGET``, so a set whose check
-    would have run out of budget (exit 4) is skipped instead.
+    Once the unedited graph has failed the request, only the sets of size
+    one or more that the screen passes (``shexd.incremental.Screen``, which
+    rejects only sets whose check would fail as the unedited graph's did;
+    its docstring says why) are generated, by ``Screen.passing``, in the
+    same order; each then meets the relevance test above and the
+    fresh-blank dedupe before its check. A rejected set is never charged
+    against ``CHECK_BUDGET``, so a set whose check would have run out of
+    budget (exit 4) is skipped instead.
 
     Running the screen first checks the same sets, in the same order, as
     running it last, and spares the rejected sets the other filters:
@@ -671,7 +615,7 @@ def enumerate_repairs(
     the graph does not hold, and no screen runs when the unedited graph
     lacks a requested node.)
 
-    Two shortcuts build fewer atoms and check the same sets in the same
+    Three shortcuts build fewer atoms and check the same sets in the same
     order, so the dedupe's representatives and the exit-4 point stay:
 
     - At one edit, once a screen runs, the insertions are those of
@@ -691,6 +635,10 @@ def enumerate_repairs(
       set earlier in combination order that every filter treats alike,
       which the dedupe would have checked instead. So the atoms built
       grow with the size reached, not with ``max_edits``.
+    - The list of every atom is built once, at the first size that needs
+      it; each later size merges in only the insertions that name its new
+      label (:func:`_add_insertions`). What the screen and the relevance
+      test read of an atom is computed once per triple key.
 
     Each set is checked by :func:`is_valid_after`, and all the checks of
     one call share one :class:`LocalWitnessCache`: a pair whose
@@ -699,32 +647,40 @@ def enumerate_repairs(
     """
     witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
     requested = {node for node, _, _ in typing0}
-    atoms: list[Atom] = []  # size 0 takes none
-    relevance = _Relevance(graph, schema, typing0, atoms, [])
+    relevance = _Relevance(graph, schema, typing0)
     screen = None
+    atoms: list[Atom] = []  # size 0 takes none
+    keys: list[tuple[str, str, str]] = []
+    built: list[str] | None = None  # the labels of the list of every atom, once built
 
     for size in range(max_edits + 1):
         if size:
             labels = _fresh_labels(graph, max_edits, size, requested)
-            keys: list[tuple[str, str, str]] = []
-            atoms = _edit_atoms(
-                graph, schema, max_edits, keys, labels, screen if size == 1 else None
-            )
-            relevance.over(atoms, keys)
-            if screen is not None:
-                screen.over(atoms, keys)
-        fresh = [_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for _, t in atoms]
+            if size == 1 and screen is not None:
+                keys = []
+                atoms = _edit_atoms(graph, schema, max_edits, keys, labels, screen)
+            else:
+                if built is None:
+                    keys = []
+                    atoms = _edit_atoms(graph, schema, max_edits, keys, labels)
+                else:
+                    _add_insertions(graph, schema, atoms, keys, labels, built)
+                built = labels
+        if screen is None:
+            combos = itertools.combinations(range(len(atoms)), size)
+        else:
+            combos = screen.passing(atoms, keys, size)
+        read: list = [None] * len(atoms)  # what the relevance test reads of each atom, once asked
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in _admissible_combinations(
-            size, relevance.base_counts, relevance.grows, relevance.covers
-        ):
-            if screen is not None and screen.rejects(combo):
-                continue
-            if not relevance.admits(combo):
+        for combo in combos:
+            for i in combo:
+                if read[i] is None:
+                    read[i] = relevance.edit(atoms[i][0] == "ins", keys[i])
+            if not relevance.admits([read[i] for i in combo]):
                 continue
             edits = _edit_set(atoms[i] for i in combo)
-            if any(fresh[i] for i in combo):
+            if any(_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for t in edits.insertions):
                 canonical = _canonical_blank_form(edits)
                 if canonical in seen:
                     continue

@@ -6,8 +6,8 @@ included, and agree with the flooding on chains and fan-outs past the
 reference validator's node bound, where the answer is known by
 construction. Every witness it accepts must verify, and every certain
 sign a repair check answers must be the independent certain typing's.
-Every edit set the repair search's screen rejects must fail the full check
-too.
+Every edit set the repair search's screen rejects, which its generator
+leaves out, must fail the full check too.
 """
 
 from __future__ import annotations
@@ -326,15 +326,32 @@ def searched(schema, graph, request, max_edits=2):
     request: its cache, edit atoms and screen; None when the graph is valid,
     the check runs out of budget, or it built no base fixpoint."""
     cache = LocalWitnessCache(schema, graph)
-    keys = []
-    atoms = _edit_atoms(graph, schema, max_edits, keys)
+    atoms = _edit_atoms(graph, schema, max_edits)
     try:
         if is_valid_after(graph, _edit_set(()), schema, request, witnesses=cache):
             return None
     except (SearchBudgetExceededError, BagTooLargeError):
         return None
-    screen = incremental.screen_for(cache, request, atoms, keys)
+    screen = incremental.screen_for(cache, request)
     return None if screen is None else (cache, atoms, screen)
+
+
+def passed(screen, atoms, size, pool=None) -> list[tuple[int, ...]]:
+    """The sets of ``size`` atoms (indices into ``atoms``, all of them
+    from ``pool`` when given) that ``Screen.passing`` generates, in
+    order."""
+    pool = range(len(atoms)) if pool is None else list(pool)
+    own = [atoms[i] for i in pool]
+    return [
+        tuple(pool[i] for i in combo)
+        for combo in screen.passing(own, [t.key() for _, t in own], size)
+    ]
+
+
+def rejects(screen, atoms, combo) -> bool:
+    """Does the screen reject the edit set of the atoms ``combo``? Over the
+    set's own atoms, the generator yields the set exactly when it passes."""
+    return not passed(screen, atoms, len(combo), combo)
 
 
 def count_witness_tests(monkeypatch) -> list:
@@ -399,7 +416,7 @@ def test_screened_sets_fail_the_full_check(monkeypatch):
             pools = [range(len(atoms))] * 5 + [near or range(len(atoms))] * 5
             for pool in pools + [certain] * 5 * bool(certain):
                 combo = tuple(sorted(rng.sample(pool, min(len(pool), rng.randint(1, 2)))))
-                if not screen.rejects(combo):
+                if not rejects(screen, atoms, combo):
                     continue
                 rejected += 1
                 at_certain += any(touches(atoms[i], certain_at) for i in combo)
@@ -415,14 +432,53 @@ def test_screened_sets_fail_the_full_check(monkeypatch):
                     continue
                 confirmed += 1
     tested = sum(count > 0 for count in verdicts)
-    # 27,899 rejected sets, all of them within the reference bounds; 25,788
-    # of them from the first ten pools (22,936 when no set that touched a
-    # node with a certain entry was screened). 4,963 touch such a node.
-    # 8,090 node verdicts ran a witness test (7,209 witness tests that
+    # 27,973 rejected sets, all of them within the reference bounds (22,936
+    # from the first ten pools when no set that touched a node with a
+    # certain entry was screened). 5,126 touch such a node. 7,369 node
+    # verdicts ran a witness test: a group's inert ends are not decided
+    # (8,110 when each set was screened whole, 7,209 witness tests that
     # rejected when each signature was decided whole)
-    assert confirmed >= 27_500 and at_certain >= 4_900 and tested >= 8_000, (
+    assert confirmed >= 27_500 and at_certain >= 4_900 and tested >= 7_300, (
         rejected, confirmed, at_certain, tested
     )
+
+
+def test_generated_sets_are_the_sets_that_pass_on_small_pools():
+    # pools of 8 atoms, half of them at a requested node, from the edit
+    # atoms of random instances at three edits: at each size from 1 to 3
+    # the screen generates sets in strictly increasing combination order,
+    # and every set of the pool it leaves out fails is_valid_after, and the
+    # reference check within its bounds
+    confirmed = generated = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        schema, graph, typing0 = random_instance(rng)
+        state = searched(schema, graph, typing0, max_edits=3)
+        if state is None:
+            continue
+        cache, atoms, screen = state
+        requested = {node for node, _, _ in typing0}
+        near = [i for i, atom in enumerate(atoms) if touches(atom, requested)]
+        pool = rng.sample(near, min(4, len(near)))
+        pool = sorted(pool + rng.sample(sorted(set(range(len(atoms))) - set(pool)), 4))
+        for size in range(1, 4):
+            found = passed(screen, atoms, size, pool)
+            assert all(a < b for a, b in zip(found, found[1:])), seed
+            generated += len(found)
+            for combo in set(itertools.combinations(pool, size)).difference(found):
+                edits = _edit_set(atoms[i] for i in combo)
+                assert not is_valid_after(graph, edits, schema, typing0, witnesses=cache), (
+                    f"seed {seed}, {edits}"
+                )
+                try:
+                    assert not _reference_valid_after(graph, edits, schema, typing0), (
+                        f"seed {seed}, {edits}"
+                    )
+                except (SearchBudgetExceededError, BagTooLargeError):
+                    continue
+                confirmed += 1
+    # 27,175 sets left out and confirmed, 3,001 generated
+    assert confirmed >= 25_000 and generated >= 2_500, (confirmed, generated)
 
 
 def test_screened_chain_sets_fail_the_full_check(monkeypatch):
@@ -435,13 +491,10 @@ def test_screened_chain_sets_fail_the_full_check(monkeypatch):
     graph = chain_graph(links + 1, False)
     request = [(EX + "n0", "P", "+")]
     cache, atoms, screen = searched(schema, graph, request, max_edits=1)
-    checked = []
-    for i in range(len(atoms)):
-        if screen.rejects((i,)):
-            edits = _edit_set([atoms[i]])
-            assert not is_valid_after(graph, edits, schema, request, witnesses=cache)
-        else:
-            checked.append(i)
+    checked = [i for i, in passed(screen, atoms, 1)]
+    for i in set(range(len(atoms))).difference(checked):
+        edits = _edit_set([atoms[i]])
+        assert not is_valid_after(graph, edits, schema, request, witnesses=cache)
     # 201 of the 41,006 sets are left to the full check. The 40,805 others
     # are rejected by 604 witness tests, one per node and kinds of the
     # ends there: an insertion at a link reads the same there whichever
@@ -544,16 +597,16 @@ def witness_after(base, key, ends, bag_bound) -> bool | None:
         return None
 
 
-def assert_memo_agrees(screen, atoms, combos) -> tuple[int, int]:
-    """Every set of ``combos`` gets the same verdict from the memoized
-    screen as from :func:`rejects_alone`; returns (sets, rejected)."""
-    sets = rejected = 0
-    for combo in combos:
-        expected = rejects_alone(screen, atoms, combo)
-        assert screen.rejects(combo) == expected, combo
-        sets += 1
-        rejected += expected
-    return sets, rejected
+def assert_generator_agrees(screen, atoms, size, pool=None) -> tuple[int, int]:
+    """The sets of ``size`` atoms of ``pool`` (every atom when None) that
+    the screen generates are, in strictly increasing combination order,
+    those :func:`rejects_alone` passes; returns (sets, rejected)."""
+    generated = passed(screen, atoms, size, pool)
+    assert all(a < b for a, b in zip(generated, generated[1:]))
+    combos = list(itertools.combinations(range(len(atoms)) if pool is None else pool, size))
+    expected = [combo for combo in combos if not rejects_alone(screen, atoms, combo)]
+    assert generated == expected
+    return len(combos), len(combos) - len(expected)
 
 
 def test_memoized_screen_matches_a_per_set_screen_on_random_instances():
@@ -575,9 +628,9 @@ def test_memoized_screen_matches_a_per_set_screen_on_random_instances():
             _, atoms, screen = state
             requested = {node for node, _, _ in request}
             near = [i for i, (_, t) in enumerate(atoms) if requested & {t.key()[0], t.key()[2]}]
-            combos = [(i,) for i in range(len(atoms))] + list(itertools.combinations(near, 2))
-            counted = assert_memo_agrees(screen, atoms, combos)
-            sets, rejected = sets + counted[0], rejected + counted[1]
+            for size, pool in ((1, None), (2, near)):
+                counted = assert_generator_agrees(screen, atoms, size, pool)
+                sets, rejected = sets + counted[0], rejected + counted[1]
     # 89,164 rejected when no set that touched a node with a certain entry
     # was screened
     assert (sets, rejected) == (115_125, 103_338)
@@ -594,10 +647,8 @@ def test_memoized_screen_matches_a_per_set_screen_on_the_benchmark_requests(
     # every set of one edit up to the request's budget
     schema, graph = load_schema(schema_name), load_graph(data)
     _, atoms, screen = searched(schema, graph, [(EX + node, shape, "+")], max_edits)
-    combos = itertools.chain.from_iterable(
-        itertools.combinations(range(len(atoms)), size) for size in range(1, max_edits + 1)
-    )
-    assert assert_memo_agrees(screen, atoms, combos)[1] > 0
+    for size in range(1, max_edits + 1):
+        assert assert_generator_agrees(screen, atoms, size)[1] > 0
 
 
 def test_a_schema_without_negation_filters_no_consumer_list():
@@ -612,7 +663,6 @@ def test_a_schema_without_negation_filters_no_consumer_list():
         schema, graph = load_schema(schema_name), load_graph(data)
         _, atoms, screen = searched(schema, graph, [(EX + node, shape, "+")], max_edits)
         for size in range(1, max_edits + 1):
-            for combo in itertools.combinations(range(len(atoms)), size):
-                screen.rejects(combo)
+            passed(screen, atoms, size)
         built[schema_name] = len(screen._filtered)
     assert built["boolean.shex"] == 0 and built["issues.shex"] > 0, built

@@ -6,9 +6,14 @@ verifies an accepted set's certificate on that patch; bag verdicts are
 memoized per shape, and local witnesses are cached per request. So a request
 builds one ``Graph``, makes a few dozen interval computations and
 enumerates a pair's witnesses again only where an edit set changes its
-neighbourhood, however many edit sets it checks. Most sets never reach a
-check: the screen, asked first about every generated set, rejects those
-that revive no pair (``shexd.incremental.Screen``).
+neighbourhood, however many edit sets it checks. Most sets are never even
+built: the screen (``shexd.incremental.Screen``) rejects the sets that
+revive no pair, and ``Screen.passing`` generates only the others. A set
+passes exactly when its atoms with an end at some node get a passing
+verdict there, so the generator decides each multiset of the atoms' kinds
+at a node once and extends each passing group by atoms with no end at
+that node; the union over the nodes, in combination order, is exactly the
+passing sets (the ``Screen`` docstring gives the proof).
 The counts are taken in fresh interpreters under several hash seeds, since
 set order may steer the search.
 """
@@ -33,24 +38,27 @@ from test_repair_classes import count_search_work, repair_json
 
 TESTS = Path(__file__).resolve().parent
 NAMELESS = "repairing.ttl without ex:emma's foaf:name"
+ROLELESS = NAMELESS + " and ex:ron's is:role"
 
-# (schema, data, node, shape, --max-edits, checks, screened sets); before
+# (schema, data, node, shape, --max-edits, checks, sets generated); before
 # the screen every set that passed the relevance test and the fresh-blank
-# dedupe was checked (231 / 41 / 1,051 checks). The screened sets are those
-# ``Screen.rejects`` rejects: at one edit it is asked about the deletions
-# and the insertions the classes leave (below), at two about every
-# generated set, before the relevance test and the dedupe. While it was
-# asked about every generated set at one edit too, it rejected 228 / 40 /
-# 2,268 / 80,228 sets; on repairing.ttl 132, with 99 checks, while it left
-# every set that edits at a node with certain entries to the check. The
-# last request is repairing.ttl without ex:emma's foaf:name (``NAMELESS``)
-# at two edits, which made 17,221 checks while the screen passed those
-# sets.
+# dedupe was checked (231 / 41 / 1,051 checks). The sets generated, of one
+# edit or more, are those ``Screen.passing`` yields, every set the screen
+# passes, before the relevance test and the dedupe. While the screen was
+# asked about each set the search built (those a relevance prefilter let
+# through, and at one edit the deletions and the insertions the classes
+# leave), it rejected 17 / 10 / 2,233 / 80,015 sets; 228 / 40 / 2,268 /
+# 80,228 while it was asked about every one-edit set too; on repairing.ttl
+# 132, with 99 checks, while it left every set that edits at a node with
+# certain entries to the check. The last request is repairing.ttl without
+# ex:emma's foaf:name (``NAMELESS``) at two edits, which made 17,221 checks
+# while the screen passed those sets. Of its 2,256 sets generated, 449
+# passed that prefilter.
 REQUESTS = [
-    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 3, 17),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 10),
-    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 2_233),
-    ("issues.shex", NAMELESS, "issue", "IssueShape", 2, 417, 80_015),
+    ("issues.shex", "repairing.ttl", "issue", "IssueShape", 1, 3, 2),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 1, 1, 0),
+    ("boolean.shex", "boolean.ttl", "term", "Term", 2, 5, 4),
+    ("issues.shex", NAMELESS, "issue", "IssueShape", 2, 417, 2_256),
 ]
 # The screen's node verdicts and witness tests per request: a set's verdict
 # is the conjunction of its nodes' verdicts, each decided once per node and
@@ -59,8 +67,17 @@ REQUESTS = [
 # one-edit insertions by class decides some classes none of whose
 # insertions counts, and no longer the kinds that only self-loops, decided
 # as sets, had (16 / 15 / 97 / 82 verdicts and 12 / 12 / 89 / 73 witness
-# tests while the screen was asked about each one-edit set).
-SCREEN_WORK = [(15, 13), (15, 13), (98, 90), (83, 74)]
+# tests while the screen was asked about each one-edit set). Generating the
+# passing sets decides no multiset of kinds that are all inert at a node,
+# and groups without their inert ends (15 / 15 / 98 / 83 verdicts and 13 /
+# 13 / 90 / 74 witness tests while the screen was asked about each set).
+SCREEN_WORK = [(14, 13), (15, 13), (81, 79), (60, 58)]
+# Effects the screen computes (``Screen._effect``), one per triple key the
+# search builds an atom for: no effect is computed twice in a search, though
+# the one-edit atoms are built again among every atom at two edits. (19 /
+# 10 / 190 / 1,152 when they were computed once per atom list, for the
+# atoms of the sets the screen was asked about.)
+EFFECTS = [31, 15, 180, 1_134]
 # The classes of one-edit insertions the screen decides (an inert end is
 # not decided), and the edit atoms the search builds (``_edit_atoms``): at
 # one edit the deletions, the insertions of the classes that pass and the
@@ -93,23 +110,30 @@ EDGE_MATCH_BOUND = 250
 
 def data_file(name: str, workdir: Path) -> Path:
     """A file of ``tests/data``, or for ``NAMELESS`` repairing.ttl with
-    ex:emma's foaf:name taken out, written to ``workdir``."""
+    ex:emma's foaf:name taken out, and for ``ROLELESS`` ex:ron's is:role
+    too, written to ``workdir``."""
     from conftest import DATA
 
-    if name != NAMELESS:
+    if name not in (NAMELESS, ROLELESS):
         return DATA / name
     text = (DATA / "repairing.ttl").read_text(encoding="utf-8")
-    named = 'ex:emma foaf:name "Emma" ; '
-    assert named in text
-    path = workdir / "repairing-nameless.ttl"
-    path.write_text(text.replace(named, "ex:emma "), encoding="utf-8")
+    cuts = [('ex:emma foaf:name "Emma" ; ', "ex:emma ")]
+    if name == ROLELESS:
+        cuts.append((' ; is:role is:someRole', ""))
+    for cut, kept in cuts:
+        assert cut in text
+        text = text.replace(cut, kept)
+    path = workdir / "repairing-cut.ttl"
+    path.write_text(text, encoding="utf-8")
     return path
 
 
-def count_repair_work() -> list[dict[str, int]]:
+def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
     """Graph builds, interval computations, edge matches, repair checks,
-    screened sets, the screen's node verdicts and witness tests, and the
-    local witnesses charged to the checks' budgets, per request."""
+    sets generated, the screen's node verdicts, witness tests and effects
+    (and effects computed again), the local witnesses charged to the
+    checks' budgets, classes decided and atoms built per request, with its
+    exit code and stdout."""
     import shexd.engine
     import shexd.incremental
     import shexd.matching
@@ -119,8 +143,10 @@ def count_repair_work() -> list[dict[str, int]]:
 
     from conftest import DATA, EX
 
-    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "screened": 0,
-              "verdicts": 0, "witness_tests": 0, "charged": 0, "classes": 0, "atoms": 0}
+    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "generated": 0,
+              "verdicts": 0, "witness_tests": 0, "effects": 0, "repeated_effects": 0,
+              "charged": 0, "classes": 0, "atoms": 0}
+    effect_keys = set()
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -134,11 +160,19 @@ def count_repair_work() -> list[dict[str, int]]:
             return func(self, count)
         return wrapper
 
-    def screened(name, func):
+    def generated(name, func):
         def wrapper(*args, **kwargs):
-            rejected = func(*args, **kwargs)
-            counts[name] += rejected
-            return rejected
+            for combo in func(*args, **kwargs):
+                counts[name] += 1
+                yield combo
+        return wrapper
+
+    def effects(name, func):
+        def wrapper(self, inserted, key, *args):
+            counts[name] += 1
+            counts["repeated_effects"] += key in effect_keys
+            effect_keys.add(key)
+            return func(self, inserted, key, *args)
         return wrapper
 
     def classes(name, func):
@@ -160,9 +194,10 @@ def count_repair_work() -> list[dict[str, int]]:
         (shexd.matching, "interval", "intervals", counted),
         (shexd.matching, "edge_matches", "edge_matches", counted),
         (shexd.repair, "is_valid_after", "checks", counted),
-        (shexd.incremental.Screen, "rejects", "screened", screened),
+        (shexd.incremental.Screen, "passing", "generated", generated),
         (shexd.incremental.Screen, "_node_verdict", "verdicts", counted),
         (shexd.incremental.Screen, "_has_witness", "witness_tests", counted),
+        (shexd.incremental.Screen, "_effect", "effects", effects),
         (shexd.engine.WitnessReader, "charge", "charged", charged),
         (shexd.incremental.Screen, "insertion_classes", "classes", classes),
         (shexd.repair, "_edit_atoms", "atoms", built),
@@ -173,35 +208,44 @@ def count_repair_work() -> list[dict[str, int]]:
         for (owner, attr, name, wrap), original in zip(patches, originals):
             setattr(owner, attr, wrap(name, original))
         with tempfile.TemporaryDirectory() as workdir:
-            for schema, data, node, shape, max_edits, *_ in REQUESTS:
+            for schema, data, node, shape, max_edits, *_ in requests:
                 path = data_file(data, Path(workdir))
                 counts.update(dict.fromkeys(counts, 0))
-                with contextlib.redirect_stdout(io.StringIO()):
+                effect_keys.clear()
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
                     code = main(["repair", "--schema", str(DATA / schema), "--data", str(path),
                                  "--node", EX + node, "--shape", shape,
                                  "--max-edits", str(max_edits), "--json"])
-                out.append({"code": code, **counts})
+                out.append({"code": code, **counts, "stdout": stdout.getvalue()})
     finally:
         for (owner, attr, _, _), original in zip(patches, originals):
             setattr(owner, attr, original)
     return out
 
 
-@pytest.mark.parametrize("seed", ["0", "7", "123"])
-def test_repair_request_work_bounds(seed):
+def counted_in(seed: str, requests: str) -> list[dict]:
+    """:func:`count_repair_work` on ``requests`` (a name in this module), in
+    a fresh interpreter under the hash seed ``seed``."""
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import json, test_repair_counts as t; print(json.dumps(t.count_repair_work()))"],
-        capture_output=True, text=True, env=env, cwd=TESTS, timeout=300,
+        [sys.executable, "-c", "import json, test_repair_counts as t; "
+         f"print(json.dumps(t.count_repair_work(t.{requests})))"],
+        capture_output=True, text=True, env=env, cwd=TESTS, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("seed", ["0", "7", "123"])
+def test_repair_request_work_bounds(seed):
+    counts = counted_in(seed, "REQUESTS")
     assert [c["code"] for c in counts] == [0, 1, 0, 0]
     assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
-    assert [c["screened"] for c in counts] == [screened for *_, screened in REQUESTS]
+    assert [c["generated"] for c in counts] == [generated for *_, generated in REQUESTS]
     assert [(c["verdicts"], c["witness_tests"]) for c in counts] == SCREEN_WORK
+    assert [(c["effects"], c["repeated_effects"]) for c in counts] == [(n, 0) for n in EFFECTS]
     assert [(c["classes"], c["atoms"]) for c in counts] == CLASS_WORK
     assert [c["charged"] for c in counts] == CHARGED
     # the counter wraps Graph.__init__, the only routine that builds a Graph,
@@ -211,6 +255,26 @@ def test_repair_request_work_bounds(seed):
     assert [c["graphs"] for c in counts] == [1, 1, 1, 1]
     assert sum(c["intervals"] for c in counts[:3]) <= INTERVAL_BOUND
     assert sum(c["edge_matches"] for c in counts[:3]) <= EDGE_MATCH_BOUND
+
+
+# repairing.ttl without ex:emma's foaf:name and ex:ron's is:role at three
+# edits (checks, sets generated); its checks find 42 valid sets of three
+# edits. While the screen was asked about each set the relevance prefilter
+# let through, it rejected 36,477,518 of 36,646,809 and passed 169,291 of
+# the 1,270,559 sets it now generates; the request took 43.3 s in process.
+THREE_EDITS = [("issues.shex", ROLELESS, "issue", "IssueShape", 3, 45_509, 1_270_559)]
+# sha256 of its stdout, recorded then under PYTHONHASHSEED=0
+THREE_EDITS_STDOUT = "09f5cfa99bef414e612e7fe1b593b219b7e7808aa18df88372f9bc5bd0c89537"
+
+
+def test_a_three_edit_request_builds_only_the_sets_the_screen_passes():
+    (counts,) = counted_in("0", "THREE_EDITS")
+    doc = json.loads(counts["stdout"])
+    assert counts["code"] == 0
+    assert hashlib.sha256(counts["stdout"].encode()).hexdigest() == THREE_EDITS_STDOUT
+    assert (doc["minSize"], len(doc["repairs"])) == (3, 42)
+    assert [(counts["checks"], counts["generated"])] == [row[-2:] for row in THREE_EDITS]
+    assert counts["repeated_effects"] == 0
 
 
 # sha256 of the repair JSON of the one-edit 200-link chain, recorded when

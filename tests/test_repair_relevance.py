@@ -30,7 +30,6 @@ from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, Graph, Iri, Literal, Triple
 from shexd.repair import (
     EditSet,
     RepairResult,
-    _admissible_combinations,
     _canonical_blank_form,
     _edit_atoms,
     _edit_set,
@@ -268,13 +267,13 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
 # 13,805 (boolean.ttl, two edits). ``sets`` counts the sets of a sweep over
 # every edit atom that pass the test and the dedupe, as they did when both
 # ran before the screen: each must still be either rejected by the screen
-# or checked, so the search checks the same sets. The search's own screen
-# rejects ``SCREENED_OR_CHECKED`` less the checks: the sets it asks
-# ``Screen.rejects`` about are the deletions, the insertions of the classes
-# that pass and the self-loops at nodes with keys at one edit, and every
-# generated set at two (231 and 2,273 with the
-# checks while it saw every one-edit set; 231 and 1,051 when it ran last).
-SCREENED_OR_CHECKED = {"repairing.ttl": 20, "boolean.ttl": 2_238}
+# or checked, so the search checks the same sets. The search's screen
+# generates ``GENERATED`` sets of one edit or more, those it passes, and
+# each gets a relevance test. (While the screen was asked about each set
+# the search built, the checks and the sets it rejected summed to 20 and
+# 2,238; to 231 and 2,273 while it saw every one-edit set; 231 and 1,051
+# when it ran last.)
+GENERATED = {"repairing.ttl": 2, "boolean.ttl": 4}
 
 
 @pytest.mark.parametrize("data, node, shape, max_edits, tests_bound, canon_bound, sets", [
@@ -289,7 +288,7 @@ def test_enumeration_work_bounds(
     assert calls["canonical"] <= canon_bound
     assert calls["sets"] == sets
     assert calls["checks"] + calls["screened_passing"] == sets
-    assert calls["checks"] + calls["screened"] == SCREENED_OR_CHECKED[data]
+    assert calls["generated"] == GENERATED[data] == calls["admits"] - 1
 
 
 # Of the sets that pass the relevance test and the dedupe, the screen
@@ -336,31 +335,31 @@ def test_screening_first_spares_the_rejected_sets(monkeypatch):
 
 
 def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
-    """Relevance tests, canonicalisations, EditSets, checks and screen
-    rejections of one search; and, over a sweep of every edit atom's sets
-    up to the search's last size, ``sets``: those that pass the relevance
-    test and the dedupe, as before the screen, and ``screened_passing``:
-    those of them the screen rejects."""
+    """Relevance tests, canonicalisations, EditSets, checks and sets the
+    screen generates in one search; and, over a sweep of every edit atom's
+    sets up to the search's last size, ``sets``: those that pass the
+    relevance test and the dedupe, as before the screen, and
+    ``screened_passing``: those of them the screen rejects."""
     schema = load_schema("issues.shex" if data == "repairing.ttl" else "boolean.shex")
     graph = load_graph(data)
     request = [(EX + node, shape, "+")]
     calls = dict.fromkeys(
-        ("admits", "canonical", "edit_sets", "checks", "screened", "sets", "screened_passing"), 0
+        ("admits", "canonical", "edit_sets", "checks", "generated", "sets", "screened_passing"), 0
     )
     keys = []
     atoms = _edit_atoms(graph, schema, max_edits, keys)
-    relevance = _Relevance(graph, schema, request, atoms, keys)
+    relevance = _Relevance(graph, schema, request)
+    read = [relevance.edit(kind == "ins", key) for (kind, _), key in zip(atoms, keys)]
     cache = LocalWitnessCache(schema, graph)
     assert not is_valid_after(graph, EditSet(frozenset(), frozenset()), schema, request,
                               witnesses=cache)
-    screen = incremental.screen_for(cache, request, atoms, keys)
+    screen = incremental.screen_for(cache, request)
     result = enumerate_repairs(graph, schema, request, max_edits=max_edits)
     for size in range(result.min_size + 1 if result.found else max_edits + 1):
         seen = set()
-        for combo in _admissible_combinations(
-            size, relevance.base_counts, relevance.grows, relevance.covers
-        ):
-            if not relevance.admits(combo):
+        passing = set(screen.passing(atoms, keys, size))
+        for combo in itertools.combinations(range(len(atoms)), size):
+            if not relevance.admits([read[i] for i in combo]):
                 continue
             if any(_is_fresh_blank(atoms[i][1].subject) or _is_fresh_blank(atoms[i][1].obj)
                    for i in combo):
@@ -369,7 +368,7 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
                     continue
                 seen.add(canonical)
             calls["sets"] += 1
-            calls["screened_passing"] += bool(combo) and screen.rejects(combo)
+            calls["screened_passing"] += bool(combo) and combo not in passing
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -377,14 +376,14 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
             return real(*args, **kwargs)
         return wrapper
 
-    real_rejects = incremental.Screen.rejects
+    real_passing = incremental.Screen.passing
 
-    def screened(self, combo):
-        rejected = real_rejects(self, combo)
-        calls["screened"] += rejected
-        return rejected
+    def generated(self, *args):
+        for combo in real_passing(self, *args):
+            calls["generated"] += 1
+            yield combo
 
-    monkeypatch.setattr(incremental.Screen, "rejects", screened)
+    monkeypatch.setattr(incremental.Screen, "passing", generated)
     monkeypatch.setattr(shexd.repair._Relevance, "admits",
                         counted("admits", shexd.repair._Relevance.admits))
     monkeypatch.setattr(shexd.repair, "_canonical_blank_form",
@@ -418,51 +417,11 @@ def test_relevance_builds_each_edit_end_once(monkeypatch):
     monkeypatch.setattr(
         Graph, "has_node", lambda self, node: calls.append(node) or real(self, node)
     )
-    relevance = _Relevance(graph, schema, [(EX + "n0", "P", "+")], atoms, keys)
+    relevance = _Relevance(graph, schema, [(EX + "n0", "P", "+")])
+    read = [relevance.edit(kind == "ins", key) for (kind, _), key in zip(atoms, keys)]
     assert len(atoms) == 162_812
     assert len(calls) <= 2 * len(ends) < len(atoms) // 10
-    assert sum(relevance.base_counts) + sum(relevance.grows) > 0
-
-
-def test_admissible_combinations_filter_the_combinations():
-    rng = random.Random(4300)
-    for _ in range(200):
-        n = rng.randint(0, 9)
-        counts = [rng.random() < 0.4 for _ in range(n)]
-        enables = [rng.random() < 0.2 for _ in range(n)]
-        for size in range(4):
-            expected = [
-                combo for combo in itertools.combinations(range(n), size)
-                if all(counts[i] for i in combo) or any(enables[i] for i in combo)
-            ]
-            assert list(_admissible_combinations(size, counts, enables, [()] * n)) == expected
-
-
-def test_admissible_combinations_follow_the_covers():
-    # an atom that does not count is admitted by a growing atom anywhere in
-    # the set, or by an earlier atom of the set that covers it, as a
-    # deletion covers the insertions at its own nodes
-    rng = random.Random(4301)
-    for _ in range(300):
-        n = rng.randint(0, 9)
-        counts = [rng.random() < 0.4 for _ in range(n)]
-        grows = [rng.random() < 0.15 for _ in range(n)]
-        covers = [
-            tuple(
-                sorted(rng.sample(range(i + 1, n), rng.randint(0, n - i - 1)))
-                for _ in range(rng.randint(0, 2))
-            )
-            for i in range(n)
-        ]
-        for size in range(4):
-            expected = [
-                combo for combo in itertools.combinations(range(n), size)
-                if any(grows[i] for i in combo) or all(
-                    counts[i] or any(i in pool for j in combo for pool in covers[j])
-                    for i in combo
-                )
-            ]
-            assert list(_admissible_combinations(size, counts, grows, covers)) == expected
+    assert sum(edit.counts for edit in read) + sum(edit.grows for edit in read) > 0
 
 
 # ex:x reaches <T> only through an inserted ex:p edge; the graph's own blank
