@@ -312,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="validate nodes against shapes")
     common(p_validate)
     p_validate.add_argument("--witness-out", help="write the witness JSON to this file")
-    p_validate.add_argument(
-        "--lookahead", action="store_true",
-        help="accepted for compatibility; has no effect",
-    )
 
     p_repair = sub.add_parser("repair", help="search for minimal repairs")
     common(p_repair)

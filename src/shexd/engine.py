@@ -539,8 +539,8 @@ CompactWitness = tuple[tuple, tuple[TypingEntry, ...], tuple[Hypothesis, ...], t
 
 class LocalWitnessCache:
     """What the checks of one repair search share: the local witnesses of
-    the pairs of ``graph`` against one schema with one bag bound, each edit
-    triple's edges, and each request's base fixpoint.
+    the pairs of ``graph`` against one schema with one bag bound, and each
+    edit triple's edges.
 
     Local witnesses are kept with their propagation, keyed by (node, label),
     and only for a node whose neighbourhood in the graph read is the very
@@ -550,16 +550,13 @@ class LocalWitnessCache:
     targets keeps that edge, hence its node and value; the edges and the
     targets' values are all that :func:`local_witnesses` and
     :func:`propagation` read of a graph. So a pair whose neighbourhood an
-    edit leaves alone is enumerated once. Pairs at touched nodes are
-    enumerated on every read and not kept: an edit set's new neighbourhoods
-    are rarely met again. Their enumerations
-    share, per label, the admitted consumers of each edge by directed
-    property and target value (``edge_options`` of :func:`local_witnesses`),
-    so only an edit's own edges are matched anew. Read the witnesses through
-    :meth:`reader`, which charges a budget.
-
-    :mod:`shexd.incremental` decides a request on a patch of ``graph`` as a
-    delta on the request's fixpoint over ``graph``, which it keeps here.
+    edit leaves alone is enumerated once per search, however many checks
+    read it. Pairs at touched nodes are enumerated on every read and not
+    kept: an edit set's new neighbourhoods are rarely met again. Their
+    enumerations share, per label, the admitted consumers of each edge by
+    directed property and target value (``edge_options`` of
+    :func:`local_witnesses`), so only an edit's own edges are matched anew.
+    Read the witnesses through :meth:`reader`, which charges a budget.
     Nothing here outlives the object: one is made per search.
     """
 
@@ -569,10 +566,9 @@ class LocalWitnessCache:
         self.bag_bound = bag_bound
         self._entries: dict[Hypothesis, tuple[CompactWitness, ...]] = {}
         self._edge_options: dict[str, dict] = {}  # label -> local_witnesses' edge memo
-        # kept for shexd.incremental: id(triple) -> (triple, its edges), the
-        # triple kept so that its id stays its own; request -> base fixpoint
+        # kept for shexd.incremental.patch: id(triple) -> (triple, its
+        # edges), the triple kept so that its id stays its own
         self._triple_edges: dict[int, tuple] = {}
-        self._bases: dict[tuple[TypingEntry, ...], _Fixpoint] = {}
 
     def reader(self, graph: Graph, budget: float = float("inf")) -> "WitnessReader":
         return WitnessReader(self, graph, budget)
@@ -670,18 +666,18 @@ class _Fixpoint:
     region, which is acyclic. Each is decided when first asked for
     (:meth:`sign`), as :class:`CertainTyping` decides it, and ``signs`` maps
     it to the consumers of its first usable local witness, or to None when
-    it has none. ``decided_at`` lists the entries decided at each node, and
-    ``readers`` maps an entry to the entries and pairs whose read asked for
-    its sign. The fixpoint answers ``is_negated_label``, ``sign`` and
-    ``witness`` as :class:`CertainTyping` does, so :func:`check_gtw_extra`,
-    the request's signs and :func:`copy_proof` read it in its place.
+    it has none; ``decided_at`` lists the entries decided at each node. The
+    fixpoint answers ``is_negated_label``, ``sign`` and ``witness`` as
+    :class:`CertainTyping` does, so :func:`check_gtw_extra`, the request's
+    signs and :func:`copy_proof` read it in its place.
 
     The upper stratum holds the pairs on the other labels. ``usable`` maps
     each pair read to its usable local witnesses, in :func:`local_witnesses`
-    order. ``requirers`` maps a pair to the pairs with a usable witness that
-    needs it, and ``support`` maps each alive pair to its support: the index
-    of its first usable witness whose needs are all alive. A pair without a
-    support is dead.
+    order, and ``at_node`` lists the pairs read at each node. ``requirers``
+    maps a pair to the pairs with a usable witness that needs it, and
+    ``support`` maps each alive pair to its support: the index of its first
+    usable witness whose needs are all alive. A pair without a support is
+    dead.
 
     One rule serves both strata: a witness is usable when its facts on
     region labels agree with their signs and its EXTRA edges pass
@@ -696,13 +692,9 @@ class _Fixpoint:
         self.region = schema.certain_region
         self.signs: dict[Hypothesis, tuple | None] = {}
         self.decided_at: dict[str, list[Hypothesis]] = {}
-        self.readers: dict[Hypothesis, set[Hypothesis]] = {}
-        self.asking: Hypothesis | None = None  # the entry or pair being read
-        self.requested: list[Hypothesis] = []
         self.usable: dict[Hypothesis, list[CompactWitness]] = {}
         self.requirers: dict[Hypothesis, list[Hypothesis]] = {}
         self.support: dict[Hypothesis, int] = {}
-        self.sizes: dict[Hypothesis, int] = {}  # local witnesses read per pair
         self.at_node: dict[str, list[Hypothesis]] = {}  # the pairs read, by node
 
     # The lower strata.
@@ -711,33 +703,24 @@ class _Fixpoint:
         return label in self.schema.negated_labels
 
     def sign(self, node: str, label: str) -> bool:
-        """True when (node, label) certainly holds; label must be in the region."""
+        """True when (node, label) certainly holds; label must be in the
+        region. Decided on first use: the consumers of the entry's first
+        usable local witness, or None."""
         key = (node, label)
-        if self.asking is not None:
-            self.readers.setdefault(key, set()).add(self.asking)
-        if key in self.signs:
-            return self.signs[key] is not None
-        return self.decide(key) is not None
+        if key not in self.signs:
+            found = None
+            for cand in self.witnesses.compact(node, label):
+                if self.passes(node, label, cand):
+                    found = cand[0]
+                    break
+            self.signs[key] = found
+            self.decided_at.setdefault(node, []).append(key)
+        return self.signs[key] is not None
 
     def witness(self, node: str, label: str) -> dict:
         if not self.sign(node, label):
             raise KeyError(f"({node}, {label}) is certainly unsatisfied")
         return self.witnesses.witness(node, self.signs[(node, label)])
-
-    def decide(self, key: Hypothesis) -> tuple | None:
-        """Decide the entry ``key``: the consumers of its first usable
-        local witness, or None."""
-        node, label = key
-        asking, self.asking = self.asking, key
-        found = None
-        for cand in self.witnesses.compact(node, label):
-            if self.passes(node, label, cand):
-                found = cand[0]
-                break
-        self.asking = asking
-        self.signs[key] = found
-        self.decided_at.setdefault(node, []).append(key)
-        return found
 
     def passes(self, node: str, label: str, cand: CompactWitness) -> bool:
         """Is ``cand``, a local witness of (node, label), usable?"""
@@ -752,52 +735,11 @@ class _Fixpoint:
         extra = {edges[i].id: consumers[i] for i in extras}
         return check_gtw_extra(self.schema, label, extra, self, self.graph)
 
-    # The tables as a check sees them; a _Delta reads through to its base.
-
-    def holds(self, key: Hypothesis) -> bool:
-        return key in self.usable
-
-    def usable_of(self, key: Hypothesis) -> list[CompactWitness]:
-        return self.usable[key]
-
-    def support_of(self, key: Hypothesis) -> int | None:
-        return self.support.get(key)
-
-    def requirers_of(self, key: Hypothesis):
-        return self.requirers.get(key, ())
-
-    def set_support(self, key: Hypothesis, index: int | None) -> None:
-        if index is None:
-            del self.support[key]
-        else:
-            self.support[key] = index
-
-    def redecide(self, key: Hypothesis, start: int) -> int | None:
-        return _support(self.usable_of(key), start, self)
+    # The fixpoint.
 
     def __contains__(self, key: Hypothesis) -> bool:
         """Is ``key`` alive?"""
-        return self.support_of(key) is not None
-
-    def first_support(self, key: Hypothesis) -> int:
-        return self.support[key]
-
-    def witness_of(self, key: Hypothesis, consumers: tuple) -> dict:
-        return self.witnesses.witness(key[0], consumers)
-
-    # The fixpoint.
-
-    def read(self, key: Hypothesis) -> list[CompactWitness]:
-        """The usable local witnesses of ``key``."""
-        node, label = key
-        if not self.graph.has_node(node):
-            return []  # a requested node that only an edit creates
-        found = self.witnesses.compact(node, label)
-        self.sizes[key] = len(found)
-        self.asking = key
-        out = [cand for cand in found if self.passes(node, label, cand)]
-        self.asking = None
-        return out
+        return key in self.support
 
     def explore(self, keys: Iterable[Hypothesis]) -> list[Hypothesis]:
         """Read ``keys``, and every pair first reached from them through the
@@ -805,14 +747,18 @@ class _Fixpoint:
         pairs = list(keys)
         seen = set(pairs)
         for key in pairs:  # grows while it is walked
-            found = self.usable[key] = self.read(key)
-            self.at_node.setdefault(key[0], []).append(key)
+            node, label = key
+            found = self.usable[key] = [
+                cand for cand in self.witnesses.compact(node, label)
+                if self.passes(node, label, cand)
+            ]
+            self.at_node.setdefault(node, []).append(key)
             for cand in found:
                 for need in cand[2]:
                     requirers = self.requirers.setdefault(need, [])
                     if not requirers or requirers[-1] != key:
                         requirers.append(key)
-                    if need not in seen and not self.holds(need):
+                    if need not in seen:
                         seen.add(need)
                         pairs.append(need)
         return pairs
@@ -820,23 +766,23 @@ class _Fixpoint:
     def settle(self, dropped: list[Hypothesis]) -> None:
         """Drop the requirers of the ``dropped`` pairs that lose their
         support, transitively. A pair's support only moves forward: the
-        witnesses before it have a dead need, and the dead stay dead. (A
-        delta that revives pairs dead in its base breaks this for the base
-        supports, so its ``redecide`` scans those from the first witness.)"""
+        witnesses before it have a dead need, and the dead stay dead."""
+        support = self.support
         while dropped:
-            for key in self.requirers_of(dropped.pop()):
-                start = self.support_of(key)
+            for key in self.requirers.get(dropped.pop(), ()):
+                start = support.get(key)
                 if start is None:
                     continue
-                index = self.redecide(key, start)
-                self.set_support(key, index)
+                index = _support(self.usable[key], start, self)
                 if index is None:
+                    del support[key]
                     dropped.append(key)
+                else:
+                    support[key] = index
 
     def run(self, requested: list[Hypothesis]) -> None:
         """The fixpoint from scratch: every pair reachable from the request
         starts alive on its first usable witness."""
-        self.requested = requested
         pairs = self.explore(requested)
         for key in pairs:
             if self.usable[key]:
@@ -852,7 +798,7 @@ class _Fixpoint:
         region = self.region
         missing = sorted(
             (n, s, "+") for n, s, sign in entries if sign == "+" and not (
-                self.sign(n, s) if s in region else self.support_of((n, s)) is not None
+                self.sign(n, s) if s in region else (n, s) in self.support
             )
         )
         if missing:
@@ -864,8 +810,8 @@ class _Fixpoint:
         for key in order:  # grows while it is walked
             if key in tuc.lw_hyp:
                 continue
-            consumers, prop, needs, _ = self.usable_of(key)[self.first_support(key)]
-            tuc.lw_hyp[key] = self.witness_of(key, consumers)
+            consumers, prop, needs, _ = self.usable[key][self.support[key]]
+            tuc.lw_hyp[key] = self.witnesses.witness(key[0], consumers)
             tuc.typing_hyp.update(dict.fromkeys(prop))
             order.extend(needs)
         for n, s, sign in sorted(tuc.typing_hyp):
@@ -902,8 +848,8 @@ def maximal_typing_validation(
     On acceptance the witness takes, from the request outwards, the first
     surviving local witness of each pair, and copies the proofs of the
     positive region facts as :func:`flooding_validation` copies the certain
-    proofs. This is the from-scratch entry into the fixpoint code that
-    repair checks run as a delta (:func:`shexd.incremental.decide`).
+    proofs. Each repair check runs it on a patch of the search's graph
+    (``repair.is_valid_after``).
     """
     if witnesses is None:
         witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound).reader(graph)

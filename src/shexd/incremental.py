@@ -1,17 +1,14 @@
-"""Repair checks decided as deltas on the base graph's maximal typing.
+"""What the checks of a repair search read: the edited graph as a patch of
+the search's graph, and the screen that generates only the edit sets
+whose check can differ from the unedited graph's.
 
-A repair search asks, for thousands of small edit sets, whether one request
-holds on the edited graph. The request's fixpoint over the unedited graph is
-computed once (:func:`decide` keeps it in the search's
-:class:`LocalWitnessCache`), and each edit set is decided by re-deciding
-only the (node, label) pairs, and the certain signs of the fixpoint's lower
-strata, that its edits can change, in the manner of DRed (Gupta, Mumick
-and Subrahmanian, "Maintaining Views Incrementally", SIGMOD 1993) and of
-the Backward/Forward algorithm (Motik, Nenov, Piro and Horrocks, AAAI
-2015). The edited graph is read as a
-:class:`GraphPatch` of the base graph's tables. ``repair.is_valid_after``
-loads this module on its first check, so ``import shexd`` does not compile
-it.
+Each check decides its edit set by ``engine.maximal_typing_validation`` on
+a :class:`GraphPatch` of the search's graph, from scratch, reading local
+witnesses through the search's ``LocalWitnessCache``; so a pair whose
+neighbourhood the set leaves alone is enumerated once per search. The
+:class:`Screen` reads the request's fixpoint over the unedited graph.
+``repair.is_valid_after`` loads this module on its first check, so
+``import shexd`` does not compile it.
 """
 
 from __future__ import annotations
@@ -22,13 +19,9 @@ from collections import Counter
 from typing import Iterable
 
 from .engine import (
-    CompactWitness,
-    GlobalTypingWitness,
     Hypothesis,
     LocalWitnessCache,
     TypingEntry,
-    WitnessReader,
-    _check_request_signs,
     _Fixpoint,
     _requested,
     check_request,
@@ -47,7 +40,7 @@ from .rdf_graph import (
     term_key,
     term_to_value,
 )
-from .schema_model import OPEN, ByConstraint, ShapeRef
+from .schema_model import ByConstraint, ShapeRef
 
 
 def triple_edges(t: Triple) -> tuple[Edge, Edge, Value, Value]:
@@ -114,11 +107,6 @@ class GraphPatch:
         elif type(known) is not type(value):
             raise ValueError(f"data key {node!r} names two kinds of term")
 
-    @property
-    def touched(self):
-        """The nodes whose neighbourhood differs from the base graph's."""
-        return self.edits_at.keys()
-
     def has_node(self, node: str) -> bool:
         if node in self.edits_at:
             return node not in self.gone
@@ -179,235 +167,20 @@ def patch(cache: LocalWitnessCache, deletions: Iterable[Triple], insertions: Ite
     return GraphPatch(cache.graph, [edges(t) for t in deletions], inserted)
 
 
-def decide(
-    cache: LocalWitnessCache, typing0: Iterable[TypingEntry], graph: GraphPatch, budget: float
-) -> GlobalTypingWitness:
-    """:func:`maximal_typing_validation` on a :func:`patch` of the cache's
-    graph, decided as a delta on the request's base fixpoint.
-
-    The base fixpoint is computed on first use, under its own ``budget``,
-    and no check changes it, so a verdict depends on the graph, the request
-    and the edits only, never on the checks made before. The check reads
-    local witnesses under ``budget``: it is charged the full list of each
-    pair it enumerates anew and of each pair it re-decides, and the reads
-    of the certain signs it decides anew."""
-    typing0 = tuple(typing0)
-    base = cache._bases.get(typing0)
-    if base is None:
-        # checked on the patch: a requested node may be one that an edit creates
-        entries = check_request(typing0, graph, cache.schema)
-        base = cache._bases[typing0] = _base_fixpoint(cache, entries, budget)
-    else:  # the labels and signs were checked with the base
-        for node, _, _ in base.entries:
-            if not graph.has_node(node):
-                raise UnknownNodeError(f"requested node {node!r} is not in the graph")
-    delta = _Delta(base, cache.reader(graph, budget))
-    _check_request_signs(base.entries, delta)
-    delta.run()
-    return delta.answer(base.entries, base.requested)
-
-
-def _base_fixpoint(
-    cache: LocalWitnessCache, entries: list[TypingEntry], budget: float
-) -> _BaseFixpoint:
-    base = _BaseFixpoint(cache.schema, cache.reader(cache.graph, budget))
-    base.entries = entries
-    for node, label, _ in entries:  # the requested signs, for the checks to reuse
-        if label in base.region and cache.graph.has_node(node):
+def screen_for(cache: LocalWitnessCache, typing0: Iterable[TypingEntry]) -> Screen:
+    """The :class:`Screen` of a repair search whose unedited graph has
+    failed the request: it reads the request's fixpoint over that graph,
+    with the requested signs decided first. The check of the unedited graph
+    ran the same fixpoint under a check's budget and left its witnesses in
+    the cache, so this one reads them without a budget."""
+    graph, schema = cache.graph, cache.schema
+    base = _Fixpoint(schema, cache.reader(graph))
+    entries = check_request(typing0, graph, schema)
+    for node, label, _ in entries:
+        if label in base.region:
             base.sign(node, label)
     base.run(_requested(entries, base.region))
-    return base
-
-
-def _changed_at(base: _BaseFixpoint, node: str, kept: bool, dprops: list) -> list[Hypothesis]:
-    """The base pairs at ``node`` that edits there, on the directed
-    properties ``dprops``, change: all of them at a node the edits create or
-    strip (``kept`` false), which has no base witnesses to keep; else those
-    whose shape does not leave each of ``dprops`` to the open slot
-    (:func:`open_only`). A pair that does keeps its base witnesses, with
-    the new edges open. The other changed pairs of a check are the readers
-    of stale certain entries whose sign the edits change."""
-    keys = base.at_node.get(node, [])
-    if not kept:
-        return keys
-    return [key for key in keys if not all(base.open_only(key[1], d) for d in dprops)]
-
-
-class _BaseFixpoint(_Fixpoint):
-    """The fixpoint over the base graph of a search's checks."""
-
-    entries: list[TypingEntry]  # the request, checked
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._opens: dict[tuple[str, DirectedProperty], bool] = {}
-
-    def open_only(self, label: str, dprop: DirectedProperty) -> bool:
-        """:func:`open_only` of ``label``'s shape and ``dprop``, memoized."""
-        found = self._opens.get((label, dprop))
-        if found is None:
-            found = self._opens[(label, dprop)] = open_only(self.schema.shapes[label], dprop)
-        return found
-
-
-class _Delta(_Fixpoint):
-    """One repair check: the maximal typing of a :class:`GraphPatch`,
-    decided as a delta on its base graph's fixpoint, which it never
-    changes. Its own tables hold only the pairs it reads or re-decides.
-
-    - *Stale* entries of the lower strata: those the base decided at a
-      touched node, and those whose decision read the sign of a stale
-      entry. A base decision that is not stale holds on the patch: it
-      reads the same witnesses in the same order and gets the same signs.
-      So stale entries, and entries the base never decided, are decided
-      again on the patch when first asked for; every other entry reads the
-      base's table.
-    - *Changed* pairs: the base's pairs at touched nodes, which are
-      enumerated again, and those whose usable list read the sign of a
-      stale entry that the patch flips, which are filtered again. A pair
-      whose shape leaves every edited edge at its node to the open slot
-      (:func:`open_only`), at a node both graphs hold, is not changed: its
-      local witnesses are the base's, with those edges open, so they have
-      the same bags, needs and EXTRA edges. Pairs first reached through
-      the changed pairs' new witnesses are read too (*new* pairs).
-    - *Revived* pairs, assumed alive: the new pairs, every changed pair
-      that was dead and has a usable witness whose needs none of its base
-      witnesses had, and every dead pair that requires a revived one.
-    - The changed pairs that were alive, and the revived ones, are decided
-      from their first witness; a pair that loses its support is dropped
-      through its requirers, as in :meth:`_Fixpoint.settle`. When a pair
-      dead in the base was revived, a witness before a requirer's base
-      support may hold now, so each requirer is decided from its first
-      witness the first time too, and so is each pair the answer reads.
-
-    Every other pair keeps its base status and support. That is the
-    maximal typing of the patch: starting from the base's alive pairs plus
-    the revived ones, a superset of it, the drops end at the greatest
-    fixpoint. A pair alive on the patch but dead and not revived would
-    reach, through needs it already had in the base, only pairs alive in
-    the base or likewise not revived; so those pairs would all have been
-    alive in the base, which they are not. Pairs the patch no longer
-    reaches keep a status they do not use.
-    """
-
-    def __init__(self, base: _BaseFixpoint, witnesses: WitnessReader):
-        super().__init__(base.schema, witnesses)
-        self.base = base
-        self.rescan = False  # was a pair dead in the base revived?
-        self.scanned: set[Hypothesis] = set()  # pairs decided from their first witness
-        self.charged: set[Hypothesis] = set()
-        self.stale: set[Hypothesis] = set()
-        work = [key for node in self.graph.touched for key in base.decided_at.get(node, ())]
-        while work:
-            key = work.pop()
-            if key not in self.stale:
-                self.stale.add(key)
-                work.extend(q for q in base.readers.get(key, ()) if q[1] in self.region)
-
-    def decide(self, key: Hypothesis) -> tuple | None:
-        if key in self.stale or key not in self.base.signs:
-            return super().decide(key)
-        found = self.signs[key] = self.base.signs[key]
-        return found
-
-    def holds(self, key: Hypothesis) -> bool:
-        return key in self.usable or key in self.base.usable
-
-    def usable_of(self, key: Hypothesis) -> list[CompactWitness]:
-        found = self.usable.get(key)
-        return self.base.usable[key] if found is None else found
-
-    def support_of(self, key: Hypothesis) -> int | None:
-        if key in self.support:
-            return self.support[key]
-        return self.base.support.get(key)
-
-    def requirers_of(self, key: Hypothesis):
-        changed = self.usable
-        out = [q for q in self.base.requirers.get(key, ()) if q not in changed]
-        out.extend(self.requirers.get(key, ()))
-        return out
-
-    def set_support(self, key: Hypothesis, index: int | None) -> None:
-        self.support[key] = index
-
-    def redecide(self, key: Hypothesis, start: int) -> int | None:
-        if key not in self.charged:
-            self.charged.add(key)
-            self.witnesses.charge(self.base.sizes.get(key, 0))
-        if key not in self.scanned and (start == 0 or self.rescan):
-            # a revived need may give the pair an earlier surviving witness;
-            # once scanned, the dead stay dead and the support moves forward
-            start = 0
-            self.scanned.add(key)
-        return super().redecide(key, start)
-
-    def first_support(self, key: Hypothesis) -> int:
-        if self.rescan and key not in self.scanned:
-            return _Fixpoint.redecide(self, key, 0)
-        return self.support_of(key)
-
-    def witness_of(self, key: Hypothesis, consumers: tuple) -> dict:
-        node = key[0]
-        if key in self.usable or node not in self.graph.edits_at:
-            return self.witnesses.witness(node, consumers)
-        # a base witness at a node whose edits the shape leaves open: the
-        # edges it keeps keep their consumers, and an added one is open
-        kept = dict(zip((e.id for e in self.base.graph.neighbourhood(node)), consumers))
-        return {e.id: kept.get(e.id, OPEN) for e in self.graph.neighbourhood(node)}
-
-    def run(self) -> None:
-        base, graph, region = self.base, self.graph, self.region
-        changed = {}
-        for node, edits in graph.edits_at.items():
-            if node in base.at_node:
-                kept = graph.has_node(node) and base.graph.has_node(node)
-                dprops = [e.dprop for e in edits]
-                changed.update(dict.fromkeys(_changed_at(base, node, kept, dprops)))
-        for entry in self.stale:
-            # at a node the patch strips, the pairs that read the sign lose
-            # the edge they read it through, so they are changed already
-            readers = [q for q in base.readers.get(entry, ()) if q[1] not in region]
-            if readers and graph.has_node(entry[0]) and (
-                self.sign(*entry) != (base.signs[entry] is not None)
-            ):
-                changed.update(dict.fromkeys(readers))
-        if not changed:
-            return  # the base fixpoint stands
-        pairs = self.explore(changed)
-        self.charged.update(pairs)
-        revived = set(pairs[len(changed):])
-        work = []
-        for key in changed:
-            found = self.usable[key]
-            if key not in base.support and found:
-                before = {cand[2] for cand in base.usable[key]}
-                if any(cand[2] not in before for cand in found):
-                    work.append(key)
-        while work:
-            key = work.pop()
-            if key not in revived:
-                revived.add(key)
-                work.extend(q for q in base.requirers.get(key, ()) if q not in base.support)
-        # a pair first reached now is needed by no base witness
-        self.rescan = any(key in base.usable for key in revived)
-        suspects = [key for key in changed if key in base.support] + sorted(revived)
-        for key in suspects:
-            self.support[key] = 0  # alive until decided
-        dropped = []
-        for key in suspects:
-            index = self.support[key] = self.redecide(key, 0)
-            if index is None:
-                dropped.append(key)
-        self.settle(dropped)
-
-
-def screen_for(cache: LocalWitnessCache, typing0: Iterable[TypingEntry]) -> Screen | None:
-    """The :class:`Screen` of a repair search. Call it only once the
-    unedited graph has failed the request; None when that check built no
-    base fixpoint (a requested node the graph lacks)."""
-    base = cache._bases.get(tuple(typing0))
-    return None if base is None else Screen(cache, base)
+    return Screen(cache, base)
 
 
 class Screen:
@@ -416,31 +189,36 @@ class Screen:
     request: those it *rejects*; the others *pass*.
 
     The screen reads a set node by node. The *keys* of a node are its base
-    pairs, followed by the certain entries the base fixpoint decided there
+    pairs (the pairs the request's fixpoint over the unedited graph read
+    there), followed by the certain entries that fixpoint decided there
     (its ``decided_at``). A key is *changed* at a node the set edits
     unless the node keeps an edge and the key's shape leaves every edited
-    edge there to the open slot (:func:`open_only`); the changed base
-    pairs are those of :func:`_changed_at`. A set is rejected when, at
-    every node it touches:
+    edge there to the open slot (:func:`open_only`). A set is rejected
+    when, at every node it touches:
 
     1. every changed base pair was dead in the base;
     2. the node keeps an edge, unless it holds no certain entry; and every
        changed certain entry was false in the base;
     3. no changed key has a local witness on the edited graph.
 
-    Why that is sound. The certain region is acyclic, so its entries can
-    be taken in the order of their labels' dependencies. A base decision
-    at an untouched node reads the same edges and the same targets' values;
-    an unchanged entry at a touched node has the base's witnesses, with
-    the edited edges open; and a changed entry was false and still has no
-    local witness. So, by induction, every sign the base decided holds on
-    the edited graph, and each dropped consumer (below) stays unusable. The
-    readers of stale signs are then not changed, no changed pair has a
-    usable witness or a new need, and :meth:`_Delta.run` revives nothing
-    and keeps the base status of every pair; its answer fails as the
-    base's did (an update that derives nothing new leaves the
-    materialisation as it was, as in the Backward/Forward algorithm). Any
-    other set goes to the full check.
+    Why that is sound: the check of a rejected set, the maximal typing of
+    its patch, fails as the base did. An unchanged key at an edited node
+    has the base's local witnesses, with the edited edges open, so the
+    same bags, needs and EXTRA edges; a key at an untouched node reads the
+    same edges and the same targets' values. The certain region is
+    acyclic, so its entries can be taken in the order of their labels'
+    dependencies; a changed entry was false and still has no local
+    witness, so, by induction, every sign the base decided holds on the
+    patch, and each dropped consumer (below) stays unusable. The requested
+    signs were decided by the base, so they are the base's. Then, walking
+    the check's pairs from the request, each is a base pair: a changed
+    one has no local witness on the patch, and an unchanged one has
+    exactly the base's usable witnesses, whose needs are base pairs. So
+    every pair alive on the patch has the base's usable witnesses, with
+    its support's needs alive: the alive pairs form a post-fixed point of
+    the base's fixpoint, which is the greatest, so they were alive there.
+    The base failed the request, so the check does too. Any other set goes
+    to the full check.
 
     (3) needs no patch. An edge's admitted consumers depend only on its
     directed property and its target's value (:func:`admitted_options`),
@@ -504,7 +282,7 @@ class Screen:
     (see ``repair.enumerate_repairs``).
     """
 
-    def __init__(self, cache: LocalWitnessCache, base: _BaseFixpoint):
+    def __init__(self, cache: LocalWitnessCache, base: _Fixpoint):
         self.base = base
         self.bag_bound = cache.bag_bound
         self._edge_options = cache._edge_options
@@ -562,7 +340,7 @@ class Screen:
             if len(kept) < len(opts):
                 opts = self._filtered.setdefault(tuple(kept), kept)
         self._lists[id(opts)] = opts
-        cell = (base.open_only(label, dprop), id(opts))
+        cell = (open_only(shape_def, dprop), id(opts))
         self._cells[(label, dprop.prop, dprop.inverse, target)] = cell
         return cell
 
@@ -647,11 +425,10 @@ class Screen:
                 classes.setdefault(node, {}).setdefault(kinds, []).append(i)
         streams = []  # per passing group, its extensions in combination order
         for node, by_kinds in classes.items():
-            degree = len(graph.neighbourhood(node)) if graph.has_node(node) else 0
+            degree = len(graph.neighbourhood(node))  # a node with keys is a graph node
             inert, pools = [], []
             for kinds, members in by_kinds.items():
-                if degree and all(self._kinds[k][0] and all(c[0] for c in self._kinds[k][1])
-                                  for k in kinds):
+                if all(self._kinds[k][0] and all(c[0] for c in self._kinds[k][1]) for k in kinds):
                     inert.extend(members)
                     inert_end = kinds[0]
                 else:
@@ -665,7 +442,7 @@ class Screen:
                     if any(len(pools[c][1]) < m for c, m in counts.items()):
                         continue
                     ends = tuple(sorted(k for c in picks for k in pools[c][0]))
-                    if not degree or len(ends) < degree or any(self._kinds[k][0] for k in ends):
+                    if len(ends) < degree or any(self._kinds[k][0] for k in ends):
                         ways = [(free, None, ends)]  # inert ends leave the verdict as it is
                     else:  # the group strips the node, unless an inert end keeps it
                         ways = [(others, None, ends)]
@@ -703,6 +480,7 @@ class Screen:
         insertion on the end and rejects. Each other class is decided
         once."""
         sides = ((False, dict(subjects), objects), (True, dict(objects), subjects))
+        shapes = self.base.schema.shapes
         groups: dict[tuple, dict[tuple, list[str]]] = {}  # (labels, dprop) -> cells -> far keys
         for node, labels in self._labels_at.items():
             for prop in props:
@@ -710,9 +488,7 @@ class Screen:
                     if node not in ends:
                         continue
                     dprop = self._dprop(prop, inverse)
-                    if self.base.graph.has_node(node) and all(
-                        self.base.open_only(label, dprop) for label in labels
-                    ):
+                    if all(open_only(shapes[label], dprop) for label in labels):
                         yield node, prop, inverse, None, True
                         continue
                     by_cells = groups.get((labels, dprop))
@@ -743,8 +519,6 @@ class Screen:
         """May a set whose ends at ``node`` have ``kinds`` be rejected there?"""
         base = self.base
         graph = base.graph
-        if not graph.has_node(node):
-            return False  # a requested node that only an edit creates
         ends = [self._kinds[n] for n in kinds]
         # the node keeps an edge unless the set deletes all of them
         kept = len(ends) < len(graph.neighbourhood(node)) or any(end[0] for end in ends)

@@ -20,6 +20,8 @@ from .engine import (
     CertainTyping,
     LocalWitnessCache,
     TypingEntry,
+    check_request,
+    maximal_typing_validation,
     reference_validate,
     verify_global_typing_witness,
 )
@@ -113,7 +115,7 @@ def insertion_domain(
     (:meth:`~shexd.incremental.Screen.one_edit_insertions`). When ``keys``
     is given, each triple's key is appended to it, in order."""
     if labels is None:
-        labels = _fresh_labels(graph, max_edits, max_edits, set())
+        labels = _fresh_labels(graph, max_edits, max_edits)
     subjects, properties, objects = _domain(graph, schema, labels)
     if screen is None:
         present = set(graph._keys)
@@ -178,21 +180,18 @@ def _domain(graph: Graph, schema: Schema, labels: list[str]) -> tuple[list, list
     return subjects, sorted(properties), objects
 
 
-def _fresh_labels(graph: Graph, max_edits: int, size: int, requested: set[str]) -> list[str]:
+def _fresh_labels(graph: Graph, max_edits: int, size: int) -> list[str]:
     """The fresh-blank labels a search's edit sets of ``size`` edits take:
-    of the labels of :func:`insertion_domain` at ``max_edits``, those the
-    request names (``requested`` node keys) and the ``size`` smallest
-    others in string order (``repair10`` before ``repair2``); see
-    :func:`enumerate_repairs`. Costs ``size`` and the graph's nodes, not
-    ``max_edits``."""
+    of the labels of :func:`insertion_domain` at ``max_edits``, the
+    ``size`` smallest in string order (``repair10`` before ``repair2``);
+    see :func:`enumerate_repairs`. Costs ``size`` and the graph's nodes,
+    not ``max_edits``."""
     used = sorted(int(m[1]) for m in map(_FRESH_KEY.fullmatch, graph._values) if m)
     limit = max_edits  # the labels are repair<i> for the unused i below it
     for i in used:
         limit += i < limit
-    named = {int(m[1]) for m in map(_FRESH_KEY.fullmatch, requested) if m}.difference(used)
-    named = sorted(i for i in named if i < limit)
-    others = (i for i in _in_string_order(limit) if i not in named and i not in used)
-    return [f"repair{i}" for i in (*named, *itertools.islice(others, size))]
+    fresh = (i for i in _in_string_order(limit) if i not in used)
+    return [f"repair{i}" for i in itertools.islice(fresh, size)]
 
 
 def _in_string_order(limit: int, first: int = 0, stop: int = 10):
@@ -229,14 +228,13 @@ def is_valid_after(
 
     ``witnesses`` is the state the checks of one search share, for this
     graph, schema and bag bound (a fresh one when None). The edited graph
-    is a ``GraphPatch`` of ``graph`` (:func:`incremental.patch`), and
-    the request is decided on it as a delta on the request's fixpoint over
-    ``graph`` (:func:`incremental.decide`), reading at most
-    ``CHECK_BUDGET`` local witnesses; past it,
-    :class:`SearchBudgetExceededError`. The fixpoint over ``graph`` is
-    computed once per request, under a budget of its own, and no check
-    changes it, so the verdict does not depend on the checks made before.
-    An accepted set counts only once :func:`verify_global_typing_witness`,
+    is a ``GraphPatch`` of ``graph`` (:func:`incremental.patch`), and the
+    request is decided on it from scratch by
+    :func:`maximal_typing_validation`, reading the local witnesses through
+    ``witnesses``, at most ``CHECK_BUDGET`` of them; past it,
+    :class:`SearchBudgetExceededError`. Every read is charged, cached or
+    not, so the verdict does not depend on the checks made before. An
+    accepted set counts only once :func:`verify_global_typing_witness`,
     with a certain typing of its own, accepts the decider's witness on the
     same patch; a rejected certificate raises :class:`CertificateError`.
     No check builds a ``Graph``, and the graph's size is not bounded.
@@ -255,7 +253,9 @@ def is_valid_after(
         if not patched.has_node(node):
             return False
     try:
-        gtw = incremental.decide(witnesses, typing0, patched, CHECK_BUDGET)
+        gtw = maximal_typing_validation(
+            schema, patched, typing0, witnesses=witnesses.reader(patched, CHECK_BUDGET)
+        )
     except ValidationError:
         return False
     certain = CertainTyping(schema, patched, bag_bound=bag_bound)
@@ -593,8 +593,10 @@ def enumerate_repairs(
     over the edit atoms; of those that pass the test, those differing only
     by a renaming of fresh blanks are checked once, the first in order.
 
-    Once the unedited graph has failed the request, only the sets of size
-    one or more that the screen passes (``shexd.incremental.Screen``, which
+    The request is checked first, as ``engine.check_request`` checks it:
+    a node the graph lacks raises :class:`UnknownNodeError`. Once the
+    unedited graph has failed the request, only the sets of size one or
+    more that the screen passes (``shexd.incremental.Screen``, which
     rejects only sets whose check would fail as the unedited graph's did;
     its docstring says why) are generated, by ``Screen.passing``, in the
     same order; each then meets the relevance test above and the
@@ -610,31 +612,27 @@ def enumerate_repairs(
     cannot tell them apart; nor can the screen, since a fresh blank never
     holds keys or a decided sign and every fresh blank has the same value;
     and the dedupe is defined on renaming classes. So a renaming class
-    keeps its first member either way. (A request that names a fresh
-    blank's label breaks that symmetry; the CLI rejects requests for nodes
-    the graph does not hold, and no screen runs when the unedited graph
-    lacks a requested node.)
+    keeps its first member either way.
 
     Three shortcuts build fewer atoms and check the same sets in the same
     order, so the dedupe's representatives and the exit-4 point stay:
 
-    - At one edit, once a screen runs, the insertions are those of
+    - At one edit, the insertions are those of
       ``Screen.one_edit_insertions``, which screens them by class; every
       other insertion is rejected as a one-edit set. The shorter atom
       list keeps the full one's order.
     - At k edits, fresh blanks take only the k smallest labels in string
-      order (``repair10`` sorts before ``repair2``), and any the request
-      names (:func:`_fresh_labels`). A set that passes the relevance test
-      uses at most k fresh blanks the request does not name: such a blank
-      holds a pair only through an inserted edge and each edit counts at
-      a node with a pair, so each component of those blanks in the graph
-      of the set's insertions is joined to another node, and there are
-      at least as many insertions as blanks. If a checked set used a label
-      b outside the k smallest, it would leave one of those, a, unused;
-      renaming b to a gives each atom that held b a smaller key, hence a
-      set earlier in combination order that every filter treats alike,
-      which the dedupe would have checked instead. So the atoms built
-      grow with the size reached, not with ``max_edits``.
+      order (``repair10`` sorts before ``repair2``; :func:`_fresh_labels`).
+      A set that passes the relevance test uses at most k fresh blanks: a
+      blank holds a pair only through an inserted edge and each edit
+      counts at a node with a pair, so each component of those blanks in
+      the graph of the set's insertions is joined to another node, and
+      there are at least as many insertions as blanks. If a checked set
+      used a label b outside the k smallest, it would leave one of those,
+      a, unused; renaming b to a gives each atom that held b a smaller
+      key, hence a set earlier in combination order that every filter
+      treats alike, which the dedupe would have checked instead. So the
+      atoms built grow with the size reached, not with ``max_edits``.
     - The list of every atom is built once, at the first size that needs
       it; each later size merges in only the insertions that name its new
       label (:func:`_add_insertions`). What the screen and the relevance
@@ -645,35 +643,33 @@ def enumerate_repairs(
     neighbourhood a set leaves alone is not enumerated again. The graph's
     size is not bounded.
     """
+    from . import incremental  # loaded by the first search, so `import shexd` stays as it was
+
+    check_request(typing0, graph, schema)
     witnesses = LocalWitnessCache(schema, graph, bag_bound=bag_bound)
-    requested = {node for node, _, _ in typing0}
+    unedited = _edit_set(())
+    if is_valid_after(graph, unedited, schema, typing0, bag_bound=bag_bound, witnesses=witnesses):
+        return RepairResult(0, (unedited,), max_edits)
     relevance = _Relevance(graph, schema, typing0)
-    screen = None
-    atoms: list[Atom] = []  # size 0 takes none
-    keys: list[tuple[str, str, str]] = []
+    screen = incremental.screen_for(witnesses, typing0)
     built: list[str] | None = None  # the labels of the list of every atom, once built
 
-    for size in range(max_edits + 1):
-        if size:
-            labels = _fresh_labels(graph, max_edits, size, requested)
-            if size == 1 and screen is not None:
-                keys = []
-                atoms = _edit_atoms(graph, schema, max_edits, keys, labels, screen)
-            else:
-                if built is None:
-                    keys = []
-                    atoms = _edit_atoms(graph, schema, max_edits, keys, labels)
-                else:
-                    _add_insertions(graph, schema, atoms, keys, labels, built)
-                built = labels
-        if screen is None:
-            combos = itertools.combinations(range(len(atoms)), size)
+    for size in range(1, max_edits + 1):
+        labels = _fresh_labels(graph, max_edits, size)
+        if size == 1:
+            keys = []
+            atoms = _edit_atoms(graph, schema, max_edits, keys, labels, screen)
+        elif built is None:
+            keys = []
+            atoms = _edit_atoms(graph, schema, max_edits, keys, labels)
+            built = labels
         else:
-            combos = screen.passing(atoms, keys, size)
+            _add_insertions(graph, schema, atoms, keys, labels, built)
+            built = labels
         read: list = [None] * len(atoms)  # what the relevance test reads of each atom, once asked
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in combos:
+        for combo in screen.passing(atoms, keys, size):
             for i in combo:
                 if read[i] is None:
                     read[i] = relevance.edit(atoms[i][0] == "ins", keys[i])
@@ -692,10 +688,6 @@ def enumerate_repairs(
         if valid:
             valid.sort(key=EditSet.sort_key)
             return RepairResult(size, tuple(valid), max_edits)
-        if size == 0:
-            from . import incremental  # loaded by the check just made
-
-            screen = incremental.screen_for(witnesses, typing0)
     return RepairResult(None, (), max_edits)
 
 

@@ -81,12 +81,12 @@ def patch(graph: Graph, edits: EditSet) -> GraphPatch:
 def assert_patch_reads_as(patched: GraphPatch, graph: Graph, got: Graph) -> None:
     """A patch of ``graph`` reads as the edited graph ``got``, and keeps the
     base graph's tuple at every node it does not touch."""
-    for node in set(graph.nodes) | set(got.nodes) | set(patched.touched):
+    for node in set(graph.nodes) | set(got.nodes) | set(patched.edits_at):
         assert patched.has_node(node) == got.has_node(node)
         if got.has_node(node):
             assert patched.val(node) == got.val(node)
             assert patched.neighbourhood(node) == got.neighbourhood(node)
-            if node not in patched.touched:
+            if node not in patched.edits_at:
                 assert patched.neighbourhood(node) is graph.neighbourhood(node)
         else:
             with pytest.raises(UnknownNodeError):
@@ -228,7 +228,7 @@ def test_a_patch_writes_the_same_table_entries_at_any_graph_size():
             Triple(Iri(f"{EX}s{i}"), EX + "p", Iri(f"{EX}o{i}")) for i in range(size)
         ))
         patched = patch(graph, EditSet(frozenset({graph.triples[3]}), frozenset({inserted})))
-        for node in patched.touched:
+        for node in patched.edits_at:
             if patched.has_node(node):
                 patched.neighbourhood(node)
         tables = (patched.added, patched.removed, patched.gone, patched._values,

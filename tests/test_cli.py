@@ -251,22 +251,16 @@ def test_validate_nt_format(tmp_path):
 
 
 def test_validate_lookahead_flag(capsys):
-    """--lookahead still parses and changes nothing, valid or invalid."""
-    for schema, expected in ((SCHEMA, 0), (str(DATA / "issues_noextra.shex"), 1)):
-        args = [
-            "validate",
-            "--schema", schema,
-            "--data", ISSUES,
-            "--node", "ex:issue1",
-            "--shape", "IssueShape",
-            "--json",
-        ]
-        plain = main(args)
-        out_plain = capsys.readouterr()
-        flagged = main(args + ["--lookahead"])
-        out_flagged = capsys.readouterr()
-        assert plain == flagged == expected
-        assert out_plain == out_flagged
+    """--lookahead, which had no effect, is gone: it is a usage error."""
+    args = ["validate", "--schema", SCHEMA, "--data", ISSUES,
+            "--node", "ex:issue1", "--shape", "IssueShape"]
+    assert main(args) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        main(args + ["--lookahead"])
+    assert exited.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "--lookahead" in out.err
 
 
 def test_repair_boolean_json(capsys):
@@ -495,10 +489,10 @@ def test_repair_of_a_chain_past_the_reference_bound(tmp_path, monkeypatch, capsy
     # not the 33 pairs it decides
     assert counts["checks"] <= 4_500
     assert counts["enumerations"] <= 6_000
-    # a check re-decides a pair only where its edits can change the pair's
-    # status: a few pairs per rejected set, and the revived links of an
-    # accepted one (1,649 decisions in all, where deciding every pair of
-    # every check makes about 146,000)
+    # a check starts each pair on its first usable witness and decides it
+    # again only when a need of its support dies (64 decisions in all;
+    # 1,649 when each check was a delta on the unedited graph's fixpoint,
+    # which decided the revived links of each accepted set again)
     links, repairs = 32, 65
     assert counts["decisions"] <= 4 * counts["checks"] + 2 * links * repairs
 

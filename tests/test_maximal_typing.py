@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from shexd import flooding_validation, incremental, parse_schema, reference_validate
+from shexd import engine, flooding_validation, incremental, parse_schema, reference_validate
 from shexd.engine import (
     CertainTyping,
     LocalWitnessCache,
@@ -194,68 +194,73 @@ def fresh_verdict(graph, edits, schema, request):
         return None
 
 
-def record_deltas(monkeypatch) -> list:
-    """Patch the checks to record each ``_Delta`` they build."""
-    deltas = []
-    real = incremental._Delta.__init__
+def record_fixpoints(monkeypatch) -> list:
+    """Patch the decider to record each fixpoint it builds."""
+    fixpoints = []
+    real = engine._Fixpoint.__init__
 
     def recorded(self, *args):
         real(self, *args)
-        deltas.append(self)
+        fixpoints.append(self)
 
-    monkeypatch.setattr(incremental._Delta, "__init__", recorded)
-    return deltas
+    monkeypatch.setattr(engine._Fixpoint, "__init__", recorded)
+    return fixpoints
 
 
-def compare_signs(delta, schema, edited, tally) -> None:
-    """Every sign ``delta`` answers must be the independent certain
-    typing's on ``edited``: its own table, and the base's entries that are
-    not stale, at the nodes ``edited`` holds. ``tally`` counts the checks,
-    those with a stale entry, the signs compared and the checks that flip
-    a base sign."""
-    oracle = CertainTyping(schema, edited)
-    base = delta.base
-    answered = {key: found for key, found in base.signs.items() if key not in delta.stale}
-    answered.update(delta.signs)
-    for (node, label), found in answered.items():
-        if edited.has_node(node):
-            assert (found is not None) == oracle.sign(node, label), (node, label)
-            tally["signs"] += 1
+def compare_signs(fixpoint, schema, graph, edited, tally) -> None:
+    """Every sign of the lower strata that ``fixpoint``, a check's, decided
+    must be the independent certain typing's on ``edited``, the edited
+    graph rebuilt from scratch. ``tally`` counts the checks, those that
+    decide a sign at a node their edits touch, the signs compared and the
+    checks with a sign that differs from the unedited ``graph``'s."""
+    oracle, before = CertainTyping(schema, edited), CertainTyping(schema, graph)
+    for (node, label), found in fixpoint.signs.items():
+        assert (found is not None) == oracle.sign(node, label), (node, label)
     tally["checks"] += 1
-    tally["stale"] += bool(delta.stale)
+    tally["signs"] += len(fixpoint.signs)
+    tally["edited"] += any(node in fixpoint.graph.edits_at for node, _ in fixpoint.signs)
     tally["flipped"] += any(
-        (delta.signs[key] is None) != (base.signs[key] is None)
-        for key in delta.stale if key in delta.signs
+        graph.has_node(node) and (found is not None) != before.sign(node, label)
+        for (node, label), found in fixpoint.signs.items()
     )
 
 
-def compare_in_either_order(schema, graph, request, sets, deltas=None, tally=None) -> list | None:
+def compare_in_either_order(schema, graph, request, sets, fixpoints=None, tally=None) -> list | None:
     """Pass ``sets`` through one shared cache, in order and reversed; each
     verdict must be the decider's on the edited graph from scratch. An
     accepted set's witness is verified by is_valid_after on the check's
     patch, must be the one the fresh decision gives, and must verify on the
     graph apply_edits rebuilds, with a certain typing of its own. With
-    ``deltas`` (of :func:`record_deltas`), the signs of each check's delta
-    are compared too (:func:`compare_signs`). Returns the fresh witnesses,
-    or None when a fresh decision runs out of budget."""
+    ``fixpoints`` (of :func:`record_fixpoints`), each verdict must be the
+    reference check's too, within its bounds, and the signs of each
+    check's fixpoint are compared (:func:`compare_signs`). Returns the
+    fresh witnesses, or None when a fresh decision runs out of budget."""
     try:
         expected = [fresh_verdict(graph, edits, schema, request) for edits in sets]
     except (SearchBudgetExceededError, BagTooLargeError):
         return None
+    if fixpoints is not None:
+        for edits, want in zip(sets, expected):
+            try:
+                assert _reference_valid_after(graph, edits, schema, request) == (want is not None)
+            except (SearchBudgetExceededError, BagTooLargeError):
+                continue
+            tally["referenced"] += 1
     for order in (sets, sets[::-1]):
         cache = LocalWitnessCache(schema, graph)
         for edits in order:
             want = expected[sets.index(edits)]
+            if fixpoints is not None:
+                fixpoints.clear()
             got = is_valid_after(graph, edits, schema, request, witnesses=cache)
             assert got == (want is not None), f"{request}, {edits}"
+            if fixpoints:
+                (check,) = fixpoints
+                compare_signs(check, schema, graph, apply_edits(graph, edits), tally)
             if got:
                 patched = incremental.patch(cache, edits.deletions, edits.insertions)
-                assert incremental.decide(cache, request, patched, float("inf")) == want
-            if deltas:
-                edited = apply_edits(graph, edits)
-                for delta in deltas:
-                    compare_signs(delta, schema, edited, tally)
-                deltas.clear()
+                reader = cache.reader(patched)
+                assert maximal_typing_validation(schema, patched, request, witnesses=reader) == want
     for edits, want in zip(sets, expected):
         if want is not None:
             edited = apply_edits(graph, edits)
@@ -265,12 +270,12 @@ def compare_in_either_order(schema, graph, request, sets, deltas=None, tally=Non
 
 
 def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
-    # the checks of a repair search decide each edit set as a delta on the
-    # base graph's fixpoint; per instance, seeded edit sets of one or two
-    # edits go through one shared cache, in order and reversed, and every
-    # sign a check answers is compared with the certain typing
-    deltas = record_deltas(monkeypatch)
-    tally = dict.fromkeys(["checks", "stale", "signs", "flipped"], 0)
+    # per instance, seeded edit sets of one or two edits go through one
+    # shared cache, in order and reversed; each verdict is compared with
+    # the decider's from scratch and with the reference check, and every
+    # sign a check decides with the certain typing of the rebuilt graph
+    fixpoints = record_fixpoints(monkeypatch)
+    tally = dict.fromkeys(["checks", "edited", "signs", "flipped", "referenced"], 0)
     compared = valid = negated = 0
     for seed in range(3_000):
         rng = random.Random(seed)
@@ -289,22 +294,26 @@ def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
             for pool in [atoms] * 5 + [near or atoms] * 5
         ]
         for request in requests:
-            expected = compare_in_either_order(schema, graph, request, sets, deltas, tally)
+            expected = compare_in_either_order(schema, graph, request, sets, fixpoints, tally)
             if expected is None:
                 continue
             compared += 1
             valid += sum(want is not None for want in expected)
             negated += any(label in schema.negated_labels for _, label, _ in request)
     assert compared >= 3_300 and valid >= 6_000 and negated >= 600, (compared, valid, negated)
-    # of 83,068 checks (each check's delta is recorded, an accepted set's
-    # twice), 11,286 have a stale entry, which they decide again if asked
-    # (11,100 of 25,250 when a certain typing beside the fixpoint re-decided
-    # them), 464 flip a sign of the base, and 23,336 signs are compared
-    assert tally["stale"] >= 5_000 and tally["flipped"] >= 400 and tally["signs"] >= 20_000, tally
-    # an edit that revives a pair dead in the base and kills another: an
-    # untouched requirer whose base support needed the killed pair must
-    # find its earlier witness, which needs the revived one, whichever of
-    # the two comes first
+    # 69,098 checks decide 16,984 signs; 8,306 decide one at a node their
+    # edits touch and 332 one that differs from the unedited graph's. The
+    # reference check decides 34,840 of the sets within its bounds. (When
+    # each check was a delta on the unedited graph's fixpoint, recorded
+    # twice for an accepted set, 11,286 of 83,068 had a stale entry, 464
+    # flipped a sign of the base, and 23,336 signs were compared, the
+    # base's included.)
+    assert tally["signs"] >= 15_000 and tally["edited"] >= 7_500, tally
+    assert tally["flipped"] >= 300 and tally["referenced"] >= 33_000, tally
+    # an edit that revives a pair dead in the unedited graph and kills
+    # another: a requirer whose first witness needed the killed pair must
+    # find its other witness, which needs the revived one, whichever of the
+    # two comes first
     for first, second in (("Q", "R"), ("R", "Q")):
         schema = parse_schema(f"""PREFIX ex: <{EX}>
 <SP> {{ ex:p @<S{first}> ?, ex:p @<S{second}> ? }}
@@ -323,8 +332,8 @@ def test_checks_match_a_fresh_decision_in_either_order(monkeypatch):
 
 def searched(schema, graph, request, max_edits=2):
     """The state of a repair search once its unedited graph has failed the
-    request: its cache, edit atoms and screen; None when the graph is valid,
-    the check runs out of budget, or it built no base fixpoint."""
+    request: its cache, edit atoms and screen; None when the graph is valid
+    or the check runs out of budget."""
     cache = LocalWitnessCache(schema, graph)
     atoms = _edit_atoms(graph, schema, max_edits)
     try:
@@ -332,8 +341,7 @@ def searched(schema, graph, request, max_edits=2):
             return None
     except (SearchBudgetExceededError, BagTooLargeError):
         return None
-    screen = incremental.screen_for(cache, request)
-    return None if screen is None else (cache, atoms, screen)
+    return cache, atoms, incremental.screen_for(cache, request)
 
 
 def passed(screen, atoms, size, pool=None) -> list[tuple[int, ...]]:
@@ -536,7 +544,10 @@ def rejects_alone(screen, atoms, combo) -> bool:
         if not graph.has_node(node):
             return False
         kept = len(ends) < len(graph.neighbourhood(node)) or any(end[1] for end in ends)
-        pairs = incremental._changed_at(base, node, kept, [end[0] for end in ends])
+        pairs = [
+            key for key in base.at_node.get(node, ())
+            if not kept or not all(open_only(shapes[key[1]], end[0]) for end in ends)
+        ]
         entries = [
             key for key in decided_at.get(node, ())
             if not kept or not all(open_only(shapes[key[1]], end[0]) for end in ends)

@@ -301,12 +301,9 @@ def test_fresh_labels_are_the_smallest_in_string_order():
     for limit in range(1_200):
         assert list(_in_string_order(limit)) == sorted(range(limit), key=str)
     plain = Graph([Triple(Iri(EX + "x"), EX + "p", Iri(EX + "y"))])
-    assert _fresh_labels(plain, 2, 1, set()) == ["repair0"]
-    assert _fresh_labels(plain, 12, 3, set()) == ["repair0", "repair1", "repair10"]
-    assert _fresh_labels(plain, 10**9, 2, set()) == ["repair0", "repair1"]
+    assert _fresh_labels(plain, 2, 1) == ["repair0"]
+    assert _fresh_labels(plain, 12, 3) == ["repair0", "repair1", "repair10"]
+    assert _fresh_labels(plain, 10**9, 2) == ["repair0", "repair1"]
     # the graph's own _:repair0 takes no label: the twelve are repair1 .. repair12
     taken = Graph([Triple(Iri(EX + "x"), EX + "p", BlankRef("repair0"))])
-    assert _fresh_labels(taken, 12, 4, set()) == ["repair1", "repair10", "repair11", "repair12"]
-    # a label the request names is kept besides the smallest others
-    assert _fresh_labels(plain, 12, 2, {"_:repair5", EX + "x"}) == ["repair5", "repair0", "repair1"]
-    assert _fresh_labels(plain, 3, 2, {"_:repair5"}) == ["repair0", "repair1"]
+    assert _fresh_labels(taken, 12, 4) == ["repair1", "repair10", "repair11", "repair12"]

@@ -7,8 +7,9 @@ memoized per shape, and local witnesses are cached per request. So a request
 builds one ``Graph``, makes a few dozen interval computations and
 enumerates a pair's witnesses again only where an edit set changes its
 neighbourhood, however many edit sets it checks. Most sets are never even
-built: the screen (``shexd.incremental.Screen``) rejects the sets that
-revive no pair, and ``Screen.passing`` generates only the others. A set
+built: the screen (``shexd.incremental.Screen``) rejects the sets whose
+check can only fail as the unedited graph's did, and ``Screen.passing``
+generates only the others. A set
 passes exactly when its atoms with an end at some node get a passing
 verdict there, so the generator decides each multiset of the atoms' kinds
 at a node once and extends each passing group by atoms with no end at
@@ -85,11 +86,14 @@ EFFECTS = [31, 15, 180, 1_134]
 # two labels. When every atom was built up front, once per request, they
 # were 1,008 / 120 / 180 / 1,134.
 CLASS_WORK = [(6, 31), (10, 15), (10, 195), (6, 1_164)]
-# Local witnesses charged to the budgets of each request's checks, the base
-# fixpoint's included (``WitnessReader.charge``): where a check may exit 4
-# moves with them. The same when the certain signs were decided by a
-# certain typing of their own beside the fixpoint.
-CHARGED = [16, 1, 9, 2_165]
+# Local witnesses charged to the budgets of each request's checks, the
+# screen's fixpoint included (``WitnessReader.charge``): where a check may
+# exit 4 moves with them. Each check decides its set from scratch and is
+# charged every pair its fixpoint reads, cached or not. (16 / 1 / 9 / 2,165
+# when each check was a delta on the unedited graph's fixpoint, charged
+# only the pairs it re-decided; the same when the certain signs were
+# decided by a certain typing of their own beside the fixpoint.)
+CHARGED = [18, 2, 10, 2_135]
 # The first three requests made 68 interval computations under each hash
 # seed of 0-15 and 123 (90 to 100 when the screen left every set that edits
 # at a node with certain entries to the check, 3,513 to 3,706 when each

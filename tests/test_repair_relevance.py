@@ -24,7 +24,7 @@ from shexd import (
     parse_schema,
 )
 from shexd.engine import LocalWitnessCache
-from shexd.errors import BagTooLargeError, SearchBudgetExceededError
+from shexd.errors import BagTooLargeError, SearchBudgetExceededError, UnknownNodeError
 from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, Graph, Iri, Literal, Triple
 from shexd.repair import (
@@ -214,13 +214,13 @@ def test_insertion_keeps_a_stripped_node_in_the_graph():
     assert (((EX + "x", EX + "a", EX + "bad"),), ((EX + "bad", EX + "a", EX + "x"),)) in _keys(result)
 
 
-def test_insertion_creates_a_requested_node():
-    # a request for the fresh blank itself is met by any insertion that
-    # creates it, on a property its shape leaves open
+def test_a_request_for_a_node_the_graph_lacks_raises():
+    # the search checks the request first, as validate and the CLI's
+    # repair do: a node no edit set may create, a fresh blank's included
     schema, graph = _case("<S> { }\n", "ex:x ex:p ex:y .")
-    result = assert_same_as_exhaustive(graph, schema, [("_:repair0", "S", "+")], 1)
-    assert result.min_size == 1
-    assert ((), (("_:repair0", EX + "p", EX + "x"),)) in _keys(result)
+    for node in ("_:repair0", EX + "z"):
+        with pytest.raises(UnknownNodeError):
+            enumerate_repairs(graph, schema, [(node, "S", "+")], max_edits=1)
 
 
 def test_pruned_results_pass_is_repair(issues_schema, repairing_graph):
@@ -269,7 +269,9 @@ def test_check_count_bounds(monkeypatch, data, node, shape, max_edits, bound, mi
 # ran before the screen: each must still be either rejected by the screen
 # or checked, so the search checks the same sets. The search's screen
 # generates ``GENERATED`` sets of one edit or more, those it passes, and
-# each gets a relevance test. (While the screen was asked about each set
+# each gets a relevance test; the unedited graph is checked without one
+# (it got one, which always admits, while size 0 went through the same
+# loop, and ``admits`` was one more). (While the screen was asked about each set
 # the search built, the checks and the sets it rejected summed to 20 and
 # 2,238; to 231 and 2,273 while it saw every one-edit set; 231 and 1,051
 # when it ran last.)
@@ -288,7 +290,7 @@ def test_enumeration_work_bounds(
     assert calls["canonical"] <= canon_bound
     assert calls["sets"] == sets
     assert calls["checks"] + calls["screened_passing"] == sets
-    assert calls["generated"] == GENERATED[data] == calls["admits"] - 1
+    assert calls["generated"] == GENERATED[data] == calls["admits"]
 
 
 # Of the sets that pass the relevance test and the dedupe, the screen
