@@ -5,6 +5,8 @@ verifiable global typing witness, or search for minimal repairs when they do
 not.
 """
 
+from importlib import import_module as _import_module
+
 from .engine import (
     CertainTyping,
     GlobalTypingWitness,
@@ -43,7 +45,6 @@ from .matching import (
     value_satisfies,
 )
 from .rdf_graph import Graph, Triple, build_graph, parse_data, to_ntriples
-from .repair import EditSet, RepairResult, enumerate_repairs, is_repair, is_valid_after
 from .schema_model import (
     Schema,
     check_well_defined,
@@ -54,4 +55,68 @@ from .schema_model import (
 )
 from .shexc import json_to_schema, parse_schema, schema_to_json, schema_to_shexc
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The repair search loads on first use, so validate and check-schema start
+# without compiling it.
+_REPAIR_NAMES = ("EditSet", "RepairResult", "enumerate_repairs", "is_repair", "is_valid_after")
+
+
+def __getattr__(name: str):
+    if name == "repair" or name in _REPAIR_NAMES:
+        repair = _import_module(".repair", __name__)
+        return repair if name == "repair" else getattr(repair, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [
+    "BagTooLargeError",
+    "CertainTyping",
+    "DuplicateShapeLabelError",
+    "EditSet",
+    "GlobalTypingWitness",
+    "Graph",
+    "IncompatibleInitialTypingError",
+    "NotSingleOccurrenceError",
+    "ParseError",
+    "RepairResult",
+    "Schema",
+    "SchemaJsonError",
+    "SearchBudgetExceededError",
+    "ShexdError",
+    "Triple",
+    "UndefinedShapeReferenceError",
+    "UnknownNodeError",
+    "UnknownPrefixError",
+    "ValidationError",
+    "WellDefinednessError",
+    "brute_match",
+    "build_graph",
+    "candidate_witnesses",
+    "check_compatible",
+    "check_gtw_extra",
+    "check_local_witness",
+    "check_well_defined",
+    "compute_certain_typing",
+    "dependency_graph",
+    "edge_matches",
+    "enumerate_repairs",
+    "flooding_validation",
+    "interval",
+    "is_repair",
+    "is_valid_after",
+    "json_to_schema",
+    "local_witnesses",
+    "matching_consumers",
+    "negated_shapes",
+    "parse_data",
+    "parse_schema",
+    "propagation",
+    "reference_validate",
+    "schema_to_json",
+    "schema_to_shexc",
+    "to_ntriples",
+    "triple_consumers",
+    "unfold_repetitions",
+    "value_satisfies",
+    "verify_global_typing_witness",
+    "witness_to_json",
+]

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matching import DEFAULT_BAG_BOUND
 from .rdf_graph import BlankRef, Graph, Triple, parse_data
-from .repair import enumerate_repairs, repairs_to_json
 from .schema_model import (
     Schema,
     check_well_defined,
@@ -221,7 +220,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def enumerate_repairs(*args, **kwargs):
+    """:func:`shexd.repair.enumerate_repairs`, imported on the first call,
+    so that validate and check-schema start without compiling the search."""
+    from .repair import enumerate_repairs
+
+    return enumerate_repairs(*args, **kwargs)
+
+
 def cmd_repair(args) -> int:
+    from .repair import repairs_to_json
+
     try:
         _check_limits(args)
         schema = _load_schema(args.schema)

@@ -27,7 +27,7 @@ from .engine import (
     check_request,
 )
 from .errors import ShexdError, UnknownNodeError
-from .matching import _assignments, admitted_options, open_only
+from .matching import _assignments, admitted_options, bag_matches, open_only
 from .rdf_graph import (
     DirectedProperty,
     Edge,
@@ -226,6 +226,8 @@ class Screen:
     over the multiset of its edges' consumer lists, in any order. That
     multiset is the base node's, minus the deleted edges' lists, plus the
     inserted edges' lists; the answer is memoized per label and multiset.
+    A multiset whose lists each hold one consumer has one candidate, so
+    :func:`bag_matches` on its count vector answers it without a search.
     Each list also drops a constraint consumer that references a negated
     label L, with ``@<L>`` or ``!@<L>``, against the sign the base decided
     for (target, L): such a consumer propagates a fact the unchanged sign
@@ -388,7 +390,9 @@ class Screen:
     def _has_witness(self, key: Hypothesis, edits: list[tuple[bool, int]]) -> bool | None:
         """Does ``key`` have a local witness once the ``edits`` at its node,
         (inserts?, consumer list id) each, are made? None when the search
-        raised."""
+        raised. A multiset whose lists each hold one consumer has one
+        candidate, so :func:`bag_matches` on its count vector decides it
+        without a search."""
         label = key[1]
         counts = dict(self._bag(key))
         for inserted, n in edits:
@@ -399,12 +403,20 @@ class Screen:
                 del counts[n]
         multiset = (label, frozenset(counts.items()))
         if multiset not in self._verdicts:
-            options = [self._lists[n] for n, count in multiset[1] for _ in range(count)]
+            lists = [(self._lists[n], count) for n, count in multiset[1]]
             found = False
-            if all(options):
+            if all(opts for opts, _ in lists):
                 shape_def = self.base.schema.shapes[label]
                 try:
-                    found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
+                    if all(len(opts) == 1 for opts, _ in lists):
+                        bag: dict[int, int] = {}
+                        for (consumer,), count in lists:
+                            if isinstance(consumer, ByConstraint):
+                                bag[consumer.tc_id] = bag.get(consumer.tc_id, 0) + count
+                        found = bag_matches(shape_def, bag, self.bag_bound)
+                    else:
+                        options = [opts for opts, count in lists for _ in range(count)]
+                        found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
                 except ShexdError:  # BagTooLargeError: left to the full check
                     found = None
             self._verdicts[multiset] = found

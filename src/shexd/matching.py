@@ -4,8 +4,9 @@ A node's neighbourhood satisfies a shape definition when every edge can be
 assigned a triple consumer (a specific constraint occurrence, an EXTRA slot,
 or the open slot) such that the constraint-consumed edges, read as a bag of
 constraint ids, belong to the expression's language. Bag membership is
-decided by an interval computation on single-occurrence expressions and by
-exhaustive search otherwise.
+decided by an interval computation on single-occurrence expressions,
+compiled once per shape (:func:`interval` is its readable reference), and
+by exhaustive search otherwise.
 
 Two enumerations of assignments live here. :func:`candidate_witnesses`
 walks the whole product of the per-edge consumer lists and, filtered by
@@ -372,8 +373,10 @@ def _bag_minus(b: tuple, sub: tuple) -> tuple:
 def bag_matches(
     shape_def: ShapeDefinition, bag: Mapping[int, int], bound: int = DEFAULT_BAG_BOUND
 ) -> bool:
-    """Decide bag membership in a shape's expression: the interval fast path
-    on single-occurrence shapes, the exhaustive fallback otherwise.
+    """Decide bag membership in a shape's expression: on single-occurrence
+    shapes by the interval test compiled once per shape
+    (``ShapeDefinition.membership``, which decides what :func:`interval`
+    decides), by the exhaustive fallback otherwise.
 
     Verdicts are memoized on the shape by sorted non-zero count vector, so
     a repeated bag costs one lookup. Membership does not depend on the bound;
@@ -382,13 +385,14 @@ def bag_matches(
     earlier call with a larger bound stored, and a raise stores nothing.
     """
     key = tuple(sorted((sym, c) for sym, c in bag.items() if c > 0))
-    if not shape_def.single_occurrence and sum(c for _, c in key) > bound:
+    member = shape_def.membership
+    if member is None and sum(c for _, c in key) > bound:
         return brute_match(shape_def.expr, bag, bound)  # raises BagTooLargeError
     verdicts = shape_def.bag_verdicts
     hit = verdicts.get(key)
     if hit is None:
-        if shape_def.single_occurrence:
-            hit = interval(shape_def.unfolded, bag).contains(1)
+        if member is not None:
+            hit = member(key)
         else:
             hit = brute_match(shape_def.expr, bag, bound)
         verdicts[key] = hit

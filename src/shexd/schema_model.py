@@ -1,9 +1,11 @@
-"""Abstract syntax for shape schemas and the derived structural indices."""
+"""Abstract syntax for shape schemas, the derived structural indices and the
+compiled bag-membership tests."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import UndefinedShapeReferenceError
 from .rdf_graph import DirectedProperty, Value
@@ -133,6 +135,115 @@ def unfold_repetitions(expr: ShapeExpr) -> ShapeExpr:
     return Group(tuple(copies))
 
 
+# --- compiled bag membership ------------------------------------------------
+
+Bag = tuple[tuple[int, int], ...]  # sorted (constraint id, count) pairs, counts positive
+# An interval of naturals as (lo, hi), hi None when unbounded; None when empty.
+Span = tuple[int, int | None] | None
+
+
+def compile_membership(expr: ShapeExpr) -> Callable[[Bag], bool] | None:
+    """Bag membership in an unfolded expression by the interval method
+    (Staworko et al., "Complexity and Expressiveness of ShEx for RDF",
+    ICDT 2015), compiled once: a function telling whether a bag belongs to
+    the expression's language. None when the expression repeats a
+    constraint id, where the method does not apply.
+
+    It decides what ``matching.interval(expr, bag).contains(1)``, the
+    readable reference, decides, without walking the expression again:
+    each node becomes a function from the bag's counts to its interval,
+    the numbers n with the bag in L(node)^n, in plain (lo, hi) integers.
+    """
+    ids: list[int] = []
+
+    def build(e: ShapeExpr) -> Callable[[Callable], Span]:
+        if isinstance(e, Empty):
+            return _anything
+        if isinstance(e, TripleConstraint):
+            ids.append(e.tc_id)
+            return _count_of(e.tc_id)
+        if isinstance(e, Repetition):
+            return _repeated(build(e.child), e.lo, e.hi)
+        parts = tuple(build(c) for c in e.children)
+        return _each_of(parts) if isinstance(e, Group) else _one_of(parts)
+
+    root = build(expr)
+    alphabet = frozenset(ids)
+    if len(alphabet) < len(ids):
+        return None
+
+    def member(bag: Bag) -> bool:
+        for tc_id, _ in bag:
+            if tc_id not in alphabet:
+                return False
+        span = root(dict(bag).get)
+        return span is not None and span[0] <= 1 and (span[1] is None or span[1] >= 1)
+
+    return member
+
+
+def _anything(count: Callable) -> Span:
+    return (0, None)
+
+
+def _count_of(tc_id: int) -> Callable[[Callable], Span]:
+    def leaf(count: Callable) -> Span:
+        c = count(tc_id, 0)
+        return (c, c)
+    return leaf
+
+
+def _each_of(parts: tuple) -> Callable[[Callable], Span]:
+    """A group: each part reads its own counts, so the intersection."""
+    def each_of(count: Callable) -> Span:
+        lo, hi = 0, None
+        for part in parts:
+            span = part(count)
+            if span is None:
+                return None
+            if span[0] > lo:
+                lo = span[0]
+            if span[1] is not None and (hi is None or span[1] < hi):
+                hi = span[1]
+        return None if hi is not None and lo > hi else (lo, hi)
+    return each_of
+
+
+def _one_of(parts: tuple) -> Callable[[Callable], Span]:
+    """A choice: each repetition takes one part, so the Minkowski sum."""
+    def one_of(count: Callable) -> Span:
+        lo, hi = 0, 0
+        for part in parts:
+            span = part(count)
+            if span is None:
+                return None
+            lo += span[0]
+            hi = None if hi is None or span[1] is None else hi + span[1]
+        return (lo, hi)
+    return one_of
+
+
+def _repeated(child: Callable, lo: int, hi: int | None) -> Callable[[Callable], Span]:
+    """``child[lo;hi]``: the numbers n of repetitions such that some m in
+    the child's interval fits n*lo <= m <= n*hi."""
+    def repeated(count: Callable) -> Span:
+        span = child(count)
+        if span is None:
+            return None
+        a, b = span
+        if a == 0:
+            out_lo = 0
+        elif hi is None:
+            out_lo = 1
+        elif hi == 0:
+            return None  # n*0 can never reach a positive m
+        else:
+            out_lo = -(-a // hi)
+        out_hi = None if lo == 0 or b is None else b // lo
+        return None if out_hi is not None and out_lo > out_hi else (out_lo, out_hi)
+    return repeated
+
+
 def _derived():
     return field(init=False, repr=False, compare=False)
 
@@ -154,10 +265,13 @@ class ShapeDefinition:
     tcs_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
     value_only_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
     unfolded: ShapeExpr = _derived()
+    # The compiled interval test of bag membership in ``unfolded``, and
+    # whether there is one (no constraint id occurs twice there).
+    membership: Callable[[Bag], bool] | None = _derived()
     single_occurrence: bool = _derived()
     # Bag-membership verdicts by sorted non-zero count vector; filled by
     # matching.bag_matches, which alone decides what may be stored here.
-    bag_verdicts: dict[tuple[tuple[int, int], ...], bool] = _derived()
+    bag_verdicts: dict[Bag, bool] = _derived()
 
     def __post_init__(self):
         tcs = iter_triple_constraints(self.expr)
@@ -165,6 +279,7 @@ class ShapeDefinition:
         for tc in sorted(tcs, key=lambda t: t.tc_id):
             by_dprop.setdefault(tc.dprop, []).append(tc)
         unfolded = unfold_repetitions(self.expr)
+        membership = compile_membership(unfolded)
         derived = {
             "tcs": tcs,
             "tc_by_id": {tc.tc_id: tc for tc in tcs},
@@ -177,7 +292,8 @@ class ShapeDefinition:
                 for p, group in by_dprop.items()
             },
             "unfolded": unfolded,
-            "single_occurrence": is_single_occurrence(unfolded),
+            "membership": membership,
+            "single_occurrence": membership is not None,
             "bag_verdicts": {},
         }
         for name, value in derived.items():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,18 @@ from conftest import DATA, EX
 
 SCHEMA = str(DATA / "issues.shex")
 ISSUES = str(DATA / "issues.ttl")
+
+
+def test_validate_and_check_schema_start_without_the_repair_search():
+    # only cmd_repair imports shexd.repair; the package resolves the repair
+    # names on first use, and resolving one loads it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, shexd.cli; print('shexd.repair' in sys.modules); "
+            "from shexd import enumerate_repairs; print('shexd.repair' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_check_schema_ok(capsys):

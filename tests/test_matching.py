@@ -335,15 +335,23 @@ def test_bag_matches_uses_fallback_for_duplicates():
 
 
 def test_memoized_bag_matches_agrees_with_the_oracles():
-    # Each bag is asked twice under each of two bounds, against a shape on
+    # Each bag is asked twice under each of two bounds, against shapes on
     # the interval path and one on the exhaustive path (every id doubled).
+    # The interval path also gets the expression beside an Empty under a
+    # choice and under a group, as boolean.shex's <Vars> has it, and one bag
+    # in four holds an id the expression lacks. Every verdict on the
+    # interval path is checked against interval() and brute_match() both.
     rng = random.Random(61018)
     raised = 0
     for _ in range(150):
         expr = random_expr(rng, alphabet=4, depth=3)
         bags = [random_bag(rng, expr, total_max=6) for _ in range(3)]
-        for shape in (ShapeDefinition(expr=expr), ShapeDefinition(expr=Group((expr, expr)))):
-            assert shape.single_occurrence == (shape.expr is expr)
+        bags.append(bags[0] + Counter({99: 1}))  # 99 is no constraint id of expr
+        doubled = ShapeDefinition(expr=Group((expr, expr)))
+        shapes = [ShapeDefinition(expr=e) for e in
+                  (expr, SomeOf((expr, Empty())), Group((Empty(), expr)))]
+        for shape in shapes + [doubled]:
+            assert shape.single_occurrence == (shape is not doubled)
             for bound in (16, 3):
                 for bag in bags * 2:
                     if not shape.single_occurrence and sum(bag.values()) > bound:
@@ -352,7 +360,8 @@ def test_memoized_bag_matches_agrees_with_the_oracles():
                         raised += 1
                         continue
                     if shape.single_occurrence:
-                        expected = interval(expr, bag).contains(1)
+                        expected = interval(shape.expr, bag).contains(1)
+                        assert expected == brute_match(shape.expr, bag, 16)
                     else:
                         expected = brute_match(shape.expr, bag, bound)
                     assert bag_matches(shape, bag, bound) == expected

@@ -4,8 +4,8 @@ request on the issue example and of a one-edit chain, run through the CLI.
 A repair check reads the edited graph as a patch of the request's graph and
 verifies an accepted set's certificate on that patch; bag verdicts are
 memoized per shape, and local witnesses are cached per request. So a request
-builds one ``Graph``, makes a few dozen interval computations and
-enumerates a pair's witnesses again only where an edit set changes its
+builds one ``Graph``, compiles each shape's interval test once, evaluates
+it a few dozen times and enumerates a pair's witnesses again only where an edit set changes its
 neighbourhood, however many edit sets it checks. Most sets are never even
 built: the screen (``shexd.incremental.Screen``) rejects the sets whose
 check can only fail as the unedited graph's did, and ``Screen.passing``
@@ -94,11 +94,21 @@ CLASS_WORK = [(6, 31), (10, 15), (10, 195), (6, 1_164)]
 # only the pairs it re-decided; the same when the certain signs were
 # decided by a certain typing of their own beside the fixpoint.)
 CHARGED = [18, 2, 10, 2_135]
-# The first three requests made 68 interval computations under each hash
-# seed of 0-15 and 123 (90 to 100 when the screen left every set that edits
-# at a node with certain entries to the check, 3,513 to 3,706 when each
-# check rebuilt the graph and re-derived every bag).
-INTERVAL_BOUND = 80
+# Each request walks each shape's expression once, to compile its interval
+# test (``schema_model.compile_membership``), and never again per bag: the
+# walks are the compilations plus the calls of ``matching.interval``, the
+# reference, which every memo miss of ``bag_matches`` made while it walked
+# the expression itself (68 per run of the first three requests).
+WALKS = [6, 2, 2, 6]
+# The first three requests evaluate the compiled test 70 times (19 / 11 /
+# 40) under each hash seed of 0, 7 and 123: once per memo miss of
+# ``bag_matches``, the bags ``matching.interval`` was computed for before,
+# 70 times too when last counted. (Bounded by 80 while every miss computed
+# ``matching.interval``: 68 interval computations under each hash seed of
+# 0-15 and 123 when the bound was set; 90 to 100 when the screen left every
+# set that edits at a node with certain entries to the check, 3,513 to 3,706
+# when each check rebuilt the graph and re-derived every bag.)
+EVALUATION_BOUND = 80
 # Repair checks decide by the maximal typing and read local witnesses through
 # one cache per request, so a pair is enumerated again only when an edit set
 # changes its neighbourhood, and an edge is matched once per shape, directed
@@ -133,7 +143,8 @@ def data_file(name: str, workdir: Path) -> Path:
 
 
 def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
-    """Graph builds, interval computations, edge matches, repair checks,
+    """Graph builds, expression walks, evaluations of the compiled interval
+    tests, edge matches, repair checks,
     sets generated, the screen's node verdicts, witness tests and effects
     (and effects computed again), the local witnesses charged to the
     checks' budgets, classes decided and atoms built per request, with its
@@ -143,11 +154,12 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
     import shexd.matching
     import shexd.rdf_graph
     import shexd.repair
+    import shexd.schema_model
     from shexd.cli import main
 
     from conftest import DATA, EX
 
-    counts = {"graphs": 0, "intervals": 0, "edge_matches": 0, "checks": 0, "generated": 0,
+    counts = {"graphs": 0, "walks": 0, "evaluations": 0, "edge_matches": 0, "checks": 0, "generated": 0,
               "verdicts": 0, "witness_tests": 0, "effects": 0, "repeated_effects": 0,
               "charged": 0, "classes": 0, "atoms": 0}
     effect_keys = set()
@@ -186,6 +198,19 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
                 yield found
         return wrapper
 
+    def compiled(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            member = func(*args, **kwargs)
+            if member is None:
+                return None
+
+            def evaluated(bag):
+                counts["evaluations"] += 1
+                return member(bag)
+            return evaluated
+        return wrapper
+
     def built(name, func):
         def wrapper(*args, **kwargs):
             atoms = func(*args, **kwargs)
@@ -195,7 +220,8 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
 
     patches = [
         (shexd.rdf_graph.Graph, "__init__", "graphs", counted),
-        (shexd.matching, "interval", "intervals", counted),
+        (shexd.schema_model, "compile_membership", "walks", compiled),
+        (shexd.matching, "interval", "walks", counted),
         (shexd.matching, "edge_matches", "edge_matches", counted),
         (shexd.repair, "is_valid_after", "checks", counted),
         (shexd.incremental.Screen, "passing", "generated", generated),
@@ -257,7 +283,8 @@ def test_repair_request_work_bounds(seed):
     # sets were verified on a copied graph, that copy bypassed __init__, and
     # the first and third requests made 2 and 4 graphs more than counted
     assert [c["graphs"] for c in counts] == [1, 1, 1, 1]
-    assert sum(c["intervals"] for c in counts[:3]) <= INTERVAL_BOUND
+    assert [c["walks"] for c in counts] == WALKS
+    assert sum(c["evaluations"] for c in counts[:3]) <= EVALUATION_BOUND
     assert sum(c["edge_matches"] for c in counts[:3]) <= EDGE_MATCH_BOUND
 
 
