@@ -67,56 +67,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "BagTooLargeError",
-    "CertainTyping",
-    "DuplicateShapeLabelError",
-    "EditSet",
-    "GlobalTypingWitness",
-    "Graph",
-    "IncompatibleInitialTypingError",
-    "NotSingleOccurrenceError",
-    "ParseError",
-    "RepairResult",
-    "Schema",
-    "SchemaJsonError",
-    "SearchBudgetExceededError",
-    "ShexdError",
-    "Triple",
-    "UndefinedShapeReferenceError",
-    "UnknownNodeError",
-    "UnknownPrefixError",
-    "ValidationError",
-    "WellDefinednessError",
-    "brute_match",
-    "build_graph",
-    "candidate_witnesses",
-    "check_compatible",
-    "check_gtw_extra",
-    "check_local_witness",
-    "check_well_defined",
-    "compute_certain_typing",
-    "dependency_graph",
-    "edge_matches",
-    "enumerate_repairs",
-    "flooding_validation",
-    "interval",
-    "is_repair",
-    "is_valid_after",
-    "json_to_schema",
-    "local_witnesses",
-    "matching_consumers",
-    "negated_shapes",
-    "parse_data",
-    "parse_schema",
-    "propagation",
-    "reference_validate",
-    "schema_to_json",
-    "schema_to_shexc",
-    "to_ntriples",
-    "triple_consumers",
-    "unfold_repetitions",
-    "value_satisfies",
-    "verify_global_typing_witness",
-    "witness_to_json",
-]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["repair", *_REPAIR_NAMES]

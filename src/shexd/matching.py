@@ -46,7 +46,6 @@ from .schema_model import (
     ShapeRef,
     SomeOf,
     TripleConstraint,
-    is_single_occurrence,  # noqa: F401  (re-exported)
     iter_triple_constraints,
     unfold_repetitions,  # noqa: F401  (re-exported)
 )

@@ -3,7 +3,6 @@ compiled bag-membership tests."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,11 +96,6 @@ def iter_triple_constraints(expr: ShapeExpr) -> tuple[TripleConstraint, ...]:
 
     walk(expr)
     return tuple(out)
-
-
-def is_single_occurrence(expr: ShapeExpr) -> bool:
-    counts = Counter(tc.tc_id for tc in iter_triple_constraints(expr))
-    return all(c == 1 for c in counts.values())
 
 
 _ALLOWED_COMPOUND_CARDS = {(0, 1), (0, None), (1, None)}
@@ -265,10 +259,9 @@ class ShapeDefinition:
     tcs_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
     value_only_by_dprop: dict[DirectedProperty, tuple[TripleConstraint, ...]] = _derived()
     unfolded: ShapeExpr = _derived()
-    # The compiled interval test of bag membership in ``unfolded``, and
-    # whether there is one (no constraint id occurs twice there).
+    # The compiled interval test of bag membership in ``unfolded``; None
+    # when a constraint id occurs twice there (not single-occurrence).
     membership: Callable[[Bag], bool] | None = _derived()
-    single_occurrence: bool = _derived()
     # Bag-membership verdicts by sorted non-zero count vector; filled by
     # matching.bag_matches, which alone decides what may be stored here.
     bag_verdicts: dict[Bag, bool] = _derived()
@@ -279,7 +272,6 @@ class ShapeDefinition:
         for tc in sorted(tcs, key=lambda t: t.tc_id):
             by_dprop.setdefault(tc.dprop, []).append(tc)
         unfolded = unfold_repetitions(self.expr)
-        membership = compile_membership(unfolded)
         derived = {
             "tcs": tcs,
             "tc_by_id": {tc.tc_id: tc for tc in tcs},
@@ -292,8 +284,7 @@ class ShapeDefinition:
                 for p, group in by_dprop.items()
             },
             "unfolded": unfolded,
-            "membership": membership,
-            "single_occurrence": membership is not None,
+            "membership": compile_membership(unfolded),
             "bag_verdicts": {},
         }
         for name, value in derived.items():

@@ -175,7 +175,7 @@ def test_corpus_nodes_agree(schema_name, data_name, pruned, monkeypatch):
 
 def test_duplicated_shape_past_the_bag_bound_raises_at_the_same_point():
     shape_def = parse_schema(DUPLICATED).shapes["S"]
-    assert not shape_def.single_occurrence
+    assert shape_def.membership is None
     hub = Iri(EX + "n")
     graph = Graph(tuple(Triple(hub, EX + "p", Iri(f"{EX}t{i}")) for i in range(4)))
     for bag_bound in (3, 4):

@@ -24,7 +24,6 @@ from shexd.matching import (
     Interval,
     bag_matches,
     candidate_count,
-    is_single_occurrence,
 )
 from shexd.randgen import random_bag, random_expr
 from shexd.rdf_graph import (
@@ -49,6 +48,7 @@ from shexd.schema_model import (
     ShapeRef,
     SomeOf,
     TripleConstraint,
+    compile_membership,
 )
 
 from conftest import EX, IS
@@ -313,7 +313,7 @@ def test_brute_someof_leaves_no_leftover():
 def test_brute_handles_duplicated_ids_after_unfolding():
     inner = Group((_tc(1), _tc(2)))
     unfolded = unfold_repetitions(Repetition(inner, 2, 4))
-    assert not is_single_occurrence(unfolded)
+    assert compile_membership(unfolded) is None
     for total in (2, 3, 4):
         assert brute_match(unfolded, Counter({1: total, 2: total}))
     assert not brute_match(unfolded, Counter({1: 1, 2: 1}))
@@ -329,7 +329,7 @@ def test_brute_bag_too_large():
 
 def test_bag_matches_uses_fallback_for_duplicates():
     shape = ShapeDefinition(expr=Repetition(Group((_tc(1), _tc(2))), 2, 3))
-    assert not shape.single_occurrence
+    assert shape.membership is None
     assert bag_matches(shape, Counter({1: 2, 2: 2}))
     assert not bag_matches(shape, Counter({1: 1, 2: 1}))
 
@@ -351,15 +351,15 @@ def test_memoized_bag_matches_agrees_with_the_oracles():
         shapes = [ShapeDefinition(expr=e) for e in
                   (expr, SomeOf((expr, Empty())), Group((Empty(), expr)))]
         for shape in shapes + [doubled]:
-            assert shape.single_occurrence == (shape is not doubled)
+            assert (shape.membership is not None) == (shape is not doubled)
             for bound in (16, 3):
                 for bag in bags * 2:
-                    if not shape.single_occurrence and sum(bag.values()) > bound:
+                    if shape.membership is None and sum(bag.values()) > bound:
                         with pytest.raises(BagTooLargeError):
                             bag_matches(shape, bag, bound)
                         raised += 1
                         continue
-                    if shape.single_occurrence:
+                    if shape.membership is not None:
                         expected = interval(shape.expr, bag).contains(1)
                         assert expected == brute_match(shape.expr, bag, 16)
                     else:
@@ -371,7 +371,7 @@ def test_memoized_bag_matches_agrees_with_the_oracles():
 def test_bag_memo_never_answers_over_the_bound():
     bag = Counter({1: 2, 2: 2})
     answered = ShapeDefinition(expr=Repetition(Group((_tc(1), _tc(2))), 2, 3))
-    assert not answered.single_occurrence
+    assert answered.membership is None
     assert bag_matches(answered, bag, 16)
     assert answered.bag_verdicts == {((1, 2), (2, 2)): True}
     with pytest.raises(BagTooLargeError):
