@@ -13,6 +13,7 @@ neighbourhood the set leaves alone is enumerated once per search. The
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import Counter
@@ -40,7 +41,7 @@ from .rdf_graph import (
     term_key,
     term_to_value,
 )
-from .schema_model import ByConstraint, ShapeRef
+from .schema_model import VALUE_SET_KINDS, ByConstraint, ShapeRef
 
 
 def triple_edges(t: Triple) -> tuple[Edge, Edge, Value, Value]:
@@ -196,10 +197,9 @@ class Screen:
     edge there to the open slot (:func:`open_only`). A set is rejected
     when, at every node it touches:
 
-    1. every changed base pair was dead in the base;
-    2. the node keeps an edge, unless it holds no certain entry; and every
+    1. the node keeps an edge, unless it holds no certain entry; and every
        changed certain entry was false in the base;
-    3. no changed key has a local witness on the edited graph.
+    2. no changed key has a local witness on the edited graph.
 
     Why that is sound: the check of a rejected set, the maximal typing of
     its patch, fails as the base did. An unchanged key at an edited node
@@ -217,71 +217,57 @@ class Screen:
     every pair alive on the patch has the base's usable witnesses, with
     its support's needs alive: the alive pairs form a post-fixed point of
     the base's fixpoint, which is the greatest, so they were alive there.
-    The base failed the request, so the check does too. Any other set goes
-    to the full check.
+    The base failed the request, so the check does too.
 
-    (3) needs no patch. An edge's admitted consumers depend only on its
+    (2) needs no patch. An edge's admitted consumers depend only on its
     directed property and its target's value (:func:`admitted_options`),
     and a key has a local witness exactly when :func:`_assignments` yields
-    over the multiset of its edges' consumer lists, in any order. That
-    multiset is the base node's, minus the deleted edges' lists, plus the
-    inserted edges' lists; the answer is memoized per label and multiset.
-    A multiset whose lists each hold one consumer has one candidate, so
-    :func:`bag_matches` on its count vector answers it without a search.
-    Each list also drops a constraint consumer that references a negated
-    label L, with ``@<L>`` or ``!@<L>``, against the sign the base decided
-    for (target, L): such a consumer propagates a fact the unchanged sign
-    contradicts, so no usable witness takes it. A target the base never
-    decided keeps every consumer. (A schema with no negated label filters
-    nothing.) When :func:`_assignments` raises (``BagTooLargeError``), the
-    set goes to the full check.
+    over the multiset of its edges' consumer lists: the base node's, minus
+    the deleted edges' lists, plus the inserted edges'. A multiset whose
+    lists each hold one consumer is decided by :func:`bag_matches` on its
+    count vector; any other, by a search memoized per label and multiset,
+    and when that raises (``BagTooLargeError``) the set goes to the full
+    check. Each list drops a constraint consumer that references a
+    negated label L, with ``@<L>`` or ``!@<L>``, against the sign the base
+    decided for (target, L): it would propagate a fact the unchanged sign
+    contradicts. A target the base never decided keeps every consumer.
 
-    So the screen reads an atom only through its *effect*: for each node
-    with keys that it has an end at, the node and the sorted *kinds* of its
-    ends there (two for a self-loop). A kind is whether the end inserts,
-    and, for each key at the node, whether its shape leaves the end's
-    directed property to the open slot and the id of the end's consumer
-    list; that is all the rule reads of an end. A set's verdict is the
-    conjunction of its nodes' verdicts, and a node's verdict reads only the
-    node and the sorted kinds of the ends there, so each is decided once
-    (edits that look alike at a node are interchangeable there, as
-    interchangeable values are for a constraint problem: Freuder, AAAI
-    1991). Effects are computed once per triple key. A fresh blank is never
-    a node with keys, and every fresh blank has the same value and no
-    decided sign, so each renaming of a set's fresh blanks has the set's
-    effects.
+    So an edit is read only through the *kinds* of its ends at nodes with
+    keys (two for a self-loop): whether the end inserts, and per key there
+    whether its shape leaves the end's directed property to the open slot
+    and the id of the end's consumer list. A set's verdict is the
+    conjunction of its nodes' verdicts, and a node's verdict reads only
+    the sorted kinds of the ends there, so each is decided once (edits
+    alike at a node are interchangeable there: Freuder, AAAI 1991). Fresh
+    blanks never hold keys or decided signs and all have one value, so
+    renaming them keeps a set's kinds. An *inert* end inserts at a node
+    each of whose keys leaves its property open: added to ends that keep
+    the node an edge it leaves their verdict as it is, and inert ends
+    alone reject. An end that inserts an edge no key at its node has a
+    consumer for, at a node whose certain entries were all false, rejects
+    there whatever the other ends (a deletion removes only a base edge, so
+    the edge's empty list stays in each key's multiset).
 
-    :meth:`passing` generates the sets that pass. A set's *group* at a node
-    x is its atoms with an end at x; a set passes exactly when one of its
-    groups gets a passing node verdict, so the passing sets of k atoms are
-    the unions of a passing group G at some x with k - |G| atoms that have
-    no end at x. An *inert* end inserts at a graph node each of whose keys
-    leaves its directed property to the open slot, so its consumer lists
-    hold the open slot alone, which adds nothing to a bag: added to ends
-    that keep the node an edge it leaves their node verdict as it is, and
-    inert ends alone reject (no key changes). So at each node the
-    generator decides once each multiset of 1 to k kinds of atoms not inert
-    there, and extends each passing group by atoms with no end at x or
-    inert there; a group that strips the node, by atoms with no end at x,
-    or, if its verdict with an inert end added passes, by sets of those and
-    the inert atoms that hold one of the latter. Merging a fixed group into
-    the combinations of disjoint atoms keeps their order, so the union over
-    the nodes is merged, without repeats, in combination order.
-
-    One-edit insertions are screened by *class*, without their atoms
-    (:meth:`insertion_classes`). For (s, p, o), s and o apart, the set's
-    verdict is the conjunction of a node verdict at each end with keys: at
-    s, of the end's kind on ``p``, which reads o only through its cells
-    under the keys at s; at o, likewise on ``^p``. An end at a node with
-    no keys is left out of the conjunction. An inert end rejects whatever
-    the far node: no other edit of the set is at the node. Every other end
-    belongs to the class of its node, directed property and far node's
-    cells, decided once. So a one-edit insertion passes exactly when a
-    class it belongs to does not reject, unless it is a self-loop (s, p,
-    s), whose two ends share a node and which :meth:`passing` decides as a
-    set; a search that builds only those insertions and the self-loops
-    (:meth:`one_edit_insertions`) checks the same sets in the same order
-    (see ``repair.enumerate_repairs``).
+    The edits with an end at a node x fall into *classes* by their sorted
+    kinds there, counted without listing them (:meth:`_classes`): the
+    deletions of x's edges, the self-loops, and the insertions on a
+    directed property whose far nodes have the same cells under x's keys
+    (:meth:`_group`, kept for the search, so a later size adds only its new
+    fresh blank). A set passes exactly when its *group* at some x, its
+    edits with an end at x that is not inert, passes there; so the passing
+    sets of k edits are the unions of a passing group G with k - |G|
+    edits with no end at x, or only inert ones. :meth:`generate` decides
+    each multiset of 1 to k classes at each node once, leaving out the
+    classes that reject alone, lists the edits of a passing multiset's
+    classes, and extends each group they form by its *pool*, the edits
+    named above, listed once per node and size and only for a group
+    smaller than k. A group that strips x is extended by edits with no end
+    at x, or, if its verdict with an inert end added passes, by sets of
+    those and the inert edits that hold one of the latter. An edit is
+    named by its rank in the list of every edit, which is never built
+    (``repair._Universe``); merging a fixed group into the combinations of
+    disjoint edits keeps their order, so the union over the nodes is
+    merged, without repeats, in combination order.
     """
 
     def __init__(self, cache: LocalWitnessCache, base: _Fixpoint):
@@ -308,7 +294,7 @@ class Screen:
                     refs[tc.tc_id] = found
             if refs:
                 self._negated_refs[label] = refs
-        self._dprops: dict[tuple[str, bool], DirectedProperty] = {}
+        self._dprop = functools.cache(DirectedProperty)  # (property, inverse?) -> DirectedProperty
         # (label, property, inverse?, target key) -> (open only?, the edge's consumer list id)
         self._cells: dict[tuple, tuple[bool, int]] = {}
         self._lists: dict[int, list] = {}  # id -> consumer list
@@ -318,19 +304,29 @@ class Screen:
         self._kind_ids: dict[tuple, int] = {}  # kind -> id
         self._kinds: list[tuple] = []  # id -> kind
         self._node_verdicts: dict[tuple, bool] = {}  # (node, sorted kind ids) -> rejects?
-        self._effects: dict[tuple[str, str, str], tuple] = {}  # triple key -> its edit's effect
+        # (labels, directed property) -> (cells -> far node keys, far node key -> cells)
+        self._groups: dict[tuple, tuple[dict, dict]] = {}
 
     def _cell(
         self, label: str, dprop: DirectedProperty, target: str, value: Value
     ) -> tuple[bool, int]:
         """What a key on ``label`` reads of an edge on ``dprop`` to
-        ``target``, which has ``value``: does the shape leave the edge to
-        the open slot, and the id of its filtered consumer list."""
+        ``target``, which has ``value``: is the edge left to the open slot,
+        and the id of its filtered consumer list. Consumers read a target
+        only through the value sets and negated references of the
+        constraints on ``dprop``; with neither, all targets read alike."""
         base = self.base
         shape_def = base.schema.shapes[label]
+        tcs, refs = shape_def.tcs_by_dprop.get(dprop, ()), self._negated_refs.get(label)
+        if not any(isinstance(c, VALUE_SET_KINDS) for tc in tcs for c in tc.value_class):
+            value = None
+            if not refs or not any(tc.tc_id in refs for tc in tcs):
+                target = None
+        key = (label, dprop.prop, dprop.inverse, target)
+        if target is None and key in self._cells:
+            return self._cells[key]
         opts = admitted_options(dprop, value, shape_def, self._edge_options.setdefault(label, {}))
-        refs = self._negated_refs.get(label)
-        if refs:
+        if refs and target is not None:
             signs = base.signs
             kept = [
                 c for c in opts
@@ -342,8 +338,7 @@ class Screen:
             if len(kept) < len(opts):
                 opts = self._filtered.setdefault(tuple(kept), kept)
         self._lists[id(opts)] = opts
-        cell = (open_only(shape_def, dprop), id(opts))
-        self._cells[(label, dprop.prop, dprop.inverse, target)] = cell
+        cell = self._cells[key] = (open_only(shape_def, dprop), id(opts))
         return cell
 
     def _cells_toward(self, labels: tuple, dprop: DirectedProperty, far: str, term: Term) -> tuple:
@@ -354,6 +349,12 @@ class Screen:
             cell = self._cells.get((label, dprop.prop, dprop.inverse, far))  # a key names one term
             cells.append(cell or self._cell(label, dprop, far, term_to_value(term)))
         return tuple(cells)
+
+    def _kind(self, inserted: bool, labels: tuple, dprop: DirectedProperty, far: str, term: Term):
+        """The id of the kind of an end on ``dprop`` toward ``far``, the
+        term ``term``, at a node whose keys have ``labels``."""
+        cells = self._cells_toward(labels, dprop, far, term)
+        return _intern(self._kind_ids, self._kinds, (inserted, cells))
 
     def _bag(self, key: Hypothesis) -> dict[int, int]:
         bag = self._bags.get(key)
@@ -367,33 +368,10 @@ class Screen:
                 bag[cell[1]] = bag.get(cell[1], 0) + 1
         return bag
 
-    def _dprop(self, prop: str, inverse: bool) -> DirectedProperty:
-        dprop = self._dprops.get((prop, inverse))
-        if dprop is None:
-            dprop = self._dprops[(prop, inverse)] = DirectedProperty(prop, inverse)
-        return dprop
-
-    def _effect(self, inserted: bool, key: tuple[str, str, str], subject: Term, obj: Term) -> tuple:
-        """The effect of the edit of the triple ``key``, from the term
-        ``subject`` to ``obj``: (node, the sorted kind ids of its ends
-        there) per node with keys it has an end at."""
-        s, p, o = key
-        at: dict[str, list[int]] = {}
-        for node, inverse, far, term in ((s, False, o, obj), (o, True, s, subject)):
-            labels = self._labels_at.get(node)
-            if labels is not None:
-                cells = self._cells_toward(labels, self._dprop(p, inverse), far, term)
-                kind = _intern(self._kind_ids, self._kinds, (inserted, cells))
-                at.setdefault(node, []).append(kind)
-        return tuple((node, tuple(sorted(kinds))) for node, kinds in at.items())
-
     def _has_witness(self, key: Hypothesis, edits: list[tuple[bool, int]]) -> bool | None:
         """Does ``key`` have a local witness once the ``edits`` at its node,
         (inserts?, consumer list id) each, are made? None when the search
-        raised. A multiset whose lists each hold one consumer has one
-        candidate, so :func:`bag_matches` on its count vector decides it
-        without a search."""
-        label = key[1]
+        raised."""
         counts = dict(self._bag(key))
         for inserted, n in edits:
             count = counts.get(n, 0) + (1 if inserted else -1)
@@ -401,80 +379,150 @@ class Screen:
                 counts[n] = count
             else:
                 del counts[n]
-        multiset = (label, frozenset(counts.items()))
-        if multiset not in self._verdicts:
-            lists = [(self._lists[n], count) for n, count in multiset[1]]
-            found = False
-            if all(opts for opts, _ in lists):
-                shape_def = self.base.schema.shapes[label]
-                try:
-                    if all(len(opts) == 1 for opts, _ in lists):
-                        bag: dict[int, int] = {}
-                        for (consumer,), count in lists:
-                            if isinstance(consumer, ByConstraint):
-                                bag[consumer.tc_id] = bag.get(consumer.tc_id, 0) + count
-                        found = bag_matches(shape_def, bag, self.bag_bound)
-                    else:
-                        options = [opts for opts, count in lists for _ in range(count)]
-                        found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
-                except ShexdError:  # BagTooLargeError: left to the full check
-                    found = None
-            self._verdicts[multiset] = found
-        return self._verdicts[multiset]
+        lists = self._lists
+        if not all(lists[n] for n in counts):
+            return False
+        shape_def = self.base.schema.shapes[key[1]]
+        try:
+            if all(len(lists[n]) == 1 for n in counts):  # one candidate: its count vector
+                bag: dict[int, int] = {}
+                for n, count in counts.items():
+                    consumer = lists[n][0]
+                    if isinstance(consumer, ByConstraint):
+                        bag[consumer.tc_id] = bag.get(consumer.tc_id, 0) + count
+                return bag_matches(shape_def, bag, self.bag_bound)
+            multiset = (key[1], frozenset(counts.items()))
+            found = self._verdicts.get(multiset)
+            if found is None:
+                options = [lists[n] for n, count in multiset[1] for _ in range(count)]
+                found = next(_assignments(options, shape_def, self.bag_bound), None) is not None
+                self._verdicts[multiset] = found
+            return found
+        except ShexdError:  # BagTooLargeError: left to the full check
+            return None
 
-    def passing(self, atoms: list, keys: list, size: int):
-        """The index sets of ``itertools.combinations(range(len(atoms)),
-        size)``, in that order, whose edit sets the screen passes, each
-        once; the ``atoms`` are ``("del" | "ins", triple)`` edits whose
-        triples' keys are ``keys``. See the class docstring for how."""
-        effects, graph = self._effects, self.base.graph
-        classes: dict[str, dict[tuple, list[int]]] = {}  # node -> kinds of an atom there -> atoms
-        for i, ((kind, t), key) in enumerate(zip(atoms, keys)):
-            effect = effects.get(key)
-            if effect is None:
-                effect = effects[key] = self._effect(kind == "ins", key, t.subject, t.obj)
-            for node, kinds in effect:
-                classes.setdefault(node, {}).setdefault(kinds, []).append(i)
-        streams = []  # per passing group, its extensions in combination order
-        for node, by_kinds in classes.items():
+    def generate(self, universe, size: int):
+        """The rank tuples of the sets of ``size`` edits of ``universe`` (a
+        ``repair._Universe``) that pass, in combination order, each once."""
+        return self._generate([self._classes(node, universe) for node in self._labels_at], size)
+
+    def _classes(self, node: str, universe) -> tuple:
+        """The entry of :meth:`_generate` for ``node`` over ``universe``'s
+        edits: their classes there, counted, listed only when asked."""
+        labels, graph, shapes = self._labels_at[node], self.base.graph, self.base.schema.shapes
+        terms, rank, present = universe.terms, universe.rank, universe.triples
+        sources: dict[tuple, list] = {}  # kinds -> [how many edits, some ranks, insertion classes]
+        ends: dict[tuple, list[int]] = {}  # a deletion's or a self-loop's key -> its kinds here
+        excluded: dict[DirectedProperty, set[str]] = {}  # the self-loop and the graph's triples
+        for e in graph.neighbourhood(node):
+            p, far = e.dprop.prop, e.target
+            key = (far, p, node) if e.dprop.inverse else (node, p, far)
+            ends.setdefault(key, []).append(self._kind(False, labels, e.dprop, far, terms[far]))
+            excluded.setdefault(e.dprop, {node}).add(far)
+        subject, inert = node in universe.subject_rank, set()
+        for prop in universe.props:
+            for inverse in (False, True) if subject else (True,):
+                dprop = self._dprop(prop, inverse)
+                if all(open_only(shapes[label], dprop) for label in labels):
+                    inert.add((prop, inverse))  # its insertion toward a fresh blank, at least
+                    continue
+                skipped = excluded.get(dprop, {node})
+                by_cells, far_cells = self._group(labels, dprop, universe)
+                missing = Counter(far_cells[far] for far in skipped if far in far_cells)
+                for cells, fars in by_cells.items():
+                    if len(fars) > missing[cells]:
+                        kind = _intern(self._kind_ids, self._kinds, (True, cells))
+                        entry = sources.setdefault((kind,), [0, [], []])
+                        entry[0] += len(fars) - missing[cells]
+                        entry[2].append((prop, inverse, fars, skipped))
+            loop = (node, prop, node)
+            if subject and loop not in present and not {(prop, False), (prop, True)} <= inert:
+                ends[loop] = [
+                    self._kind(True, labels, self._dprop(prop, inverse), node, terms[node])
+                    for inverse in (False, True)
+                ]
+        for key, kinds in ends.items():
+            entry = sources.setdefault(tuple(sorted(kinds)), [0, [], []])
+            entry[0] += 1
+            entry[1].append(rank(key not in present, key))
+
+        @functools.cache
+        def expand(kinds: tuple) -> list[int]:
+            _, ranks, insertions = sources[kinds]
+            return sorted(ranks + [
+                rank(True, (far, prop, node) if inverse else (node, prop, far))
+                for prop, inverse, fars, skipped in insertions for far in fars if far not in skipped
+            ])
+
+        inert_end = None  # every inert end here has one kind: its lists hold the open slot alone
+        if inert:
+            inert_end = self._kind(True, labels, self._dprop(*min(inert)), node, terms[node])
+        classes = [(kinds, entry[0]) for kinds, entry in sources.items()]
+        return node, classes, inert_end, expand, functools.cache(lambda: universe.pools(node, inert))
+
+    def _group(self, labels: tuple, dprop: DirectedProperty, universe) -> tuple[dict, dict]:
+        """The far nodes of the insertions on ``dprop`` at a node with keys
+        on ``labels``, by their cells, and each one's cells: kept for the
+        search, so that a later size adds only its new fresh blank's."""
+        group = self._groups.get((labels, dprop))
+        if group is None:
+            group = self._groups[(labels, dprop)] = ({}, {})
+        by_cells, far_cells = group
+        for far, term in universe.subjects if dprop.inverse else universe.objects:
+            if far not in far_cells:
+                cells = far_cells[far] = self._cells_toward(labels, dprop, far, term)
+                by_cells.setdefault(cells, []).append(far)
+        return group
+
+    def _generate(self, nodes: list[tuple], size: int):
+        """The generator of the class docstring over ``nodes``, each (node,
+        its classes as (kinds, how many edits), an inert end's kind or None,
+        a class's edits in order by its kinds, and the pools when called:
+        the edits with no end there, then with none there but inert ones)."""
+        graph, streams = self.base.graph, []
+        for node, classes, inert_end, expand, pools in nodes:
             degree = len(graph.neighbourhood(node))  # a node with keys is a graph node
-            inert, pools = [], []
-            for kinds, members in by_kinds.items():
-                if all(self._kinds[k][0] and all(c[0] for c in self._kinds[k][1]) for k in kinds):
-                    inert.extend(members)
-                    inert_end = kinds[0]
-                else:
-                    pools.append((kinds, members))
-            at = {i for members in by_kinds.values() for i in members}
-            others = [i for i in range(len(atoms)) if i not in at]
-            free = sorted(others + inert)
+            classes = [c for c in classes if not any(self._dead(node, k) for k in c[0])]
             for n in range(1, size + 1):
-                for picks in itertools.combinations_with_replacement(range(len(pools)), n):
-                    counts = Counter(picks)
-                    if any(len(pools[c][1]) < m for c, m in counts.items()):
+                for picks in itertools.combinations_with_replacement(range(len(classes)), n):
+                    counts: dict[int, int] = {}
+                    for c in picks:
+                        counts[c] = counts.get(c, 0) + 1
+                    if n > 1 and any(classes[c][1] < m for c, m in counts.items()):
                         continue
-                    ends = tuple(sorted(k for c in picks for k in pools[c][0]))
-                    if len(ends) < degree or any(self._kinds[k][0] for k in ends):
-                        ways = [(free, None, ends)]  # inert ends leave the verdict as it is
-                    else:  # the group strips the node, unless an inert end keeps it
-                        ways = [(others, None, ends)]
-                        if inert and n < size:
-                            ways.append((free, set(inert), tuple(sorted(ends + (inert_end,)))))
-                    ways = [
-                        (pool, needs) for pool, needs, kinds in ways
-                        if len(pool) >= size - n and not self._verdict_at(node, kinds)
+                    ends = tuple(sorted(k for c in picks for k in classes[c][0]))
+                    ways = [(1, False, ends)]  # inert ends leave the verdict as it is
+                    if len(ends) == degree and not any(self._kinds[k][0] for k in ends):
+                        # the group strips the node, unless an inert end keeps it
+                        ways = [(0, False, ends)]
+                        if inert_end is not None and n < size:
+                            ways.append((1, True, tuple(sorted(ends + (inert_end,)))))
+                    extensions = [
+                        (pools()[which] if n < size else (),
+                         set(pools()[1]).difference(pools()[0]) if needy else None)
+                        for which, needy, kinds in ways if not self._verdict_at(node, kinds)
                     ]
+                    extensions = [(pool, needs) for pool, needs in extensions if len(pool) >= size - n]
                     for parts in itertools.product(
-                        *(itertools.combinations(pools[c][1], m) for c, m in counts.items())
-                    ) if ways else ():
+                        *(itertools.combinations(expand(classes[c][0]), m) for c, m in counts.items())
+                    ) if extensions else ():
                         group = tuple(sorted(itertools.chain(*parts)))
                         streams.extend(_extended(group, pool, size - n, needs)
-                                       for pool, needs in ways)
+                                       for pool, needs in extensions)
         last = None
         for combo in heapq.merge(*streams):
             if combo != last:
                 yield combo
                 last = combo
+
+    def _dead(self, node: str, kind: int) -> bool:
+        """Does an end of ``kind`` reject at ``node`` whatever the other
+        ends there (see the class docstring)?"""
+        inserted, cells = self._kinds[kind]
+        if not inserted or any(self._lists[c[1]] for c in cells):
+            return False
+        signs, pairs = self.base.signs, len(self.base.at_node.get(node, ()))
+        return all(signs[key] is None for key in self._keys_at[node][pairs:])
 
     def _verdict_at(self, node: str, kinds: tuple[int, ...]) -> bool:
         found = self._node_verdicts.get((node, kinds))
@@ -482,70 +530,21 @@ class Screen:
             found = self._node_verdicts[(node, kinds)] = self._node_verdict(node, kinds)
         return found
 
-    def insertion_classes(self, subjects: list[tuple[str, Term]], props: list[str],
-                          objects: list[tuple[str, Term]]):
-        """The classes of the single insertions (s, p, o) of the
-        ``subjects`` and ``objects`` ((key, term) pairs) on ``props``: for
-        each end at a node with keys, (node, property, inverse?, far keys,
-        rejects?), the far keys being the other ends of the class's
-        insertions, or None for an inert end, whose class holds every
-        insertion on the end and rejects. Each other class is decided
-        once."""
-        sides = ((False, dict(subjects), objects), (True, dict(objects), subjects))
-        shapes = self.base.schema.shapes
-        groups: dict[tuple, dict[tuple, list[str]]] = {}  # (labels, dprop) -> cells -> far keys
-        for node, labels in self._labels_at.items():
-            for prop in props:
-                for inverse, ends, fars in sides:
-                    if node not in ends:
-                        continue
-                    dprop = self._dprop(prop, inverse)
-                    if all(open_only(shapes[label], dprop) for label in labels):
-                        yield node, prop, inverse, None, True
-                        continue
-                    by_cells = groups.get((labels, dprop))
-                    if by_cells is None:
-                        by_cells = groups[(labels, dprop)] = {}
-                        for far, term in fars:
-                            cells = self._cells_toward(labels, dprop, far, term)
-                            by_cells.setdefault(cells, []).append(far)
-                    for cells, members in by_cells.items():
-                        kind = _intern(self._kind_ids, self._kinds, (True, cells))
-                        yield node, prop, inverse, members, self._verdict_at(node, (kind,))
-
-    def one_edit_insertions(self, subjects: list[tuple[str, Term]], props: list[str],
-                            objects: list[tuple[str, Term]]) -> set[tuple[str, str, str]]:
-        """The keys (s, p, o) of the single insertions of
-        :meth:`insertion_classes`' domain that the base graph lacks and
-        whose one-edit set the screen may pass: the insertions of the
-        classes that do not reject, and the self-loops at nodes with keys,
-        which :meth:`passing` decides (their two ends share the node)."""
-        out = {(node, prop, node) for node, _ in subjects if node in self._labels_at
-               for prop in props}
-        for node, prop, inverse, fars, rejects in self.insertion_classes(subjects, props, objects):
-            if not rejects:
-                out.update((far, prop, node) if inverse else (node, prop, far) for far in fars)
-        return out.difference(self.base.graph._keys)
-
     def _node_verdict(self, node: str, kinds: tuple[int, ...]) -> bool:
         """May a set whose ends at ``node`` have ``kinds`` be rejected there?"""
         base = self.base
-        graph = base.graph
         ends = [self._kinds[n] for n in kinds]
         # the node keeps an edge unless the set deletes all of them
-        kept = len(ends) < len(graph.neighbourhood(node)) or any(end[0] for end in ends)
+        kept = len(ends) < len(base.graph.neighbourhood(node)) or any(end[0] for end in ends)
         pairs = len(base.at_node.get(node, ()))
         changed = []
         for k, key in enumerate(self._keys_at[node]):
             if kept and all(cells[k][0] for _, cells in ends):
                 continue  # its witnesses are the base's, with the edited edges open
-            if k < pairs:
-                if key in base.support:
-                    return False
-            elif not kept or base.signs[key] is not None:
+            if k >= pairs and (not kept or base.signs[key] is not None):
                 return False
             changed.append((k, key))
-        if kept:  # a stripped node's pairs have no witness
+        if kept:  # a stripped node's keys have no witness
             for k, key in changed:
                 edits = [(inserted, cells[k][1]) for inserted, cells in ends]
                 if self._has_witness(key, edits) is not False:
@@ -554,7 +553,7 @@ class Screen:
 
 
 def _extended(group: tuple[int, ...], pool: list[int], more: int, needs: set[int] | None):
-    """``group`` with each ``more`` of ``pool`` (atoms not in it) that hold
+    """``group`` with each ``more`` of ``pool`` (edits not in it) that hold
     one of ``needs``, when given, sorted, in combination order: merging a
     fixed disjoint group keeps that order."""
     for rest in itertools.combinations(pool, more):

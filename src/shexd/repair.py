@@ -106,78 +106,109 @@ class FreshBlank(BlankRef):
 
 def insertion_domain(
     graph: Graph, schema: Schema, max_edits: int, *, keys: list | None = None,
-    labels: list[str] | None = None, screen=None,
+    labels: list[str] | None = None,
 ) -> list[Triple]:
-    """Candidate triples for insertion, in a deterministic order (by key).
-    Their fresh blanks have the first ``max_edits`` labels the graph does
-    not use, or the ``labels`` when given. With a
-    ``shexd.incremental.Screen``, only those whose one-edit set it may pass
-    (:meth:`~shexd.incremental.Screen.one_edit_insertions`). When ``keys``
-    is given, each triple's key is appended to it, in order."""
+    """The insertions :class:`_Universe` ranks, in order, whose fresh
+    blanks have the first ``max_edits`` labels the graph does not use, or
+    ``labels``; with ``keys``, each triple's key is appended to it."""
     if labels is None:
         labels = _fresh_labels(graph, max_edits, max_edits)
-    subjects, properties, objects = _domain(graph, schema, labels)
-    if screen is None:
-        present = set(graph._keys)
-        out = [
-            ((s_key, p, o_key), Triple(s, p, o))
-            for (s_key, s), p, (o_key, o) in itertools.product(subjects, properties, objects)
-            if (s_key, p, o_key) not in present
-        ]
-    else:
-        terms = dict(objects)  # every subject is an object too
-        out = [
-            (key, Triple(terms[key[0]], key[1], terms[key[2]]))
-            for key in screen.one_edit_insertions(subjects, properties, objects)
-        ]
-    out.sort(key=itemgetter(0))  # keys are unique: a key names one term
+    universe = _Universe(graph, schema, labels)
+    terms, present = universe.terms, universe.triples
+    found = [(s, p, o) for s, _ in universe.subjects for p in universe.props
+             for o, _ in universe.objects if (s, p, o) not in present]
     if keys is not None:
-        keys.extend(key for key, _ in out)
-    return [t for _, t in out]
+        keys.extend(found)
+    return [Triple(terms[s], p, terms[o]) for s, p, o in found]
 
 
-def _domain(graph: Graph, schema: Schema, labels: list[str]) -> tuple[list, list[str], list]:
-    """The subjects, the sorted properties and the objects of the insertion
-    domain whose fresh blanks have ``labels``; subjects and objects are
-    (key, term) pairs, a graph node's key being its id."""
-    subjects: list[tuple[str, Iri | BlankRef]] = []
-    objects: list[tuple[str, Term]] = []
-    for node in graph.nodes:
-        value = graph.val(node)
-        if isinstance(value, Iri):
-            subjects.append((node, value))
-            objects.append((node, value))
-        elif isinstance(value, Literal):
-            objects.append((node, value))
-        else:
-            blank = BlankRef(node[2:])
-            subjects.append((node, blank))
-            objects.append((node, blank))
-    fresh = [("_:" + label, FreshBlank(label)) for label in labels]
-    subjects.extend(fresh)
-    objects.extend(fresh)
+class _Universe:
+    """The edits of a search's sets of one size, never listed whole: the
+    deletions, then the insertions, each by triple key. Their nodes are
+    the graph's (a node's key is its id), fresh blanks with ``labels`` and,
+    as objects, a literal pool from the schema; their properties are the
+    schema's and the graph's. An edit is named by its *rank*, which orders
+    the edits as that list does."""
 
-    properties: set[str] = {t.prop for t in graph.triples}
-    datatypes: set[str] = set()
-    pool: dict[str, Literal] = {}
-    for sd in schema.shapes.values():
-        for tc in sd.tcs:
-            properties.add(tc.dprop.prop)
-            for conj in tc.value_class:
-                if isinstance(conj, DatatypeSet):
-                    datatypes.add(conj.datatype)
-                elif isinstance(conj, ExplicitSet):
-                    for v in conj.values:
-                        if isinstance(v, Literal):
-                            pool[term_key(v)] = v
-    for dt in sorted(datatypes):
-        lexical = _FRESH_LITERALS.get(dt)
-        if lexical is not None:
-            lit = Literal(lexical, dt)
-            pool.setdefault(term_key(lit), lit)
-    existing_objects = {key for key, _ in objects}
-    objects.extend(item for item in sorted(pool.items()) if item[0] not in existing_objects)
-    return subjects, sorted(properties), objects
+    def __init__(self, graph: Graph, schema: Schema, labels: list[str]):
+        subjects: list[tuple[str, Iri | BlankRef]] = []
+        objects: list[tuple[str, Term]] = []
+        for node in graph.nodes:
+            value = graph.val(node)
+            if isinstance(value, Iri):
+                subjects.append((node, value))
+                objects.append((node, value))
+            elif isinstance(value, Literal):
+                objects.append((node, value))
+            else:
+                blank = BlankRef(node[2:])
+                subjects.append((node, blank))
+                objects.append((node, blank))
+        fresh = [("_:" + label, FreshBlank(label)) for label in labels]
+        subjects.extend(fresh)
+        objects.extend(fresh)
+        properties: set[str] = {t.prop for t in graph.triples}
+        datatypes: set[str] = set()
+        pool: dict[str, Literal] = {}
+        for sd in schema.shapes.values():
+            for tc in sd.tcs:
+                properties.add(tc.dprop.prop)
+                for conj in tc.value_class:
+                    if isinstance(conj, DatatypeSet):
+                        datatypes.add(conj.datatype)
+                    elif isinstance(conj, ExplicitSet):
+                        for v in conj.values:
+                            if isinstance(v, Literal):
+                                pool[term_key(v)] = v
+        for dt in sorted(datatypes):
+            lexical = _FRESH_LITERALS.get(dt)
+            if lexical is not None:
+                lit = Literal(lexical, dt)
+                pool.setdefault(term_key(lit), lit)
+        self.terms = {**pool, **dict(objects)}  # every subject is an object too
+        self.subjects = sorted(subjects, key=itemgetter(0))
+        self.objects = sorted(self.terms.items())  # keys are unique: a key names one term
+        self.props = sorted(properties)
+        self.triples = dict(zip(graph._keys, graph.triples))
+        self.deletions = sorted(self.triples)
+        self._deletion_rank = {key: i for i, key in enumerate(self.deletions)}
+        self.subject_rank = {key: i for i, (key, _) in enumerate(self.subjects)}
+        self._prop_rank = {p: i for i, p in enumerate(self.props)}
+        self._object_rank = {key: i for i, (key, _) in enumerate(self.objects)}
+
+    def rank(self, inserts: bool, key: tuple[str, str, str]) -> int:
+        if not inserts:
+            return self._deletion_rank[key]
+        s, p, o = key
+        row = self.subject_rank[s] * len(self.props) + self._prop_rank[p]
+        return len(self.deletions) + row * len(self.objects) + self._object_rank[o]
+
+    def edit(self, rank: int) -> tuple[bool, tuple[str, str, str]]:
+        """Does the edit of ``rank`` insert, and its triple's key."""
+        if rank < len(self.deletions):
+            return False, self.deletions[rank]
+        row, o = divmod(rank - len(self.deletions), len(self.objects))
+        s, p = divmod(row, len(self.props))
+        return True, (self.subjects[s][0], self.props[p], self.objects[o][0])
+
+    def pools(self, node: str, inert: set[tuple[str, bool]]) -> tuple[list[int], list[int]]:
+        """The ranks, in order, of the edits with no end at ``node``, and of
+        those whose ends there are all on ``inert`` (property, inverse?)s."""
+        others = [r for r, (s, _, o) in enumerate(self.deletions) if node != s and node != o]
+        free = others.copy()
+        rank, present = len(self.deletions), self.triples
+        for s, _ in self.subjects:
+            for p in self.props:
+                if s == node and (p, False) not in inert:
+                    rank += len(self.objects)
+                    continue
+                for o, _ in self.objects:
+                    if (s, p, o) not in present and (o != node or (p, True) in inert):
+                        if s != node and o != node:
+                            others.append(rank)
+                        free.append(rank)
+                    rank += 1
+        return others, free
 
 
 def _fresh_labels(graph: Graph, max_edits: int, size: int) -> list[str]:
@@ -319,7 +350,7 @@ Atom = tuple[str, Triple]  # ("del" | "ins", triple)
 
 def _edit_atoms(
     graph: Graph, schema: Schema, max_edits: int, keys: list | None = None,
-    labels: list[str] | None = None, screen=None,
+    labels: list[str] | None = None,
 ) -> list[Atom]:
     """Every single edit: the deletions in triple order, then the
     insertions of :func:`insertion_domain`. When ``keys`` is given, each
@@ -327,28 +358,8 @@ def _edit_atoms(
     deletions = sorted(zip(graph._keys, graph.triples), key=itemgetter(0))
     if keys is not None:
         keys.extend(key for key, _ in deletions)
-    insertions = insertion_domain(
-        graph, schema, max_edits, keys=keys, labels=labels, screen=screen
-    )
+    insertions = insertion_domain(graph, schema, max_edits, keys=keys, labels=labels)
     return [("del", t) for _, t in deletions] + [("ins", t) for t in insertions]
-
-
-def _add_insertions(
-    graph: Graph, schema: Schema, atoms: list[Atom], keys: list, labels: list, built: list
-) -> None:
-    """Merge into ``atoms``, the edits of :func:`_edit_atoms` whose fresh
-    blanks have the labels ``built``, and into their triples' ``keys``, in
-    place, the insertions that name a label of ``labels`` outside ``built``."""
-    subjects, properties, objects = _domain(graph, schema, labels)
-    new = {"_:" + label for label in labels}.difference("_:" + label for label in built)
-    added = [
-        ((s_key, p, o_key), ("ins", Triple(s, p, o)))
-        for (s_key, s), p, (o_key, o) in itertools.product(subjects, properties, objects)
-        if s_key in new or o_key in new
-    ]
-    start = len(graph.triples)  # the deletions come first
-    merged = sorted([*zip(keys[start:], atoms[start:]), *added], key=itemgetter(0))
-    keys[start:], atoms[start:] = [key for key, _ in merged], [atom for _, atom in merged]
 
 
 def _edit_set(atoms) -> EditSet:
@@ -357,6 +368,14 @@ def _edit_set(atoms) -> EditSet:
         frozenset(t for kind, t in atoms if kind == "del"),
         frozenset(t for kind, t in atoms if kind == "ins"),
     )
+
+
+def _atom(universe: _Universe, inserts: bool, key: tuple[str, str, str]) -> Atom:
+    """The edit of the triple ``key``, a deletion or an insertion."""
+    if not inserts:
+        return "del", universe.triples[key]
+    s, p, o = key
+    return "ins", Triple(universe.terms[s], p, universe.terms[o])
 
 
 class _Edit(NamedTuple):
@@ -598,29 +617,25 @@ def enumerate_repairs(
     unedited graph has failed the request, only the sets of size one or
     more that the screen passes (``shexd.incremental.Screen``, which
     rejects only sets whose check would fail as the unedited graph's did;
-    its docstring says why) are generated, by ``Screen.passing``, in the
+    its docstring says why) are generated, by ``Screen.generate``, in the
     same order; each then meets the relevance test above and the
     fresh-blank dedupe before its check. A rejected set is never charged
     against ``CHECK_BUDGET``, so a set whose check would have run out of
-    budget (exit 4) is skipped instead.
+    budget (exit 4) is skipped instead. Screening first checks the same
+    sets as screening last: every filter is pure and gives every
+    fresh-blank renaming of a set the same answer (a fresh blank is never
+    a graph node, never holds keys or a decided sign, and every fresh
+    blank has the same value), so a renaming class keeps its first member.
 
-    Running the screen first checks the same sets, in the same order, as
-    running it last, and spares the rejected sets the other filters:
-    every filter is pure, the screen rejects only sets whose check fails,
-    and each filter gives every fresh-blank renaming of a set the same
-    answer. Fresh blanks are never graph nodes, so the relevance test
-    cannot tell them apart; nor can the screen, since a fresh blank never
-    holds keys or a decided sign and every fresh blank has the same value;
-    and the dedupe is defined on renaming classes. So a renaming class
-    keeps its first member either way.
-
-    Three shortcuts build fewer atoms and check the same sets in the same
+    Two shortcuts build fewer atoms and check the same sets in the same
     order, so the dedupe's representatives and the exit-4 point stay:
 
-    - At one edit, the insertions are those of
-      ``Screen.one_edit_insertions``, which screens them by class; every
-      other insertion is rejected as a one-edit set. The shorter atom
-      list keeps the full one's order.
+    - The list of every atom is never built. The screen names an edit by
+      its rank in that list (:class:`_Universe`) and lists only the edits
+      of its passing groups and, for a group smaller than the size, their
+      extensions; an atom's triple is built once per search, when a
+      generated set that holds it passes the relevance test, which reads
+      an edit once per triple key.
     - At k edits, fresh blanks take only the k smallest labels in string
       order (``repair10`` sorts before ``repair2``; :func:`_fresh_labels`).
       A set that passes the relevance test uses at most k fresh blanks: a
@@ -632,11 +647,7 @@ def enumerate_repairs(
       a, unused; renaming b to a gives each atom that held b a smaller
       key, hence a set earlier in combination order that every filter
       treats alike, which the dedupe would have checked instead. So the
-      atoms built grow with the size reached, not with ``max_edits``.
-    - The list of every atom is built once, at the first size that needs
-      it; each later size merges in only the insertions that name its new
-      label (:func:`_add_insertions`). What the screen and the relevance
-      test read of an atom is computed once per triple key.
+      work grows with the size reached, not with ``max_edits``.
 
     Each set is checked by :func:`is_valid_after`, and all the checks of
     one call share one :class:`LocalWitnessCache`: a pair whose
@@ -652,30 +663,18 @@ def enumerate_repairs(
         return RepairResult(0, (unedited,), max_edits)
     relevance = _Relevance(graph, schema, typing0)
     screen = incremental.screen_for(witnesses, typing0)
-    built: list[str] | None = None  # the labels of the list of every atom, once built
-
+    atoms: dict[tuple, Atom] = {}  # triple key -> its edit, built once per search
     for size in range(1, max_edits + 1):
-        labels = _fresh_labels(graph, max_edits, size)
-        if size == 1:
-            keys = []
-            atoms = _edit_atoms(graph, schema, max_edits, keys, labels, screen)
-        elif built is None:
-            keys = []
-            atoms = _edit_atoms(graph, schema, max_edits, keys, labels)
-            built = labels
-        else:
-            _add_insertions(graph, schema, atoms, keys, labels, built)
-            built = labels
-        read: list = [None] * len(atoms)  # what the relevance test reads of each atom, once asked
+        universe = _Universe(graph, schema, _fresh_labels(graph, max_edits, size))
+        read: dict[int, _Edit] = {}  # rank -> what the relevance test reads of its edit
         valid: list[EditSet] = []
         seen: set[tuple] = set()
-        for combo in screen.passing(atoms, keys, size):
-            for i in combo:
-                if read[i] is None:
-                    read[i] = relevance.edit(atoms[i][0] == "ins", keys[i])
-            if not relevance.admits([read[i] for i in combo]):
+        for combo in screen.generate(universe, size):
+            edits = [read.get(r) or read.setdefault(r, relevance.edit(*universe.edit(r))) for r in combo]
+            if not relevance.admits(edits):
                 continue
-            edits = _edit_set(atoms[i] for i in combo)
+            edits = _edit_set(atoms.get(e.key) or atoms.setdefault(e.key, _atom(universe, e.inserts, e.key))
+                              for e in edits)
             if any(_is_fresh_blank(t.subject) or _is_fresh_blank(t.obj) for t in edits.insertions):
                 canonical = _canonical_blank_form(edits)
                 if canonical in seen:

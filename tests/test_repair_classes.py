@@ -1,10 +1,10 @@
-"""One-edit repair work by edit classes, and the checked sequence of edit
-sets against a plain sweep.
+"""Repair work by edit classes, and the checked sequence of edit sets
+against a plain sweep.
 
-At one edit the repair search screens single insertions by class
-(``shexd.incremental.Screen.insertion_classes``) and builds only those
-whose class passes; at k edits it builds fresh blanks for k labels only.
-Neither may change what is checked: the edit sets passed to
+The repair search screens edits by class (``shexd.incremental.Screen``),
+never lists every edit atom, and builds an atom only when a generated set
+that holds it passes the relevance test; at k edits it builds fresh
+blanks for k labels only. None of this may change what is checked: the edit sets passed to
 ``is_valid_after``, in order, must be those of a plain sweep over
 ``itertools.combinations`` of every edit atom, less the sets the per-set
 screen rule rejects (``rejects_alone``), those a relevance check written
@@ -31,19 +31,19 @@ from shexd.rdf_graph import BlankRef, DirectedProperty, Graph, Iri, Triple
 from shexd.repair import (
     EditSet,
     _canonical_blank_form,
-    _domain,
     _edit_atoms,
     _edit_set,
     _fresh_labels,
     _in_string_order,
     _is_fresh_blank,
+    _Universe,
     enumerate_repairs,
     is_valid_after,
 )
 from shexd.schema_model import ShapeRef
 
 from conftest import DATA, EX, load_graph, load_schema
-from test_maximal_typing import CHAIN_SCHEMA, chain_graph, rejects_alone
+from test_maximal_typing import CHAIN_SCHEMA, chain_graph, passing, rejects_alone
 
 
 def relevant(graph, schema, request, edits: EditSet) -> bool:
@@ -181,56 +181,54 @@ def test_checked_sets_match_a_plain_sweep(monkeypatch, max_edits, seeds, floor):
     assert compared >= floor, compared
 
 
-def assert_classes_agree(screen, graph, schema, labels) -> int:
-    """Every single insertion of the domain with fresh blanks ``labels``,
-    but a self-loop, gets from :func:`rejects_alone` the conjunction of its
-    ends' class verdicts, an end at a node with no keys rejecting; and
-    ``one_edit_insertions`` holds exactly those it passes and the
-    self-loops at nodes with keys. Returns the number of classes
-    decided."""
-    subjects, props, objects = _domain(graph, schema, labels)
-    verdicts, decided = {}, 0
-    for node, prop, inverse, fars, rejects in screen.insertion_classes(subjects, props, objects):
-        if fars is None:  # inert: every insertion on the end, and it rejects
-            assert rejects
-            verdicts[(node, prop, inverse)] = True
+def assert_classes_agree(screen, graph, schema, max_edits: int, sizes=(1,)) -> int:
+    """At each size of ``sizes``, the sets ``Screen.generate`` yields over
+    the search's edits, by class, are in order those the generator yields
+    from each atom's kinds (:func:`passing`) over the full list of edit
+    atoms with the same fresh blanks; at one edit they are the atoms
+    :func:`rejects_alone` passes. Returns the number of classes whose
+    multisets the generator decides."""
+    decided = []
+    real = screen._classes
+
+    def classes(node, universe):
+        found = real(node, universe)
+        decided.append(len(found[1]))
+        return found
+
+    screen._classes = classes
+    for size in range(1, max(sizes) + 1):
+        labels = _fresh_labels(graph, max_edits, size)
+        universe = _Universe(graph, schema, labels)
+        keys = []
+        atoms = _edit_atoms(graph, schema, max_edits, keys, labels)
+        index = {(kind == "ins", key): i for i, ((kind, _), key) in enumerate(zip(atoms, keys))}
+        generated = [tuple(index[universe.edit(rank)] for rank in combo)
+                     for combo in screen.generate(universe, size)]
+        if size not in sizes:
             continue
-        decided += 1
-        for far in fars:
-            assert (node, prop, inverse, far) not in verdicts
-            verdicts[(node, prop, inverse, far)] = rejects
-    present = set(graph._keys)
-    passing = set()
-    for (s, s_term), prop, (o, o_term) in itertools.product(subjects, props, objects):
-        if (s, prop, o) in present:
-            continue
-        if s == o:
-            if s in screen._keys_at:
-                passing.add((s, prop, o))
-            continue
-        alone = rejects_alone(screen, [("ins", Triple(s_term, prop, o_term))], (0,))
-        if not alone:
-            passing.add((s, prop, o))
-        ends = []
-        for node, inverse, far in ((s, False, o), (o, True, s)):
-            if node in screen._keys_at:
-                found = verdicts.get((node, prop, inverse))
-                ends.append(verdicts[(node, prop, inverse, far)] if found is None else found)
-        assert all(ends) == alone, (s, prop, o)
-    assert screen.one_edit_insertions(subjects, props, objects) == passing
-    return decided
+        assert generated == list(passing(screen, atoms, keys, size)), size
+        if size == 1:
+            assert generated == [
+                (i,) for i in range(len(atoms)) if not rejects_alone(screen, atoms, (i,))
+            ]
+    return sum(decided)
 
 
 def test_class_verdicts_match_a_per_set_screen_on_random_instances():
+    # every one-edit set of the first 500 instances, and every two-edit set
+    # of the first 100
     decided = 0
-    for _, schema, graph, request in pool(range(500)):
+    for seed, schema, graph, request in pool(range(500)):
         try:
             screen = screen_of(schema, graph, request)
         except (BagTooLargeError, SearchBudgetExceededError):
             continue
         if screen is not None:
-            decided += assert_classes_agree(screen, graph, schema, ["repair0", "repair1"])
-    assert decided >= 1_800, decided  # 1,861
+            decided += assert_classes_agree(screen, graph, schema, 2, (1, 2) if seed < 100 else (1,))
+    # 3,996 classes over the sizes compared (1,861 one-edit insertion classes
+    # when only those were classed)
+    assert decided >= 1_800, decided
 
 
 @pytest.mark.parametrize("schema_name, data, node, shape", [
@@ -241,14 +239,14 @@ def test_class_verdicts_match_a_per_set_screen_on_random_instances():
 def test_class_verdicts_match_a_per_set_screen_on_the_corpus(schema_name, data, node, shape):
     schema, graph = load_schema(schema_name), load_graph(data)
     screen = screen_of(schema, graph, [(EX + node, shape, "+")])
-    assert assert_classes_agree(screen, graph, schema, ["repair0"]) > 0
+    assert assert_classes_agree(screen, graph, schema, 2, (1, 2)) > 0
 
 
 def test_class_verdicts_match_a_per_set_screen_on_a_chain():
     schema = parse_schema(CHAIN_SCHEMA)
     graph = chain_graph(21, False)
     screen = screen_of(schema, graph, [(EX + "n0", "P", "+")])
-    assert assert_classes_agree(screen, graph, schema, ["repair0"]) <= 10 * 20
+    assert assert_classes_agree(screen, graph, schema, 1) <= 10 * 20
 
 
 def repair_json(argv: list[str]) -> tuple[int, str]:
@@ -259,24 +257,23 @@ def repair_json(argv: list[str]) -> tuple[int, str]:
 
 
 def count_search_work(monkeypatch) -> dict[str, int]:
-    """Patch the search to count the classes the screen decides and the
-    edit atoms it builds."""
+    """Patch the search to count the classes whose multisets the screen
+    decides and the edit atoms it builds."""
     counts = {"classes": 0, "atoms": 0}
-    real_classes = incremental.Screen.insertion_classes
-    real_atoms = shexd.repair._edit_atoms
+    real_classes = incremental.Screen._classes
+    real_atom = shexd.repair._atom
 
     def classes(self, *args):
-        for found in real_classes(self, *args):
-            counts["classes"] += found[3] is not None
-            yield found
+        found = real_classes(self, *args)
+        counts["classes"] += len(found[1])
+        return found
 
-    def atoms(*args, **kwargs):
-        built = real_atoms(*args, **kwargs)
-        counts["atoms"] += len(built)
-        return built
+    def atom(*args):
+        counts["atoms"] += 1
+        return real_atom(*args)
 
-    monkeypatch.setattr(incremental.Screen, "insertion_classes", classes)
-    monkeypatch.setattr(shexd.repair, "_edit_atoms", atoms)
+    monkeypatch.setattr(incremental.Screen, "_classes", classes)
+    monkeypatch.setattr(shexd.repair, "_atom", atom)
     return counts
 
 
@@ -287,13 +284,18 @@ BOOLEAN = ["--schema", str(DATA / "boolean.shex"), "--data", str(DATA / "boolean
 def test_a_large_edit_budget_builds_the_atoms_of_a_small_one(monkeypatch):
     # boolean's minimal repairs have two edits. Fresh blanks are built for
     # one label at one edit and two at two, whatever the budget, so at
-    # --max-edits 200 the search builds the 195 atoms it builds at 2 (15 at
-    # one edit, 180 at two). With every label's blanks built up front it
-    # built 209,070 atoms, growing as the budget squared (15.9 s at 120).
-    expected = repair_json([*BOOLEAN, "--max-edits", "2"])
+    # --max-edits 200 the search decides the classes and builds the atoms
+    # it does at 2: the 4 atoms of its 4 checked sets. (195 atoms, 15 at
+    # one edit and 180 at two, when every atom of each size was built; with
+    # every label's blanks built up front it built 209,070, growing as the
+    # budget squared, 15.9 s at 120.)
     counts = count_search_work(monkeypatch)
+    expected = repair_json([*BOOLEAN, "--max-edits", "2"])
+    at_two = dict(counts)
+    counts.update(classes=0, atoms=0)
     assert repair_json([*BOOLEAN, "--max-edits", "200"]) == expected
-    assert counts["atoms"] == 195
+    assert counts == at_two
+    assert counts["atoms"] == 4
 
 
 def test_fresh_labels_are_the_smallest_in_string_order():

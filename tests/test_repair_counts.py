@@ -4,19 +4,23 @@ request on the issue example and of a one-edit chain, run through the CLI.
 A repair check reads the edited graph as a patch of the request's graph and
 verifies an accepted set's certificate on that patch; bag verdicts are
 memoized per shape, and local witnesses are cached per request. So a request
-builds one ``Graph``, compiles each shape's interval test once, evaluates
-it a few dozen times and enumerates a pair's witnesses again only where an edit set changes its
-neighbourhood, however many edit sets it checks. Most sets are never even
-built: the screen (``shexd.incremental.Screen``) rejects the sets whose
-check can only fail as the unedited graph's did, and ``Screen.passing``
-generates only the others. A set
-passes exactly when its atoms with an end at some node get a passing
-verdict there, so the generator decides each multiset of the atoms' kinds
-at a node once and extends each passing group by atoms with no end at
-that node; the union over the nodes, in combination order, is exactly the
-passing sets (the ``Screen`` docstring gives the proof).
-The counts are taken in fresh interpreters under several hash seeds, since
-set order may steer the search.
+builds one ``Graph``, compiles each shape's interval test once, evaluates it
+a few dozen times and enumerates a pair's witnesses again only where an edit
+set changes its neighbourhood, however many edit sets it checks. Most sets
+are never even built: the screen (``shexd.incremental.Screen``) rejects the
+sets whose check can only fail as the unedited graph's did, and
+``Screen.generate`` yields only the others. A set passes exactly when its
+edits with an end at some node get a passing verdict there. The edits at a
+node fall into classes, one per sorted kinds of their ends there, which
+are counted without listing the edits; the generator decides each multiset
+of classes at a node once, lists the edits of a passing multiset's
+classes, and extends each group they form by edits with no end at that
+node, listed only for a group smaller than the size. The union over the
+nodes, in combination order, is exactly the passing sets (the ``Screen``
+docstring gives the proof), and an edit atom is built only for a
+generated set that passes the relevance test. The counts are taken in
+fresh interpreters under several hash seeds, since set order may steer the
+search.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ ROLELESS = NAMELESS + " and ex:ron's is:role"
 # (schema, data, node, shape, --max-edits, checks, sets generated); before
 # the screen every set that passed the relevance test and the fresh-blank
 # dedupe was checked (231 / 41 / 1,051 checks). The sets generated, of one
-# edit or more, are those ``Screen.passing`` yields, every set the screen
+# edit or more, are those ``Screen.generate`` yields, every set the screen
 # passes, before the relevance test and the dedupe. While the screen was
 # asked about each set the search built (those a relevance prefilter let
 # through, and at one edit the deletions and the insertions the classes
@@ -72,20 +76,21 @@ REQUESTS = [
 # passing sets decides no multiset of kinds that are all inert at a node,
 # and groups without their inert ends (15 / 15 / 98 / 83 verdicts and 13 /
 # 13 / 90 / 74 witness tests while the screen was asked about each set).
-SCREEN_WORK = [(14, 13), (15, 13), (81, 79), (60, 58)]
-# Effects the screen computes (``Screen._effect``), one per triple key the
-# search builds an atom for: no effect is computed twice in a search, though
-# the one-edit atoms are built again among every atom at two edits. (19 /
-# 10 / 190 / 1,152 when they were computed once per atom list, for the
-# atoms of the sets the screen was asked about.)
-EFFECTS = [31, 15, 180, 1_134]
-# The classes of one-edit insertions the screen decides (an inert end is
-# not decided), and the edit atoms the search builds (``_edit_atoms``): at
-# one edit the deletions, the insertions of the classes that pass and the
-# self-loops at nodes with keys, at two every edit, with fresh blanks for
-# two labels. When every atom was built up front, once per request, they
-# were 1,008 / 120 / 180 / 1,134.
-CLASS_WORK = [(6, 31), (10, 15), (10, 195), (6, 1_164)]
+# Deciding multisets of classes at every size, not of the kinds of built
+# atoms, and leaving out at a node the classes that insert an edge no key
+# there has a consumer for, decides each class once at one edit and skips
+# the multisets such a class rejects (14 / 15 / 81 / 60 verdicts and 13 /
+# 13 / 79 / 58 witness tests while the atoms were built first).
+SCREEN_WORK = [(11, 10), (10, 8), (51, 49), (51, 49)]
+# The classes whose multisets the screen decides, summed over the nodes
+# with keys and the sizes reached, and the edit atoms the search builds
+# (``repair._atom``), once each, only for the generated sets that pass the
+# relevance test: the boolean request at two edits builds the 4 atoms of
+# its 4 checked sets. (6 / 10 / 10 / 6 one-edit insertion classes and 31 /
+# 15 / 195 / 1,164 atoms while every atom of each size past the first was
+# built, with an effect each, 31 / 15 / 180 / 1,134 effects; 1,008 / 120 /
+# 180 / 1,134 atoms when every atom was built up front.)
+CLASS_WORK = [(13, 2), (14, 0), (28, 4), (26, 219)]
 # Local witnesses charged to the budgets of each request's checks, the
 # screen's fixpoint included (``WitnessReader.charge``): where a check may
 # exit 4 moves with them. Each check decides its set from scratch and is
@@ -145,9 +150,9 @@ def data_file(name: str, workdir: Path) -> Path:
 def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
     """Graph builds, expression walks, evaluations of the compiled interval
     tests, edge matches, repair checks,
-    sets generated, the screen's node verdicts, witness tests and effects
-    (and effects computed again), the local witnesses charged to the
-    checks' budgets, classes decided and atoms built per request, with its
+    sets generated, the screen's node verdicts and witness tests, the local
+    witnesses charged to the checks' budgets, classes decided and atoms
+    built (and atoms built again) per request, with its
     exit code and stdout."""
     import shexd.engine
     import shexd.incremental
@@ -160,9 +165,9 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
     from conftest import DATA, EX
 
     counts = {"graphs": 0, "walks": 0, "evaluations": 0, "edge_matches": 0, "checks": 0, "generated": 0,
-              "verdicts": 0, "witness_tests": 0, "effects": 0, "repeated_effects": 0,
-              "charged": 0, "classes": 0, "atoms": 0}
-    effect_keys = set()
+              "verdicts": 0, "witness_tests": 0, "charged": 0, "classes": 0, "atoms": 0,
+              "repeated_atoms": 0}
+    atom_keys = set()
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -183,19 +188,19 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
                 yield combo
         return wrapper
 
-    def effects(name, func):
-        def wrapper(self, inserted, key, *args):
-            counts[name] += 1
-            counts["repeated_effects"] += key in effect_keys
-            effect_keys.add(key)
-            return func(self, inserted, key, *args)
-        return wrapper
-
     def classes(name, func):
         def wrapper(*args, **kwargs):
-            for found in func(*args, **kwargs):
-                counts[name] += found[3] is not None  # an inert end is not decided
-                yield found
+            found = func(*args, **kwargs)
+            counts[name] += len(found[1])
+            return found
+        return wrapper
+
+    def built(name, func):
+        def wrapper(universe, inserts, key):
+            counts[name] += 1
+            counts["repeated_atoms"] += key in atom_keys
+            atom_keys.add(key)
+            return func(universe, inserts, key)
         return wrapper
 
     def compiled(name, func):
@@ -211,26 +216,18 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
             return evaluated
         return wrapper
 
-    def built(name, func):
-        def wrapper(*args, **kwargs):
-            atoms = func(*args, **kwargs)
-            counts[name] += len(atoms)
-            return atoms
-        return wrapper
-
     patches = [
         (shexd.rdf_graph.Graph, "__init__", "graphs", counted),
         (shexd.schema_model, "compile_membership", "walks", compiled),
         (shexd.matching, "interval", "walks", counted),
         (shexd.matching, "edge_matches", "edge_matches", counted),
         (shexd.repair, "is_valid_after", "checks", counted),
-        (shexd.incremental.Screen, "passing", "generated", generated),
+        (shexd.incremental.Screen, "_generate", "generated", generated),
         (shexd.incremental.Screen, "_node_verdict", "verdicts", counted),
         (shexd.incremental.Screen, "_has_witness", "witness_tests", counted),
-        (shexd.incremental.Screen, "_effect", "effects", effects),
         (shexd.engine.WitnessReader, "charge", "charged", charged),
-        (shexd.incremental.Screen, "insertion_classes", "classes", classes),
-        (shexd.repair, "_edit_atoms", "atoms", built),
+        (shexd.incremental.Screen, "_classes", "classes", classes),
+        (shexd.repair, "_atom", "atoms", built),
     ]
     originals = [getattr(owner, attr) for owner, attr, _, _ in patches]
     out = []
@@ -241,7 +238,7 @@ def count_repair_work(requests: list[tuple] = REQUESTS) -> list[dict]:
             for schema, data, node, shape, max_edits, *_ in requests:
                 path = data_file(data, Path(workdir))
                 counts.update(dict.fromkeys(counts, 0))
-                effect_keys.clear()
+                atom_keys.clear()
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = main(["repair", "--schema", str(DATA / schema), "--data", str(path),
@@ -275,8 +272,8 @@ def test_repair_request_work_bounds(seed):
     assert [c["checks"] for c in counts] == [checks for *_, checks, _ in REQUESTS]
     assert [c["generated"] for c in counts] == [generated for *_, generated in REQUESTS]
     assert [(c["verdicts"], c["witness_tests"]) for c in counts] == SCREEN_WORK
-    assert [(c["effects"], c["repeated_effects"]) for c in counts] == [(n, 0) for n in EFFECTS]
     assert [(c["classes"], c["atoms"]) for c in counts] == CLASS_WORK
+    assert counts[2]["atoms"] < 20 and not any(c["repeated_atoms"] for c in counts)
     assert [c["charged"] for c in counts] == CHARGED
     # the counter wraps Graph.__init__, the only routine that builds a Graph,
     # so it sees every Graph a search makes: the parsed one. When accepted
@@ -305,7 +302,7 @@ def test_a_three_edit_request_builds_only_the_sets_the_screen_passes():
     assert hashlib.sha256(counts["stdout"].encode()).hexdigest() == THREE_EDITS_STDOUT
     assert (doc["minSize"], len(doc["repairs"])) == (3, 42)
     assert [(counts["checks"], counts["generated"])] == [row[-2:] for row in THREE_EDITS]
-    assert counts["repeated_effects"] == 0
+    assert counts["repeated_atoms"] == 0
 
 
 # sha256 of the repair JSON of the one-edit 200-link chain, recorded when
@@ -326,10 +323,14 @@ def test_a_chain_is_screened_by_classes_linear_in_its_links(monkeypatch, tmp_pat
                              "--shape", "P", "--max-edits", "1"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_200
-    # three classes per node: ex:name out of it toward strings or other
-    # terms, ex:next toward any (ex:name and ex:next in are inert); the
-    # atoms built are the 400 deletions, the 201 insertions of ex:n200's
-    # passing ex:name class and the 402 self-loops (162,812 atoms when each
-    # was built)
-    assert counts == {"classes": 603, "atoms": 1_003}
+    # eight classes per link: the deletions of its three edges, ex:name
+    # out of it toward strings, toward other terms (an edge no key has a
+    # consumer for, left out of its multisets) and to itself, ex:next out
+    # of it toward any and to itself (ex:name and ex:next in are inert);
+    # seven at ex:n0 and six at ex:n200. The atoms built are those of the
+    # generated sets that pass the relevance test. (603 insertion classes
+    # and 1,003 atoms when the deletions, the insertions of ex:n200's
+    # passing ex:name class and the 402 self-loops were built; 162,812
+    # atoms when each was built)
+    assert counts == {"classes": 1_605, "atoms": 401}
     assert counts["classes"] <= 10 * links

@@ -41,6 +41,7 @@ from shexd.repair import (
 )
 
 from conftest import EX, IS, load_graph, load_schema
+from test_maximal_typing import passing as passing_sets
 
 PREFIXES = (
     "PREFIX ex: <http://example.org/>\n"
@@ -359,7 +360,7 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
     result = enumerate_repairs(graph, schema, request, max_edits=max_edits)
     for size in range(result.min_size + 1 if result.found else max_edits + 1):
         seen = set()
-        passing = set(screen.passing(atoms, keys, size))
+        passing = set(passing_sets(screen, atoms, keys, size))
         for combo in itertools.combinations(range(len(atoms)), size):
             if not relevance.admits([read[i] for i in combo]):
                 continue
@@ -378,14 +379,14 @@ def _count_enumeration_work(monkeypatch, data, node, shape, max_edits):
             return real(*args, **kwargs)
         return wrapper
 
-    real_passing = incremental.Screen.passing
+    real_generate = incremental.Screen._generate
 
     def generated(self, *args):
-        for combo in real_passing(self, *args):
+        for combo in real_generate(self, *args):
             calls["generated"] += 1
             yield combo
 
-    monkeypatch.setattr(incremental.Screen, "passing", generated)
+    monkeypatch.setattr(incremental.Screen, "_generate", generated)
     monkeypatch.setattr(shexd.repair._Relevance, "admits",
                         counted("admits", shexd.repair._Relevance.admits))
     monkeypatch.setattr(shexd.repair, "_canonical_blank_form",
