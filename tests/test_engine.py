@@ -8,8 +8,10 @@ import pytest
 from shexd import (
     check_compatible,
     check_gtw_extra,
+    check_local_witness,
     compute_certain_typing,
     flooding_validation,
+    parse_data,
     parse_schema,
     reference_validate,
     verify_global_typing_witness,
@@ -438,6 +440,60 @@ def test_verifier_rejects_reassigned_extra_edge(issues_schema, issues_graph, iss
     mutated = GlobalTypingWitness(gtw.typing, mutated_lw)
     # now (emin, ProgrammerShape) must be propagated but is not in the typing
     assert not verify_global_typing_witness(mutated, issues_graph, issues_schema, issues_certain)
+
+
+# <T> occurs negated, so the certain typing decides it; <S> lets EXTRA ex:p
+# edges go unmatched only where they break ``ex:p @<T>``.
+_CERT_SCHEMA = """PREFIX ex: <http://example.org/>
+<S> EXTRA ex:p { ex:p @<T> * }
+<T> { ex:q IRI }
+<N> { ex:r !@<T> * }
+"""
+_CERT_DATA = """@prefix ex: <http://example.org/> .
+ex:a ex:p ex:b .
+ex:b ex:q ex:x .
+ex:e ex:q ex:x .
+"""
+
+
+def _certificate_case():
+    schema = parse_schema(_CERT_SCHEMA)
+    graph = Graph(parse_data(_CERT_DATA).triples)
+    certain = CertainTyping(schema, graph)
+    gtw = flooding_validation(schema, graph, [(EX + "a", "S", "+")], certain=certain)
+    assert verify_global_typing_witness(gtw, graph, schema, certain)
+    return schema, graph, certain, gtw
+
+
+@pytest.mark.parametrize(
+    "fact",
+    [
+        (EX + "ghost", "T", "-"),  # no such node
+        (EX + "x", "Nope", "-"),  # no such shape
+        (EX + "x", "S", "-"),  # <S> does not occur negated
+        (EX + "e", "T", "-"),  # the certain typing holds (e, T)
+    ],
+)
+def test_verifier_rejects_an_uncertified_fact(fact):
+    schema, graph, certain, gtw = _certificate_case()
+    assert fact not in gtw.typing
+    mutated = GlobalTypingWitness(gtw.typing | {fact}, gtw.lw)
+    assert not verify_global_typing_witness(mutated, graph, schema, certain)
+
+
+def test_verifier_rejects_an_extra_edge_that_satisfies_its_constraint():
+    from test_matching import edge_of
+
+    schema, graph, certain, gtw = _certificate_case()
+    key = (EX + "a", "S")
+    edge = edge_of(graph, EX + "a", EX + "p", EX + "b")
+    assert gtw.lw[key][edge.id] == ByConstraint(1)
+    mutated_lw = {**gtw.lw, key: {**gtw.lw[key], edge.id: ExtraSlot(edge.dprop)}}
+    mutated = GlobalTypingWitness(gtw.typing, mutated_lw)
+    # the local check and the propagation pass: only the EXTRA condition fails
+    assert check_local_witness(mutated_lw[key], EX + "a", schema.shapes["S"], graph)
+    assert not check_gtw_extra(schema, "S", mutated_lw[key], certain, graph)
+    assert not verify_global_typing_witness(mutated, graph, schema, certain)
 
 
 def test_verifier_rejects_inconsistent_typing(issues_schema, issues_graph, issues_certain):

@@ -84,6 +84,44 @@ def test_parse_unknown_prefix():
         parse_data("ex:a ex:p ex:b .")
 
 
+
+# Every error the data parser raises: (format, input, class, message, line, column).
+DATA_ERRORS = [
+    ("ttl-lite", "<a> <p> <o> . %", ParseError, "unexpected character '%'", 1, 15),
+    ("ttl-lite", "@prefix ex: <http://e/> ;", ParseError, "expected '.', found ';'", 1, 25),
+    ("ttl-lite", "@prefix ex: ex:x .", ParseError, "expected iriref, found 'ex:x'", 1, 13),
+    ("ttl-lite", "@prefix ex:a <http://e/> .", ParseError, "malformed prefix declaration", 1, 9),
+    ("ttl-lite", "<a> ex:p <o> .", UnknownPrefixError, "undeclared prefix 'ex'", 1, 5),
+    ("nt", "<a> <p> ex:o .", ParseError, "prefixed names are not N-Triples", 1, 9),
+    ("nt", '<a> <p> "1"^^xsd:integer .', ParseError, "prefixed names are not N-Triples", 1, 14),
+    ("nt", "@prefix ex: <http://e/> .", ParseError, "expected an IRI, found '@prefix'", 1, 1),
+    ("ttl-lite", '"s" <p> <o> .', ParseError, "expected an IRI, found '\"s\"'", 1, 1),
+    ("ttl-lite", '<a> <p> "x"^^"y" .', ParseError, "expected an IRI, found '\"y\"'", 1, 14),
+    ("ttl-lite", "<a> <p> <o> .\n  <b> <p> <o> , .", ParseError, "expected an IRI, found '.'", 2, 17),
+    ("nt", "<a> <p> 42 .", ParseError, "bare integers are not N-Triples", 1, 9),
+    ("nt", "<a> <p> <o> ; <q> <r> .", ParseError, "unexpected ';'", 1, 13),
+    ("nt", "<a> <p> <o>, <r> .", ParseError, "unexpected ','", 1, 12),
+    ("ttl-lite", "<a> <p> <o> <q> .", ParseError, "expected punct, found '<q>'", 1, 13),
+    ("ttl-lite", "<a> <p> <o>", ParseError, "expected punct, found ''", 1, 12),
+    ("turtle", "<a> <p> <o> .", ValueError, "unknown data format 'turtle'", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt,text,error,message,line,column", DATA_ERRORS, ids=[f"{r[0]}:{r[1]}" for r in DATA_ERRORS]
+)
+def test_data_parse_errors_are_pinned(fmt, text, error, message, line, column):
+    with pytest.raises(error) as err:
+        parse_data(text, fmt)
+    exc = err.value
+    assert type(exc) is error
+    if line is not None:
+        message += f" (line {line}, column {column})"
+    assert (str(exc), getattr(exc, "line", None), getattr(exc, "column", None)) == (
+        message, line, column
+    )
+
+
 def test_build_graph_doubles_edges():
     g = build_graph(parse_data("@prefix ex: <http://e/> .\nex:a ex:p ex:b ."))
     assert len(g.edges) == 2
@@ -170,6 +208,14 @@ def test_graph_invariants(triples):
             assert e.inverse_edge() in g.neighbourhood(e.target)
     reparsed = Graph(parse_data(to_ntriples(g.triples), fmt="nt").triples)
     assert {t.key() for t in reparsed.triples} == {t.key() for t in g.triples}
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+def test_any_text_survives_ntriples(text):
+    triple = Triple(Iri("http://h.example/s"), "http://h.example/p", Literal(text))
+    assert parse_data(to_ntriples([triple]), fmt="nt").triples == (triple,)
 
 
 def test_edge_id_format():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from shexd import json_to_schema, parse_schema, schema_to_json, schema_to_shexc
@@ -10,6 +12,7 @@ from shexd.errors import (
     UndefinedShapeReferenceError,
     UnknownPrefixError,
 )
+from shexd.randgen import random_instance
 from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, DirectedProperty, Iri
 from shexd.schema_model import (
     DatatypeSet,
@@ -168,9 +171,149 @@ def test_negative_cardinality_rejected():
         parse_schema("PREFIX e: <http://e/>\n<S> { e:p e:T [3;1] }")
 
 
-@pytest.mark.parametrize("name", ["issues.shex", "issues_noextra.shex", "boolean.shex"])
+
+_E = "PREFIX e: <http://e/>\n"
+
+# Every error the compact-syntax parser raises: (input, class, message, line, column).
+SCHEMA_ERRORS = [
+    ("<S> { } $", ParseError, "unexpected character '$'", 1, 9),
+    (_E + "<S> e:p IRI }", ParseError, "expected '{', found 'e:p'", 2, 5),
+    ("PREFIX e <http://e/>", ParseError, "malformed prefix declaration", 1, 8),
+    ("<S> { }\n@prefix", ParseError, "malformed prefix declaration", 2, 8),
+    ("PREFIX e: e:x", ParseError, "prefix declaration needs an <IRI>", 1, 11),
+    ("<S> { }\n<S> { }", DuplicateShapeLabelError, "shape <S> defined twice", None, None),
+    ("e:S { }", ParseError, "expected a shape label, found 'e:S'", 1, 1),
+    (_E + "@foo <S> { }", ParseError, "expected a shape label, found '@'", 2, 1),
+    (_E + "<S> { e:p @e:T }", ParseError, "expected a shape label, found 'e:T'", 2, 12),
+    (_E + "<S> { e:p !<T> }", ParseError, "expected '@', found '<T>'", 2, 12),
+    (_E + "<S> EXTRA { e:p IRI }", ParseError, "EXTRA needs at least one property", 2, 11),
+    (_E + "<S> { e:p IRI [x;2] }", ParseError, "expected a minimum cardinality", 2, 16),
+    (_E + "<S> { e:p IRI [1;x] }", ParseError, "expected a maximum cardinality or '*'", 2, 18),
+    (_E + "<S> { e:p IRI [1 2] }", ParseError, "expected ';', found '2'", 2, 18),
+    (_E + "<S> { e:p IRI [-1;2] }", ParseError, "cardinalities must be natural numbers", 2, 16),
+    (_E + "<S> { e:p IRI [1;-2] }", ParseError, "cardinalities must be natural numbers", 2, 16),
+    (_E + "<S> { e:p IRI [3;1] }", ParseError, "cardinality [3;1] has min > max", 2, 16),
+    (_E + "<S> { e:p FOO }", ParseError, "unexpected keyword 'FOO' in value class", 2, 11),
+    (_E + "<S> { e:p () }", ParseError, "empty value set", 2, 14),
+    (_E + '<S> { e:p ("a"^^"b") }', ParseError, "expected an IRI, found '\"b\"'", 2, 17),
+    (_E + "<S> { x:p IRI }", UnknownPrefixError, "undeclared prefix 'x'", 2, 7),
+    (_E + "<S> { ^ IRI }", ParseError, "expected an IRI, found 'IRI'", 2, 9),
+    (_E + "<S> { ( e:p IRI }", ParseError, "expected ')', found '}'", 2, 17),
+    (_E + "<S> { e:p @<T> }", UndefinedShapeReferenceError,
+     "<S> references undefined shape <T>", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "text,error,message,line,column", SCHEMA_ERRORS, ids=[r[0] for r in SCHEMA_ERRORS]
+)
+def test_schema_parse_errors_are_pinned(text, error, message, line, column):
+    with pytest.raises(error) as err:
+        parse_schema(text)
+    exc = err.value
+    assert type(exc) is error
+    if line is not None:
+        message += f" (line {line}, column {column})"
+    assert (str(exc), getattr(exc, "line", None), getattr(exc, "column", None)) == (
+        message, line, column
+    )
+
+
+def _json_shape(expr='{"kind": "empty"}', extra="[]"):
+    return (
+        '{"shapes": {"S": {"closed": false, "closedInv": false, '
+        f'"extra": {extra}, "expr": {expr}}}}}}}'
+    )
+
+
+def _json_tc(value_class='[{"type": "nodekind", "kind": "IRI"}]', tc_id="1"):
+    return (
+        f'{{"kind": "tc", "id": {tc_id}, "property": "http://e/p", '
+        f'"valueClass": {value_class}}}'
+    )
+
+
+def _json_values(*values):
+    return _json_tc('[{"type": "values", "values": [%s]}]' % ", ".join(values))
+
+
+_TC = "$.shapes.S.expr"
+
+# Every error ``json_to_schema`` raises: (input, class, message, path).
+JSON_ERRORS = [
+    ("not json", SchemaJsonError,
+     "not valid JSON: Expecting value: line 1 column 1 (char 0)", "$"),
+    ("[]", SchemaJsonError, "missing key 'shapes'", "$"),
+    ('{"shapes": []}', SchemaJsonError, "shapes must be an object", "$.shapes"),
+    ('{"shapes": {"S": {"closedInv": false, "extra": [], "expr": {"kind": "empty"}}}}',
+     SchemaJsonError, "missing key 'closed'", "$.shapes.S"),
+    (_json_shape(extra='"^http://e/q"'), SchemaJsonError, "extra must be a list", "$.shapes.S"),
+    (_json_shape(extra='[""]'), SchemaJsonError, "expected a property string",
+     "$.shapes.S.extra[0]"),
+    (_json_shape(extra="[3]"), SchemaJsonError, "expected a property string",
+     "$.shapes.S.extra[0]"),
+    (_json_shape('{"kind": "wat"}'), SchemaJsonError, "unknown expression kind 'wat'", _TC),
+    (_json_shape("{}"), SchemaJsonError, "missing key 'kind'", _TC),
+    (_json_shape(_json_tc("[]")), SchemaJsonError, "valueClass must be a non-empty list", _TC),
+    (_json_shape(_json_tc("{}")), SchemaJsonError, "valueClass must be a non-empty list", _TC),
+    (_json_shape(_json_tc(tc_id="0")), SchemaJsonError, "tc id must be a positive integer", _TC),
+    (_json_shape(_json_tc(tc_id='"1"')), SchemaJsonError, "tc id must be a positive integer",
+     _TC),
+    (_json_shape(_json_tc('[{"type": "nodekind", "kind": "Foo"}]')), SchemaJsonError,
+     "unknown node kind 'Foo'", _TC + ".valueClass[0]"),
+    (_json_shape(_json_tc('[{"type": "wat"}]')), SchemaJsonError,
+     "unknown constraint type 'wat'", _TC + ".valueClass[0]"),
+    (_json_shape(_json_values()), SchemaJsonError, "value set needs a non-empty list",
+     _TC + ".valueClass[0]"),
+    (_json_shape(_json_values('{"type": "bnode"}')), SchemaJsonError,
+     "unknown value type 'bnode'", _TC + ".valueClass[0].values[0]"),
+    (_json_shape(_json_values('{"type": "literal", "lexical": "x"}')), SchemaJsonError,
+     "missing key 'datatype'", _TC + ".valueClass[0].values[0]"),
+    (_json_shape('{"kind": "group", "exprs": []}'), SchemaJsonError,
+     "exprs must be a non-empty list", _TC),
+    (_json_shape('{"kind": "someOf", "exprs": {}}'), SchemaJsonError,
+     "exprs must be a non-empty list", _TC),
+    (_json_shape('{"kind": "repeat", "min": "0", "max": 1, "expr": {"kind": "empty"}}'),
+     SchemaJsonError, "cardinalities must be integers or '*'", _TC),
+    (_json_shape('{"kind": "repeat", "min": 0, "max": "many", "expr": {"kind": "empty"}}'),
+     SchemaJsonError, "cardinalities must be integers or '*'", _TC),
+    (_json_shape('{"kind": "repeat", "min": 3, "max": 1, "expr": {"kind": "empty"}}'),
+     SchemaJsonError, "cardinality [3;1] has min > max", _TC),
+    (_json_shape('{"kind": "repeat", "min": 0, "max": 1}'), SchemaJsonError,
+     "missing key 'expr'", _TC),
+    (_json_shape(_json_tc('[{"type": "shape", "label": "T"}]')),
+     UndefinedShapeReferenceError, "<S> references undefined shape <T>", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text,error,message,path", JSON_ERRORS, ids=[f"json{i}" for i in range(len(JSON_ERRORS))]
+)
+def test_json_schema_errors_are_pinned(text, error, message, path):
+    with pytest.raises(error) as err:
+        json_to_schema(text)
+    exc = err.value
+    assert type(exc) is error
+    if path is not None:
+        message += f" (at {path})"
+    assert (str(exc), getattr(exc, "path", None)) == (message, path)
+
+
+# The corpus schemas, then the schemas of ``random_instance`` for seeds 0-499.
+ROUND_TRIP = ["issues.shex", "issues_noextra.shex", "boolean.shex"] + [
+    pytest.param(seed, id=f"seed{seed}") for seed in range(500)
+]
+
+
+def _round_trip_schema(name):
+    if isinstance(name, int):
+        return random_instance(random.Random(name))[0]
+    return parse_schema((DATA / name).read_text())
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
 def test_json_round_trip_corpus(name):
-    schema = parse_schema((DATA / name).read_text())
+    schema = _round_trip_schema(name)
     again = json_to_schema(schema_to_json(schema))
     assert again.shapes == schema.shapes
 
@@ -213,8 +356,8 @@ def test_json_errors_carry_paths(mutate, path_bit):
     assert err.value.path.startswith(path_bit[: len(err.value.path)]) or path_bit in str(err.value)
 
 
-@pytest.mark.parametrize("name", ["issues.shex", "issues_noextra.shex", "boolean.shex"])
+@pytest.mark.parametrize("name", ROUND_TRIP)
 def test_reparse_of_emitted_shexc_is_identity(name):
-    schema = parse_schema((DATA / name).read_text())
+    schema = _round_trip_schema(name)
     again = parse_schema(schema_to_shexc(schema))
     assert again.shapes == schema.shapes
