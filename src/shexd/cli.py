@@ -20,10 +20,8 @@ from .engine import (
 from .errors import (
     BagTooLargeError,
     CertificateError,
-    ParseError,
     SearchBudgetExceededError,
     ShexdError,
-    UnknownNodeError,
     ValidationError,
     WellDefinednessError,
 )
@@ -128,19 +126,40 @@ def _gather_typing0(args, graph: Graph, schema: Schema) -> list[TypingEntry]:
     return out
 
 
-def _check_limits(args) -> None:
+def _load(args) -> tuple[Schema, Graph, list[TypingEntry]]:
+    """The schema, the graph and the requested typing that ``args`` name."""
     for flag in ("bag_bound", "max_edits"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must not be negative, got {value}")
+    schema = _load_schema(args.schema)
+    graph = _load_graph(args.data, args.format)
+    return schema, graph, _gather_typing0(args, graph, schema)
+
+
+# The errors a command reports, and the exit code and message prefix of
+# each, first match first: the input errors are the last row.
+_REPORTED = (OSError, ValueError, ShexdError)
+_EXITS = (
+    (WellDefinednessError, EXIT_NOT_WELL_DEFINED, "error: "),
+    ((BagTooLargeError, SearchBudgetExceededError), EXIT_RESOURCE, "resource bound hit: "),
+    (CertificateError, EXIT_RESOURCE, "internal error: "),
+    (_REPORTED, EXIT_PARSE, "error: "),
+)
+
+
+def _report(exc: Exception) -> int:
+    """Print ``exc`` on stderr and return its exit code."""
+    code, prefix = next((code, prefix) for kinds, code, prefix in _EXITS if isinstance(exc, kinds))
+    print(prefix + str(exc), file=sys.stderr)
+    return code
 
 
 def cmd_check_schema(args) -> int:
     try:
         schema = _load_schema(args.schema)
-    except (OSError, UnicodeDecodeError, ShexdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except _REPORTED as exc:
+        return _report(exc)
     report = check_well_defined(schema)
     if report is not None:
         print(
@@ -172,25 +191,16 @@ def _print_witness(gtw: GlobalTypingWitness) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        _check_limits(args)
-        schema = _load_schema(args.schema)
-        graph = _load_graph(args.data, args.format)
-        typing0 = _gather_typing0(args, graph, schema)
-    except (OSError, ValueError, json.JSONDecodeError, ParseError, ShexdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
+        schema, graph, typing0 = _load(args)
         certain = CertainTyping(schema, graph, bag_bound=args.bag_bound)
         gtw = flooding_validation(
             schema, graph, typing0, certain=certain, bag_bound=args.bag_bound
         )
-    except WellDefinednessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_WELL_DEFINED
-    except (BagTooLargeError, SearchBudgetExceededError) as exc:
-        print(f"resource bound hit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        if not verify_global_typing_witness(gtw, graph, schema, certain, bag_bound=args.bag_bound):
+            raise CertificateError("produced witness failed verification")
+        rendered = witness_to_json(gtw)
+        if args.witness_out:
+            Path(args.witness_out).write_text(rendered, encoding="utf-8")
     except ValidationError as exc:
         print("invalid: " + str(exc))
         for n, s, sign in exc.failed:
@@ -198,20 +208,8 @@ def cmd_validate(args) -> int:
         for n, s, tried in exc.exhausted:
             print(f"  exhausted after {tried} candidates: {n} : <{s}>")
         return EXIT_INVALID
-    except (UnknownNodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    if not verify_global_typing_witness(gtw, graph, schema, certain, bag_bound=args.bag_bound):
-        print("internal error: produced witness failed verification", file=sys.stderr)
-        return EXIT_RESOURCE
-    rendered = witness_to_json(gtw)
-    if args.witness_out:
-        try:
-            Path(args.witness_out).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    except _REPORTED as exc:
+        return _report(exc)
     if args.json:
         sys.stdout.write(rendered)
     else:
@@ -232,31 +230,15 @@ def cmd_repair(args) -> int:
     from .repair import repairs_to_json
 
     try:
-        _check_limits(args)
-        schema = _load_schema(args.schema)
-        graph = _load_graph(args.data, args.format)
+        schema, graph, typing0 = _load(args)
         # Rejected as validate rejects it, before the search: the checks
         # would otherwise answer "no repair" or hit a resource bound first.
-        typing0 = check_request(_gather_typing0(args, graph, schema), graph, schema)
-    except (OSError, ValueError, json.JSONDecodeError, ParseError, ShexdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+        typing0 = check_request(typing0, graph, schema)
         result = enumerate_repairs(
             graph, schema, typing0, max_edits=args.max_edits, bag_bound=args.bag_bound
         )
-    except WellDefinednessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_WELL_DEFINED
-    except (BagTooLargeError, SearchBudgetExceededError) as exc:
-        print(f"resource bound hit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except CertificateError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (UnknownNodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except _REPORTED as exc:
+        return _report(exc)
     rendered = repairs_to_json(result)
     if args.json:
         sys.stdout.write(rendered)

@@ -66,21 +66,25 @@ def escape_string(text: str) -> str:
     )
 
 
+# N-Triples' string escapes: one of ECHAR, or UCHAR's four or eight hex digits.
+_ESCAPE_RE = re.compile(r"""\\(?:([tbnrf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))""")
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _decode_escape(m: re.Match) -> str:
+    if m[1]:
+        return _ECHARS[m[1]]
+    code = int(m[2] or m[3], 16)
+    if 0xD800 <= code < 0xE000 or code > 0x10FFFF:
+        raise ValueError(f"escape {m[0]!r} names no Unicode scalar value")
+    return chr(code)
+
+
 def unescape_string(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(nxt)
-            if mapped is not None:
-                out.append(mapped)
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """Decode the escapes of a string's body; a backslash that starts none
+    stays as written. Raises ``ValueError`` on an escape that names no
+    Unicode scalar value."""
+    return _ESCAPE_RE.sub(_decode_escape, text) if "\\" in text else text
 
 
 def term_key(term: Term) -> str:
@@ -225,20 +229,31 @@ def build_graph(data: TripleSet | tuple[Triple, ...] | list[Triple]) -> Graph:
 
 # --- tokenizing -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iriref><[^<>"{}|^`\\\s]*>)
-    | (?P<blank>_:[A-Za-z0-9][A-Za-z0-9_.-]*)
-    | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<dcarets>\^\^)
-    | (?P<langtag>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?|[A-Za-z_][A-Za-z0-9_-]*?:)
-    | (?P<punct>[.;,])
-    """,
-    re.VERBOSE,
+# The token alternatives that data and schemas share; ``_token_re`` joins them
+# with a syntax's own ones.
+_TERM_TOKENS = {
+    "ws": r"\s+",
+    "comment": r"\#[^\n]*",
+    "iriref": r'<[^<>"{}|^`\\\s]*>',
+    "string": r'"(?:[^"\\]|\\.)*"',
+    "dcarets": r"\^\^",
+    "langtag": r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*",
+    "integer": r"[+-]?[0-9]+",
+    "pname": r"[A-Za-z_][A-Za-z0-9_-]*?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+    r"|[A-Za-z_][A-Za-z0-9_-]*?:",
+}
+
+
+def _token_re(order: str, **own: str) -> re.Pattern:
+    """The alternatives named in ``order``, each shared or one of ``own``."""
+    table = _TERM_TOKENS | own
+    return re.compile("|".join(f"(?P<{kind}>{table[kind]})" for kind in order.split()))
+
+
+_TOKEN_RE = _token_re(
+    "ws comment iriref blank string dcarets langtag integer pname punct",
+    blank=r"_:[A-Za-z0-9][A-Za-z0-9_.-]*",
+    punct=r"[.;,]",
 )
 
 
@@ -276,16 +291,14 @@ def tokenize(text: str, token_re: re.Pattern) -> list[Token]:
     return tokens
 
 
-class _DataParser:
-    """Recursive-descent parser for N-Triples and the Turtle subset."""
+class _TermReader:
+    """A cursor over a text's tokens, with the term productions that data and
+    schemas share: IRIs, prefixed names and literals."""
 
-    def __init__(self, text: str, fmt: str):
-        self.tokens = tokenize(text, _TOKEN_RE)
+    def __init__(self, text: str, token_re: re.Pattern):
+        self.tokens = tokenize(text, token_re)
         self.pos = 0
-        self.fmt = fmt
         self.prefixes: dict[str, str] = {}
-        self.triples: list[Triple] = []
-        self.seen: set[tuple[str, str, str]] = set()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -293,14 +306,22 @@ class _DataParser:
     def take(self, kind: str | None = None) -> Token:
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"expected {kind}, found {tok.text!r}", tok)
         self.pos += 1
         return tok
 
-    def expect_punct(self, text: str) -> None:
+    def at(self, text: str, kind: str = "punct", ahead: int = 0) -> bool:
+        tok = self.tokens[self.pos + ahead]
+        return tok.kind == kind and tok.text == text
+
+    def expect(self, text: str) -> None:
         tok = self.take()
         if tok.kind != "punct" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
+
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        tok = tok or self.peek()
+        return ParseError(message, tok.line, tok.column)
 
     def resolve_pname(self, tok: Token) -> str:
         prefix, _, local = tok.text.partition(":")
@@ -313,10 +334,44 @@ class _DataParser:
         if tok.kind == "iriref":
             return tok.text[1:-1]
         if tok.kind == "pname":
-            if self.fmt == "nt":
-                raise ParseError("prefixed names are not N-Triples", tok.line, tok.column)
             return self.resolve_pname(tok)
-        raise ParseError(f"expected an IRI, found {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"expected an IRI, found {tok.text!r}", tok)
+
+    def parse_term(self) -> Iri | Literal:
+        """An IRI, or a literal: a string with an optional ``^^`` datatype or
+        ``@`` language tag, or a bare integer."""
+        tok = self.peek()
+        if tok.kind == "integer":
+            self.take()
+            return Literal(tok.text, XSD_INTEGER)
+        if tok.kind != "string":
+            return Iri(self.parse_iri())
+        self.take()
+        try:
+            lexical = unescape_string(tok.text[1:-1])
+        except ValueError as exc:
+            raise self.error(str(exc), tok) from None
+        if self.peek().kind == "dcarets":
+            self.take()
+            return Literal(lexical, self.parse_iri())
+        if self.peek().kind == "langtag":
+            return Literal(lexical, RDF_LANG_STRING, self.take().text[1:])
+        return Literal(lexical)
+
+
+class _DataParser(_TermReader):
+    """Recursive-descent parser for N-Triples and the Turtle subset."""
+
+    def __init__(self, text: str, fmt: str):
+        super().__init__(text, _TOKEN_RE)
+        self.fmt = fmt
+        self.triples: list[Triple] = []
+        self.seen: set[tuple[str, str, str]] = set()
+
+    def resolve_pname(self, tok: Token) -> str:
+        if self.fmt == "nt":
+            raise self.error("prefixed names are not N-Triples", tok)
+        return super().resolve_pname(tok)
 
     def parse_subject(self) -> Iri | BlankRef:
         tok = self.peek()
@@ -327,26 +382,9 @@ class _DataParser:
 
     def parse_object(self) -> Term:
         tok = self.peek()
-        if tok.kind == "blank":
-            self.take()
-            return BlankRef(tok.text[2:])
-        if tok.kind == "string":
-            self.take()
-            lexical = unescape_string(tok.text[1:-1])
-            nxt = self.peek()
-            if nxt.kind == "dcarets":
-                self.take()
-                return Literal(lexical, self.parse_iri())
-            if nxt.kind == "langtag":
-                self.take()
-                return Literal(lexical, RDF_LANG_STRING, nxt.text[1:])
-            return Literal(lexical)
-        if tok.kind == "integer":
-            if self.fmt == "nt":
-                raise ParseError("bare integers are not N-Triples", tok.line, tok.column)
-            self.take()
-            return Literal(tok.text, XSD_INTEGER)
-        return Iri(self.parse_iri())
+        if tok.kind == "integer" and self.fmt == "nt":
+            raise self.error("bare integers are not N-Triples", tok)
+        return self.parse_subject() if tok.kind == "blank" else self.parse_term()
 
     def add(self, subject: Iri | BlankRef, prop: str, obj: Term) -> None:
         triple = Triple(subject, prop, obj)
@@ -357,36 +395,30 @@ class _DataParser:
 
     def parse(self) -> TripleSet:
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if self.fmt == "ttl-lite" and tok.kind == "langtag" and tok.text == "@prefix":
+            if self.fmt == "ttl-lite" and self.at("@prefix", "langtag"):
                 self.take()
                 name = self.take("pname")
                 if not name.text.endswith(":"):
-                    raise ParseError("malformed prefix declaration", name.line, name.column)
-                iri = self.take("iriref")
-                self.prefixes[name.text[:-1]] = iri.text[1:-1]
-                self.expect_punct(".")
+                    raise self.error("malformed prefix declaration", name)
+                self.prefixes[name.text[:-1]] = self.take("iriref").text[1:-1]
+                self.expect(".")
                 continue
             subject = self.parse_subject()
             while True:
                 prop = self.parse_iri()
-                while True:
+                self.add(subject, prop, self.parse_object())
+                while self.fmt == "ttl-lite" and self.at(","):
+                    self.take()
                     self.add(subject, prop, self.parse_object())
-                    if self.peek().kind == "punct" and self.peek().text == ",":
-                        if self.fmt == "nt":
-                            break
-                        self.take()
-                        continue
-                    break
                 tok = self.take("punct")
                 if tok.text == ".":
                     break
                 if tok.text == ";" and self.fmt == "ttl-lite":
-                    if self.peek().kind == "punct" and self.peek().text == ".":
+                    if self.at("."):
                         self.take()
                         break
                     continue
-                raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+                raise self.error(f"unexpected {tok.text!r}", tok)
         return TripleSet(tuple(self.triples), self.prefixes)
 
 
@@ -397,14 +429,15 @@ def parse_data(text: str, fmt: str = "ttl-lite") -> TripleSet:
     return _DataParser(text, fmt).parse()
 
 
+def _term_nt(term: Term) -> str:
+    """A term as N-Triples writes it."""
+    return f"<{term.text}>" if isinstance(term, Iri) else term_key(term)
+
+
 def to_ntriples(triples: tuple[Triple, ...] | list[Triple]) -> str:
     """Canonical N-Triples serialization (sorted, forward triples only)."""
-
-    def term_nt(term: Term) -> str:
-        return f"<{term.text}>" if isinstance(term, Iri) else term_key(term)
-
     lines = [
-        f"{term_nt(t.subject)} <{t.prop}> {term_nt(t.obj)} ."
+        f"{_term_nt(t.subject)} <{t.prop}> {_term_nt(t.obj)} ."
         for t in sorted(triples, key=Triple.key)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -12,13 +12,20 @@ import json
 import re
 from typing import Any
 
-from .errors import (
-    DuplicateShapeLabelError,
-    ParseError,
-    SchemaJsonError,
-    UnknownPrefixError,
+from .errors import DuplicateShapeLabelError, SchemaJsonError
+from .rdf_graph import (
+    _TERM_TOKENS,
+    BLANK,
+    XSD_INTEGER,
+    BlankValue,
+    DirectedProperty,
+    Iri,
+    Literal,
+    Value,
+    _TermReader,
+    _term_nt,
+    _token_re,
 )
-from .rdf_graph import BLANK, XSD_INTEGER, XSD_STRING, BlankValue, DirectedProperty, Iri, Literal, Token, Value, escape_string, tokenize, unescape_string
 from .schema_model import (
     AtomicConstr,
     DatatypeSet,
@@ -38,70 +45,23 @@ from .schema_model import (
 
 _NODE_KINDS = ("IRI", "BNode", "Literal", "NonLiteral")
 
-_SCHEMA_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iriref><[^<>"{}|^`\\\s]*>)
-    | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<atprefix>@prefix\b)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?|[A-Za-z_][A-Za-z0-9_-]*?:)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_-]*)
-    | (?P<dcarets>\^\^)
-    | (?P<symbol>[{}()\[\];,|*+?!@^.])
-    """,
-    re.VERBOSE,
+_SCHEMA_TOKEN_RE = _token_re(
+    "ws comment iriref string langtag integer pname name dcarets punct",
+    name=r"[A-Za-z_][A-Za-z0-9_-]*",
+    punct=r"[{}()\[\];,|*+?!@^.]",
 )
 
 
-class _SchemaParser:
+class _SchemaParser(_TermReader):
     def __init__(self, text: str):
-        self.tokens = tokenize(text, _SCHEMA_TOKEN_RE)
-        self.pos = 0
-        self.prefixes: dict[str, str] = {}
+        super().__init__(text, _SCHEMA_TOKEN_RE)
         self.next_tc_id = 1
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
-
-    def at_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.text == text
-
-    def expect_symbol(self, text: str) -> None:
-        tok = self.take()
-        if tok.kind != "symbol" or tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
-
-    def at_name(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == text
-
-    # -- leaf productions --
-
-    def parse_iri(self) -> str:
-        tok = self.take()
-        if tok.kind == "iriref":
-            return tok.text[1:-1]
-        if tok.kind == "pname":
-            prefix, _, local = tok.text.partition(":")
-            if prefix not in self.prefixes:
-                raise UnknownPrefixError(f"undeclared prefix {prefix!r}", tok.line, tok.column)
-            return self.prefixes[prefix] + local
-        raise self.error(f"expected an IRI, found {tok.text!r}", tok)
+    def at_inverse_closed(self) -> bool:
+        return self.at("^") and self.at("CLOSED", "name", 1)
 
     def parse_dprop(self) -> DirectedProperty:
-        if self.at_symbol("^"):
+        if self.at("^"):
             self.take()
             return DirectedProperty(self.parse_iri(), inverse=True)
         return DirectedProperty(self.parse_iri())
@@ -116,11 +76,8 @@ class _SchemaParser:
 
     def parse(self) -> Schema:
         shapes: dict[str, ShapeDefinition] = {}
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "atprefix" or (tok.kind == "name" and tok.text == "PREFIX"):
+        while self.peek().kind != "eof":
+            if self.at("@prefix", "langtag") or self.at("PREFIX", "name"):
                 self.take()
                 name = self.take()
                 if name.kind != "pname" or not name.text.endswith(":"):
@@ -129,7 +86,7 @@ class _SchemaParser:
                 if iri.kind != "iriref":
                     raise self.error("prefix declaration needs an <IRI>", iri)
                 self.prefixes[name.text[:-1]] = iri.text[1:-1]
-                if self.at_symbol("."):
+                if self.at("."):
                     self.take()
                 continue
             label = self.parse_shape_label()
@@ -145,40 +102,38 @@ class _SchemaParser:
         closed_fwd = closed_inv = False
         extra: list[DirectedProperty] = []
         while True:
-            if self.at_name("CLOSED"):
+            if self.at("CLOSED", "name"):
                 self.take()
                 closed_fwd = True
-            elif self.at_symbol("^") and self.peek(1).kind == "name" and self.peek(1).text == "CLOSED":
+            elif self.at_inverse_closed():
                 self.take()
                 self.take()
                 closed_inv = True
-            elif self.at_name("EXTRA"):
+            elif self.at("EXTRA", "name"):
                 self.take()
-                while not self.at_symbol("{") and not self.at_name("CLOSED"):
-                    if self.at_symbol("^") and self.peek(1).kind == "name" and self.peek(1).text == "CLOSED":
-                        break
+                while not (self.at("{") or self.at("CLOSED", "name") or self.at_inverse_closed()):
                     extra.append(self.parse_dprop())
                 if not extra:
                     raise self.error("EXTRA needs at least one property")
             else:
                 break
-        self.expect_symbol("{")
-        expr: ShapeExpr = Empty() if self.at_symbol("}") else self.parse_some_of()
-        self.expect_symbol("}")
+        self.expect("{")
+        expr: ShapeExpr = Empty() if self.at("}") else self.parse_some_of()
+        self.expect("}")
         return ShapeDefinition(closed_fwd, closed_inv, tuple(extra), expr)
 
     # -- expressions ('|' binds looser than ',') --
 
     def parse_some_of(self) -> ShapeExpr:
         children = [self.parse_group()]
-        while self.at_symbol("|"):
+        while self.at("|"):
             self.take()
             children.append(self.parse_group())
         return children[0] if len(children) == 1 else SomeOf(tuple(children))
 
     def parse_group(self) -> ShapeExpr:
         children = [self.parse_unary()]
-        while self.at_symbol(","):
+        while self.at(","):
             self.take()
             children.append(self.parse_unary())
         return children[0] if len(children) == 1 else Group(tuple(children))
@@ -192,7 +147,7 @@ class _SchemaParser:
 
     def parse_cardinality(self) -> tuple[int, int | None] | None:
         tok = self.peek()
-        if tok.kind != "symbol":
+        if tok.kind != "punct":
             return None
         if tok.text == "*":
             self.take()
@@ -208,15 +163,15 @@ class _SchemaParser:
             lo_tok = self.take()
             if lo_tok.kind != "integer":
                 raise self.error("expected a minimum cardinality", lo_tok)
-            self.expect_symbol(";")
+            self.expect(";")
             hi_tok = self.take()
-            if hi_tok.kind == "symbol" and hi_tok.text == "*":
+            if hi_tok.kind == "punct" and hi_tok.text == "*":
                 hi: int | None = None
             elif hi_tok.kind == "integer":
                 hi = int(hi_tok.text)
             else:
                 raise self.error("expected a maximum cardinality or '*'", hi_tok)
-            self.expect_symbol("]")
+            self.expect("]")
             lo = int(lo_tok.text)
             if lo < 0 or (hi is not None and hi < 0):
                 raise self.error("cardinalities must be natural numbers", lo_tok)
@@ -226,12 +181,12 @@ class _SchemaParser:
         return None
 
     def parse_primary(self) -> ShapeExpr:
-        if self.at_symbol("("):
+        if self.at("("):
             self.take()
             inner = self.parse_some_of()
-            self.expect_symbol(")")
+            self.expect(")")
             return inner
-        if self.at_name("EmptyShape"):
+        if self.at("EmptyShape", "name"):
             self.take()
             return Empty()
         dprop = self.parse_dprop()
@@ -242,28 +197,28 @@ class _SchemaParser:
 
     def parse_value_class(self) -> tuple[AtomicConstr, ...]:
         atomics = [self.parse_atomic()]
-        while self.at_name("AND"):
+        while self.at("AND", "name"):
             self.take()
             atomics.append(self.parse_atomic())
         return tuple(atomics)
 
     def parse_atomic(self) -> AtomicConstr:
         tok = self.peek()
-        if tok.kind == "symbol" and tok.text in ("!", "@"):
+        if tok.kind == "punct" and tok.text in ("!", "@"):
             negated = tok.text == "!"
             self.take()
             if negated:
-                self.expect_symbol("@")
+                self.expect("@")
             return ShapeRef(self.parse_shape_label(), negated)
         if tok.kind == "name":
             if tok.text in _NODE_KINDS:
                 self.take()
                 return NodeKind(tok.text)
             raise self.error(f"unexpected keyword {tok.text!r} in value class", tok)
-        if tok.kind == "symbol" and tok.text == "(":
+        if self.at("("):
             self.take()
             values: list[Value] = []
-            while not self.at_symbol(")"):
+            while not self.at(")"):
                 values.append(self.parse_value())
             self.take()
             if not values:
@@ -272,21 +227,10 @@ class _SchemaParser:
         return DatatypeSet(self.parse_iri())
 
     def parse_value(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "_b":
+        if self.at("_b", "name"):
             self.take()
             return BLANK
-        if tok.kind == "string":
-            self.take()
-            lexical = unescape_string(tok.text[1:-1])
-            if self.peek().kind == "dcarets":
-                self.take()
-                return Literal(lexical, self.parse_iri())
-            return Literal(lexical)
-        if tok.kind == "integer":
-            self.take()
-            return Literal(tok.text, XSD_INTEGER)
-        return Iri(self.parse_iri())
+        return self.parse_term()
 
 
 def parse_schema(text: str) -> Schema:
@@ -299,13 +243,13 @@ def parse_schema(text: str) -> Schema:
 def _value_to_shexc(value: Value) -> str:
     if isinstance(value, BlankValue):
         return "_b"
-    if isinstance(value, Iri):
-        return f"<{value.text}>"
-    if value.datatype == XSD_STRING and value.lang is None:
-        return f'"{escape_string(value.lexical)}"'
-    if value.datatype == XSD_INTEGER and re.fullmatch(r"[+-]?[0-9]+", value.lexical):
+    if (
+        isinstance(value, Literal)
+        and value.datatype == XSD_INTEGER
+        and re.fullmatch(_TERM_TOKENS["integer"], value.lexical)
+    ):
         return value.lexical
-    return f'"{escape_string(value.lexical)}"^^<{value.datatype}>'
+    return _term_nt(value)
 
 
 def _atomic_to_shexc(atomic: AtomicConstr) -> str:

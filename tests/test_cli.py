@@ -567,6 +567,20 @@ def test_repair_certificate_failure_is_an_internal_error(monkeypatch, capsys):
     )
 
 
+def test_validate_certificate_failure_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    import shexd.cli
+
+    monkeypatch.setattr(shexd.cli, "verify_global_typing_witness", lambda *a, **k: False)
+    out = tmp_path / "w.json"
+    argv = ["validate", "--schema", SCHEMA, "--data", ISSUES, "--node", "ex:issue1",
+            "--shape", "IssueShape", "--witness-out", str(out)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: produced witness failed verification\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -122,6 +122,33 @@ def test_data_parse_errors_are_pinned(fmt, text, error, message, line, column):
     )
 
 
+
+def test_string_escapes_are_decoded():
+    data = parse_data(r'<a> <p> "A\U0001F600 \b\f\'\"\\\t\n\r" .', fmt="nt")
+    assert data.triples[0].obj == Literal("A\U0001F600 \b\f'\"\\\t\n\r")
+
+
+def test_an_escaped_character_and_the_character_are_one_node():
+    g = build_graph(parse_data('<a> <p> "\\u0041" .\n<a> <p> "A" .', fmt="nt"))
+    assert len(g.triples) == 1
+    assert g.has_node(term_key(Literal("A")))
+
+
+def test_a_backslash_that_starts_no_escape_stays_as_written():
+    data = parse_data(r'<a> <p> "\q \u00 \\u0041 \U0041" .')
+    # an escaped backslash before "u0041" starts no UCHAR
+    assert data.triples[0].obj == Literal(r"\q \u00 \u0041 \U0041")
+
+
+@pytest.mark.parametrize("escape", [r"\ud800", r"\uDFFF", r"\U00110000", r"\UFFFFFFFF"])
+def test_an_escape_that_names_no_character_is_a_parse_error(escape):
+    with pytest.raises(ParseError) as err:
+        parse_data(f'<a> <p> <o> .\n<a> <q> "x{escape}" .')
+    assert str(err.value) == (
+        f"escape {escape!r} names no Unicode scalar value (line 2, column 9)"
+    )
+
+
 def test_build_graph_doubles_edges():
     g = build_graph(parse_data("@prefix ex: <http://e/> .\nex:a ex:p ex:b ."))
     assert len(g.edges) == 2

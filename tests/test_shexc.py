@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from shexd import json_to_schema, parse_schema, schema_to_json, schema_to_shexc
+from shexd import (
+    build_graph,
+    flooding_validation,
+    json_to_schema,
+    parse_data,
+    parse_schema,
+    schema_to_json,
+    schema_to_shexc,
+)
 from shexd.errors import (
     DuplicateShapeLabelError,
     ParseError,
@@ -13,7 +21,7 @@ from shexd.errors import (
     UnknownPrefixError,
 )
 from shexd.randgen import random_instance
-from shexd.rdf_graph import XSD_INTEGER, XSD_STRING, DirectedProperty, Iri
+from shexd.rdf_graph import BLANK, XSD, XSD_INTEGER, XSD_STRING, DirectedProperty, Iri, Literal
 from shexd.schema_model import (
     DatatypeSet,
     Empty,
@@ -183,8 +191,8 @@ SCHEMA_ERRORS = [
     ("PREFIX e: e:x", ParseError, "prefix declaration needs an <IRI>", 1, 11),
     ("<S> { }\n<S> { }", DuplicateShapeLabelError, "shape <S> defined twice", None, None),
     ("e:S { }", ParseError, "expected a shape label, found 'e:S'", 1, 1),
-    (_E + "@foo <S> { }", ParseError, "expected a shape label, found '@'", 2, 1),
-    (_E + "<S> { e:p @e:T }", ParseError, "expected a shape label, found 'e:T'", 2, 12),
+    (_E + "@foo <S> { }", ParseError, "expected a shape label, found '@foo'", 2, 1),
+    (_E + "<S> { e:p @e:T }", ParseError, "unexpected character ':'", 2, 13),
     (_E + "<S> { e:p !<T> }", ParseError, "expected '@', found '<T>'", 2, 12),
     (_E + "<S> EXTRA { e:p IRI }", ParseError, "EXTRA needs at least one property", 2, 11),
     (_E + "<S> { e:p IRI [x;2] }", ParseError, "expected a minimum cardinality", 2, 16),
@@ -299,8 +307,9 @@ def test_json_schema_errors_are_pinned(text, error, message, path):
     assert (str(exc), getattr(exc, "path", None)) == (message, path)
 
 
-# The corpus schemas, then the schemas of ``random_instance`` for seeds 0-499.
-ROUND_TRIP = ["issues.shex", "issues_noextra.shex", "boolean.shex"] + [
+# The corpus schemas, one that writes every term form, then the schemas of
+# ``random_instance`` for seeds 0-499.
+ROUND_TRIP = ["issues.shex", "issues_noextra.shex", "boolean.shex", "terms.shex"] + [
     pytest.param(seed, id=f"seed{seed}") for seed in range(500)
 ]
 
@@ -308,7 +317,7 @@ ROUND_TRIP = ["issues.shex", "issues_noextra.shex", "boolean.shex"] + [
 def _round_trip_schema(name):
     if isinstance(name, int):
         return random_instance(random.Random(name))[0]
-    return parse_schema((DATA / name).read_text())
+    return parse_schema((DATA / name).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ROUND_TRIP)
@@ -361,3 +370,39 @@ def test_reparse_of_emitted_shexc_is_identity(name):
     schema = _round_trip_schema(name)
     again = parse_schema(schema_to_shexc(schema))
     assert again.shapes == schema.shapes
+
+
+def test_value_sets_read_every_term_form():
+    schema = parse_schema((DATA / "terms.shex").read_text(encoding="utf-8"))
+    values = iter_triple_constraints(schema.shapes["Terms"].expr)[0].value_class[0].values
+    assert values == (
+        Literal("15/12/2015", XSD + "date"),
+        Literal("42", XSD_INTEGER),
+        Literal("-7", XSD_INTEGER),
+        Literal("+5", XSD_INTEGER),
+        Literal('tab\t "quoted" back\\slash \u00e9 \U0001F600'),
+        Literal("chat", lang="fr"),
+        Literal("colour", lang="en-GB"),
+        BLANK,
+        Iri("http://example.org/v"),
+    )
+    emitted = schema_to_shexc(schema)
+    for form in ('"chat"@fr', "-7", "+5", "_b", "CLOSED ^CLOSED", "[2;5]", "?", "<Empty> { }"):
+        assert form in emitted
+
+
+def test_a_unicode_escape_in_a_value_set_matches_its_data_literal():
+    schema = parse_schema('PREFIX e: <http://e/>\n<S> { e:p ("caf\\u00e9") }')
+    graph = build_graph(parse_data('<http://e/a> <http://e/p> "caf\u00e9" .', fmt="nt"))
+    assert flooding_validation(schema, graph, [("http://e/a", "S", "+")]).typing
+
+
+def test_a_json_language_tag_survives_compact_syntax():
+    tc = _json_tc(
+        '[{"type": "values", "values": [{"type": "literal", "lexical": "chat", '
+        '"datatype": "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString", "lang": "fr"}]}]'
+    )
+    schema = json_to_schema(_json_shape(tc))
+    emitted = schema_to_shexc(schema)
+    assert '("chat"@fr)' in emitted
+    assert parse_schema(emitted).shapes == schema.shapes
